@@ -8,10 +8,9 @@ from .errors import (
     MldMinusInfinity,
     NotAnLctComputer,
     NotAntinef,
-    NotFound,
     SingularMatrix,
 )
-from .exact import format_rational, is_negative_definite, parse_rational, solve_symmetric
+from .exact import format_rational, parse_rational
 from .germ import (
     SMOOTH,
     BaseGerm,

@@ -40,10 +40,11 @@ def satellite_chain(r: int) -> germ.Cluster:
 def paper_examples() -> list[dict]:
     """Built-in reference fixtures with frozen expected values.
 
-    The satellite-chain rows also record the closed-form value
-    6(r+2)/(r+3) for comparison with the computed threshold; the two
-    disagree for r > 3 and the computed (unloading-backed) value is the
-    authoritative one.
+    The asymptotic lct of the last curve of ``satellite_chain(r)`` is
+    5(r+3)/6 = (k2+1)/dstar2, attained only at E2, for every r >= 3.  The
+    satellite-chain rows also record the value 6(r+2)/(r+3) for
+    comparison; it is not the threshold of this family, and agrees with it
+    only at r = 3.
     """
     rows: list[dict] = []
 
@@ -345,7 +346,10 @@ def cmd_enumerate(args) -> int:
         lambda_denominator_bound=args.lambda_bound,
         extension_depth=args.extension_depth,
     )
-    rows = explorer.atlas_rows(budget, jobs=args.jobs)
+    # The sweep builds every atlas row itself; only without it is the
+    # atlas computed on its own, over --jobs workers.
+    report = explorer.verify_theorems(budget) if args.report else None
+    rows = report.rows if report is not None else explorer.atlas_rows(budget, jobs=args.jobs)
     if args.atlas:
         with open(args.atlas, "w", newline="", encoding="utf-8") as fh:
             explorer.write_atlas_csv(rows, fh)
@@ -356,8 +360,7 @@ def cmd_enumerate(args) -> int:
         "clusters": len({r.enum_index for r in rows}),
         "rows": len(rows),
     }
-    if args.report:
-        report = explorer.verify_theorems(budget)
+    if report is not None:
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(report.to_json(), fh, sort_keys=True, indent=2)
             fh.write("\n")

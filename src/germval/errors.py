@@ -14,8 +14,8 @@ class GermvalError(Exception):
 class SingularMatrix(GermvalError):
     """Elimination hit a zero pivot column; the matrix is singular.
 
-    Call sites only solve negative definite systems, so this signals a
-    caller bug rather than bad user input.
+    The only call site inverts a Dynkin matrix, which is negative
+    definite, so this signals a caller bug rather than bad user input.
     """
 
 
@@ -36,13 +36,6 @@ class InvalidStep(GermvalError):
 class NotAntinef(GermvalError):
     """A divisor expected to be antinef has positive intersection with
     some exceptional curve."""
-
-
-class NotFound(GermvalError):
-    """The finite-generation degree search exhausted its candidates.
-
-    Unreachable for valid clusters; kept as an internal consistency guard.
-    """
 
 
 class NotAnLctComputer(GermvalError):

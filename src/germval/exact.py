@@ -1,14 +1,13 @@
-"""Exact rational arithmetic and linear algebra over the rationals.
+"""Exact rationals: parsing, formatting and one symmetric inverse.
 
 Rational numbers are `fractions.Fraction` values (arbitrary precision,
-always in lowest terms with positive denominator).  Vectors and matrices
-are plain tuples; matrices are dense, square and, in every use in this
-package, symmetric and negative definite.  No floating point is used
-anywhere.
+always in lowest terms with positive denominator).  No floating point is
+used anywhere.
 
-Linear systems are solved by fraction-free (Bareiss) elimination over the
-integers after clearing denominators, which keeps intermediate integer
-growth polynomial.
+The only dense linear algebra in the package is the inverse of a
+du Val base's Dynkin matrix, taken once per label; every other solve goes
+through the proximity factorisation of the intersection form (see
+:mod:`germval.germ`).
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from math import lcm
 
 from .errors import SingularMatrix
 
-Rational = Fraction
-QVector = tuple[Fraction, ...]
 QMatrix = tuple[tuple[Fraction, ...], ...]
 
 # Matrices and vectors may mix ints and Fractions; ints are exact rationals.
@@ -44,56 +41,6 @@ def parse_rational(s: str) -> Fraction:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {s!r}") from exc
-
-
-def _clear_denominators(m, b):
-    """Scale M·x = b by a positive integer so all entries are ints."""
-    dens = [as_fraction(e).denominator for row in m for e in row]
-    dens += [as_fraction(e).denominator for e in b]
-    s = lcm(*dens) if dens else 1
-    im = [[int(e * s) if isinstance(e, Fraction) else e * s for e in row] for row in m]
-    ib = [int(e * s) if isinstance(e, Fraction) else e * s for e in b]
-    return im, ib
-
-
-def solve_symmetric(m, b) -> QVector:
-    """Solve M·x = b exactly for a nonsingular (negative definite) M.
-
-    Raises SingularMatrix if elimination finds a zero pivot column.
-    """
-    n = len(m)
-    if any(len(row) != n for row in m) or len(b) != n:
-        raise ValueError("dimension mismatch")
-    if n == 0:
-        return ()
-    a, rhs = _clear_denominators(m, b)
-    aug = [a[i] + [rhs[i]] for i in range(n)]
-
-    prev = 1
-    for k in range(n):
-        if aug[k][k] == 0:
-            for r in range(k + 1, n):
-                if aug[r][k] != 0:
-                    aug[k], aug[r] = aug[r], aug[k]
-                    break
-            else:
-                raise SingularMatrix(f"zero pivot column at {k}")
-        pk = aug[k][k]
-        for i in range(k + 1, n):
-            aik = aug[i][k]
-            row_i, row_k = aug[i], aug[k]
-            for j in range(k + 1, n + 1):
-                row_i[j] = (pk * row_i[j] - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pk
-
-    x: list[Fraction] = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            s -= aug[i][j] * x[j]
-        x[i] = s / aug[i][i]
-    return tuple(x)
 
 
 def _int_scale(m) -> tuple[list[list[int]], int]:
@@ -147,67 +94,3 @@ def invert_symmetric(m) -> QMatrix:
     return tuple(
         tuple(Fraction(a[i][n + j] * s, det) for j in range(n)) for i in range(n)
     )
-
-
-def leading_principal_minors(m) -> tuple[Fraction, ...]:
-    """Determinants of the leading k x k blocks, k = 1..n.
-
-    Computed by fraction-free elimination without row exchanges; a zero
-    pivot yields a zero minor and ends the useful part of the sweep, so
-    remaining minors are computed by cofactor expansion (small matrices
-    only reach this path in tests).
-    """
-    n = len(m)
-    orig, s = _int_scale(m)
-    a = [row[:] for row in orig]
-
-    minors: list[Fraction] = []
-    prev = 1
-    clean = True
-    for k in range(n):
-        if clean and a[k][k] == 0:
-            clean = False
-        if not clean:
-            # Zero pivot stalls the fraction-free sweep; fall back to
-            # cofactor expansion on the untouched matrix.
-            minors.append(_det_cofactor([row[: k + 1] for row in orig[: k + 1]]))
-            continue
-        pk = a[k][k]
-        minors.append(Fraction(pk))
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n):
-                a[i][j] = (pk * a[i][j] - aik * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pk
-    return tuple(mi / Fraction(s) ** (k + 1) for k, mi in enumerate(minors))
-
-
-def _det_cofactor(a) -> Fraction:
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(a[0][0])
-    det = Fraction(0)
-    sign = 1
-    for j in range(n):
-        if a[0][j] != 0:
-            sub = [row[:j] + row[j + 1 :] for row in a[1:]]
-            det += sign * a[0][j] * _det_cofactor(sub)
-        sign = -sign
-    return det
-
-
-def is_negative_definite(m) -> bool:
-    """True iff the leading principal minors alternate in sign starting
-    negative (Sylvester's criterion for symmetric matrices)."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix not square")
-    sign = -1
-    for minor in leading_principal_minors(m):
-        if not (minor * sign > 0):
-            return False
-        sign = -sign
-    return True

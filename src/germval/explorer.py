@@ -19,7 +19,7 @@ import csv
 import json
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -356,10 +356,14 @@ class SuiteResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """Suite results of one sweep.  ``rows`` holds the atlas rows the sweep
+    built along the way; they are not part of the report JSON."""
+
     budget: EnumBudget
     seed: int
     counts: dict
     suites: tuple[SuiteResult, ...]
+    rows: tuple[AtlasRow, ...] = field(default=(), compare=False, repr=False)
 
     def counterexample_total(self) -> int:
         return sum(len(s.counterexamples) for s in self.suites)
@@ -620,4 +624,4 @@ def verify_theorems(b: EnumBudget) -> VerificationReport:
     suites = tuple(
         SuiteResult(name, checked[name], tuple(bad[name])) for name in SUITE_NAMES
     )
-    return VerificationReport(b, ATLAS_SPOT_CHECK_SEED, counts, suites)
+    return VerificationReport(b, ATLAS_SPOT_CHECK_SEED, counts, suites, tuple(all_rows))

@@ -20,15 +20,25 @@ come first, in a fixed documented order:
 Each blowup step then appends one curve.  Minimal-resolution curves are
 (-2)-curves with relative canonical coefficient k = 0; a new blowup curve
 gets k = 1 + sum of k over the curves through its center.
+
+The intersection matrix is the proximity model M = P·D·Pᵀ (Casas-Alvero,
+*Singularities of Plane Curves*, 2000).  P is the unitriangular integer
+proximity matrix: P[i][j] = -1 when curve i passes through the center of
+the step creating curve j, that is, when i is among that step's
+``_step_refs``.  D is the Dynkin matrix of the base (empty over a smooth
+point) followed by -1 on every step curve: the pulled-back base curves and
+the total transforms of the step curves are pairwise orthogonal.  D is
+negative definite and P is invertible, so M is negative definite by
+construction, and its off-diagonal entries are 0 or 1 because each step
+only sets entries to those values.  A cluster computes M and k once, when
+it is constructed.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, field
 
-from . import exact
 from .errors import InvalidStep
 
 _DYNKIN_LETTERS = ("A", "D", "E")
@@ -80,6 +90,15 @@ def _parse_dynkin(label: str) -> tuple[str, int]:
     return letter, rank
 
 
+def _dynkin_matrix(label: str) -> list[list[int]]:
+    """Intersection matrix of the minimal resolution of a du Val germ."""
+    rank = _parse_dynkin(label)[1]
+    m = [[-2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j in _dynkin_edges(label):
+        m[i][j] = m[j][i] = 1
+    return m
+
+
 def _dynkin_edges(label: str) -> list[tuple[int, int]]:
     letter, rank = _parse_dynkin(label)
     if letter == "A":
@@ -117,8 +136,28 @@ BlowupStep = Free | Satellite
 
 @dataclass(frozen=True)
 class Cluster:
+    """A base germ and its blowup steps.
+
+    Construction validates the steps (raising InvalidStep) and computes
+    the intersection matrix and the canonical vector once.  ``_dstar``
+    holds the asymptotic multiplicity columns computed so far, keyed by
+    curve (see :mod:`germval.valuation`).  The derived fields take no part
+    in equality, hashing or repr, and are freed with the cluster.
+    """
+
     base: BaseGerm
     steps: tuple[BlowupStep, ...]
+    _matrix: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    _k: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _dstar: dict = field(init=False, compare=False, repr=False, default_factory=dict)
+
+    def __post_init__(self):
+        m, k = _simulate(self.base, self.steps)
+        object.__setattr__(self, "_matrix", tuple(tuple(row) for row in m))
+        object.__setattr__(self, "_k", tuple(k))
+
+    def __reduce__(self):  # pickle (for worker processes) without the derived fields
+        return Cluster, (self.base, self.steps)
 
     def curve_count(self) -> int:
         return self.base.rank() + len(self.steps)
@@ -132,14 +171,10 @@ def _step_refs(step: BlowupStep) -> tuple[int, ...]:
 
 def _simulate(base: BaseGerm, steps: tuple[BlowupStep, ...]):
     """Validate steps and return (matrix rows as lists, k list)."""
-    rank = base.rank()
-    m: list[list[int]] = [[0] * rank for _ in range(rank)]
-    k: list[int] = [0] * rank
-    for i in range(rank):
-        m[i][i] = -2
-    if base.dynkin is not None:
-        for i, j in _dynkin_edges(base.dynkin):
-            m[i][j] = m[j][i] = 1
+    if base.is_smooth and not steps:
+        raise InvalidStep(0, "a smooth base needs at least one blowup")
+    m = [] if base.dynkin is None else _dynkin_matrix(base.dynkin)
+    k: list[int] = [0] * len(m)
 
     for idx, step in enumerate(steps):
         n = len(m)
@@ -179,37 +214,20 @@ def build(base: BaseGerm, steps) -> Cluster:
     """Validate the step list and return the cluster.
 
     Raises InvalidStep on a dangling reference, an illegal satellite or an
-    illegal first step.  The intersection matrix of every built cluster is
-    checked to be negative definite with off-diagonal entries 0 or 1.
+    illegal first step.
     """
-    steps = tuple(steps)
-    if base.is_smooth and not steps:
-        raise InvalidStep(0, "a smooth base needs at least one blowup")
-    c = Cluster(base, steps)
-    m = intersection_matrix(c)
-    n = len(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j] not in (0, 1):
-                raise AssertionError("off-diagonal intersection outside {0,1}")
-    if not exact.is_negative_definite(m):
-        raise AssertionError("intersection matrix not negative definite")
-    return c
+    return Cluster(base, tuple(steps))
 
 
-@cache
 def intersection_matrix(c: Cluster) -> tuple[tuple[int, ...], ...]:
     """Symmetric, integer, negative definite matrix of the exceptional
     curves on the top model."""
-    m, _ = _simulate(c.base, c.steps)
-    return tuple(tuple(row) for row in m)
+    return c._matrix
 
 
-@cache
 def canonical_vector(c: Cluster) -> tuple[int, ...]:
     """Coefficients of the relative canonical divisor, one per curve."""
-    _, k = _simulate(c.base, c.steps)
-    return tuple(k)
+    return c._k
 
 
 @dataclass(frozen=True)
@@ -304,9 +322,13 @@ def prune_to_ancestors(c: Cluster, curve: int) -> tuple[Cluster, dict[int, int]]
     Returns the pruned cluster and the old-id -> new-id map.  Dropping
     non-ancestor steps keeps every remaining step legal: a satellite's
     intersection point can only have been consumed by the satellite step
-    itself, which is an ancestor whenever its curve is kept.
+    itself, which is an ancestor whenever its curve is kept.  When every
+    curve is an ancestor the cluster itself is returned, with what it has
+    already computed.
     """
     keep = ancestor_curves(c, curve)
+    if len(keep) == c.curve_count():
+        return c, {i: i for i in range(len(keep))}
     rank = c.base.rank()
     old_to_new = {i: i for i in range(rank)}
     new_steps: list[BlowupStep] = []
@@ -341,6 +363,10 @@ def cluster_to_json(c: Cluster) -> dict:
     return {"base": base, "steps": steps}
 
 
+def _is_curve_id(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)  # bool is an int subclass
+
+
 def cluster_from_json(doc) -> Cluster:
     if not isinstance(doc, dict):
         raise ValueError("cluster document must be a JSON object")
@@ -361,7 +387,7 @@ def cluster_from_json(doc) -> Cluster:
         kind = s["kind"]
         if kind == "free":
             on = s.get("on")
-            if not (on is None or isinstance(on, int)):
+            if not (on is None or _is_curve_id(on)):
                 raise ValueError(f"steps[{idx}]: free 'on' must be null or an int")
             steps.append(Free(on))
         elif kind == "satellite":
@@ -369,7 +395,7 @@ def cluster_from_json(doc) -> Cluster:
             if (
                 not isinstance(on, list)
                 or len(on) != 2
-                or not all(isinstance(v, int) for v in on)
+                or not all(_is_curve_id(v) for v in on)
             ):
                 raise ValueError(f"steps[{idx}]: satellite 'on' must be [int, int]")
             if on[0] == on[1]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from . import germ, valuation
 from .errors import MldMinusInfinity, NotAnLctComputer, NotAntinef
@@ -121,7 +120,6 @@ def lct_ideal(c: germ.Cluster, a: CompleteIdeal) -> LctReport:
     return LctReport(value, frozenset(j for j, r in ratios.items() if r == value))
 
 
-@cache
 def asymptotic_lct(c: germ.Cluster, e: int) -> LctReport:
     """Asymptotic log canonical threshold of the graded sequence of E:
     the minimum of (k+1)/multiplicity over the model curves.  Always at

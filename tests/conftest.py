@@ -1,9 +1,10 @@
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from germval import germ, valuation
+from germval import exact, germ, valuation
 from germval.cli import satellite_chain, single_blowup
 from germval.explorer import EnumBudget, verify_theorems
 
@@ -15,15 +16,16 @@ def chain2() -> germ.Cluster:
     return germ.build(germ.SMOOTH, (germ.Free(None), germ.Free(0)))
 
 
-def oracle_lct_unloading(c: germ.Cluster, e: int, mmax: int = 2000) -> Fraction:
+def oracle_lct_unloading(c: germ.Cluster, e: int, mmax: int = 2000, start: int = 1) -> Fraction:
     """Threshold of the graded sequence of E computed through unloading
-    alone: find the degree where the valuation ideal becomes numerically
-    trivial against the other curves, then take the minimal ratio.
+    alone: find the first degree from ``start`` on where the valuation
+    ideal becomes numerically trivial against the other curves, then take
+    the minimal ratio.  Every such degree gives the same ratio.
     Independent of the linear-algebra multiplicity path."""
     m = germ.intersection_matrix(c)
     k = germ.canonical_vector(c)
     n = len(k)
-    for mm in range(1, mmax + 1):
+    for mm in range(start, mmax + 1):
         z = [0] * n
         z[e] = mm
         d = valuation.unload(c, z)
@@ -31,6 +33,94 @@ def oracle_lct_unloading(c: germ.Cluster, e: int, mmax: int = 2000) -> Fraction:
         if all(prods[j] == 0 for j in range(n) if j != e):
             return min(Fraction((k[j] + 1) * mm, d[j]) for j in range(n))
     raise AssertionError(f"no stable degree below {mmax}")
+
+
+def leading_principal_minors(m) -> tuple[Fraction, ...]:
+    """Determinants of the leading k x k blocks of an integer matrix,
+    k = 1..n, by fraction-free (Bareiss) elimination without row
+    exchanges.  A zero pivot stalls the sweep, so from there on the minors
+    come from cofactor expansion of the untouched matrix."""
+    n = len(m)
+    a = [list(row) for row in m]
+    minors: list[Fraction] = []
+    prev = 1
+    clean = True
+    for k in range(n):
+        clean = clean and a[k][k] != 0
+        if not clean:
+            minors.append(_det_cofactor([list(row[: k + 1]) for row in m[: k + 1]]))
+            continue
+        pk = a[k][k]
+        minors.append(Fraction(pk))
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            for j in range(k + 1, n):
+                a[i][j] = (pk * a[i][j] - aik * a[k][j]) // prev
+            a[i][k] = 0
+        prev = pk
+    return tuple(minors)
+
+
+def _det_cofactor(a) -> Fraction:
+    if not a:
+        return Fraction(1)
+    det = Fraction(0)
+    for j, v in enumerate(a[0]):
+        if v:
+            det += (-1) ** j * v * _det_cofactor([row[:j] + row[j + 1 :] for row in a[1:]])
+    return det
+
+
+def is_negative_definite(m) -> bool:
+    """Sylvester's criterion: the leading principal minors alternate in
+    sign, starting negative."""
+    return all(minor * (-1) ** (k + 1) > 0 for k, minor in enumerate(leading_principal_minors(m)))
+
+
+def proximity_factors(c: germ.Cluster):
+    """(P, D) with M = P·D·Pᵀ, rebuilt from the step parents: P is
+    unitriangular with P[p][j] = -1 when curve p passes through the center
+    of the step creating curve j; D is the minimal-resolution matrix of
+    the base followed by -1 on every step curve."""
+    rank, n = c.base.rank(), c.curve_count()
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for idx, parents in enumerate(germ.step_parents(c)):
+        for q in parents:
+            p[q][rank + idx] = -1
+    d = [[-int(i == j) for j in range(n)] for i in range(n)]
+    if rank:
+        for i, row in enumerate(germ.intersection_matrix(germ.build(c.base, ()))):
+            d[i][:rank] = row
+    return p, d
+
+
+def oracle_dstar_dense(c: germ.Cluster) -> list[tuple[Fraction, ...]]:
+    """Every curve's column of the dense exact inverse of M, normalized at
+    that curve."""
+    inv = exact.invert_symmetric(germ.intersection_matrix(c))
+    n = c.curve_count()
+    return [tuple(inv[j][e] / inv[e][e] for j in range(n)) for e in range(n)]
+
+
+def check_proximity_model(c: germ.Cluster, curves) -> None:
+    """M = P·D·Pᵀ, M passes Sylvester's criterion, and on the given curves
+    dstar is the dense-inverse column and the finite-generation degree is
+    the lcm of its denominators, where unloading gives degree · dstar."""
+    m = [list(row) for row in germ.intersection_matrix(c)]
+    p, d = proximity_factors(c)
+    assert m == _mat_mul(_mat_mul(p, d), [list(col) for col in zip(*p)])
+    assert is_negative_definite(m)
+    dense = oracle_dstar_dense(c)
+    for e in curves:
+        dstar = valuation.asymptotic_multiplicities(c, e)
+        assert dstar == dense[e]
+        m0 = valuation.fingen_degree(c, e)
+        assert m0 == lcm(*(v.denominator for v in dstar))
+        assert valuation.valuation_ideal(c, e, m0) == tuple(m0 * v for v in dstar)
+
+
+def _mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 @pytest.fixture(scope="session")

@@ -181,15 +181,16 @@ def test_enumerate_writes_atlas_and_report(capsys, tmp_path):
 def test_enumerate_jobs_output_identical(capsys, tmp_path):
     paths = []
     for jobs in ("1", "2"):
-        atlas = tmp_path / f"atlas{jobs}.csv"
-        code, _, _ = run(
-            capsys,
-            ["enumerate", "--max-steps", "3", "--bases", "smooth,A2",
-             "--atlas", str(atlas), "--jobs", jobs],
-        )
-        assert code == 0
-        paths.append(atlas.read_text())
-    assert paths[0] == paths[1]
+        for report in ([], ["--report", str(tmp_path / "report.json")]):
+            atlas = tmp_path / f"atlas{jobs}{len(report)}.csv"
+            code, _, _ = run(
+                capsys,
+                ["enumerate", "--max-steps", "3", "--bases", "smooth,A2",
+                 "--atlas", str(atlas), "--jobs", jobs] + report,
+            )
+            assert code == 0
+            paths.append(atlas.read_text())
+    assert all(p == paths[0] for p in paths)
 
 
 def test_enumerate_extremal_sorted(capsys, tmp_path):

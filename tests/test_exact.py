@@ -1,21 +1,15 @@
+"""Rational parsing and formatting, the exact symmetric inverse, and the
+Sylvester oracle that the tests check intersection matrices with."""
+
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from germval.errors import SingularMatrix
-from germval.exact import (
-    format_rational,
-    invert_symmetric,
-    is_negative_definite,
-    leading_principal_minors,
-    parse_rational,
-    solve_symmetric,
-)
+from germval.exact import format_rational, invert_symmetric, parse_rational
 
-
-def mat_vec(m, x):
-    return tuple(sum(r * v for r, v in zip(row, x)) for row in m)
+from conftest import is_negative_definite, leading_principal_minors
 
 
 def det_cofactor(m):
@@ -32,39 +26,6 @@ def det_cofactor(m):
         sub = [row[:j] + row[j + 1 :] for row in m[1:]]
         total += (-1) ** j * m[0][j] * det_cofactor(sub)
     return total
-
-
-def test_solve_one_by_one():
-    assert solve_symmetric(((-1,),), (-1,)) == (Fraction(1),)
-
-
-def test_solve_two_by_two():
-    m = ((-2, 1), (1, -1))
-    x = solve_symmetric(m, (-1, 0))
-    assert x == (Fraction(1), Fraction(1))
-    assert mat_vec(m, x) == (-1, 0)
-
-
-def test_solve_three_by_three_satellite_matrix():
-    # Verified by substitution: b = -e2 gives the integer solution, and
-    # scaling b by 1/6 gives the normalized multiplicity vector.
-    m = ((-3, 0, 1), (0, -2, 1), (1, 1, -1))
-    x = solve_symmetric(m, (0, 0, -1))
-    assert x == (Fraction(2), Fraction(3), Fraction(6))
-    assert mat_vec(m, x) == (0, 0, -1)
-    y = solve_symmetric(m, (0, 0, Fraction(-1, 6)))
-    assert y == (Fraction(1, 3), Fraction(1, 2), Fraction(1))
-    assert mat_vec(m, y) == (0, 0, Fraction(-1, 6))
-
-
-def test_solve_singular_raises():
-    with pytest.raises(SingularMatrix):
-        solve_symmetric(((1, 1), (1, 1)), (1, 0))
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        solve_symmetric(((1, 0), (0, 1)), (1,))
 
 
 def test_negative_definite_examples():
@@ -110,16 +71,6 @@ def test_negative_definite_matches_sign_oracle(m):
     assert is_negative_definite(m) == expected
 
 
-@given(negative_definite_matrix(), st.data())
-def test_solve_round_trip(m, data):
-    n = len(m)
-    x = tuple(
-        data.draw(st.fractions(min_value=-8, max_value=8, max_denominator=6))
-        for _ in range(n)
-    )
-    assert solve_symmetric(m, mat_vec(m, x)) == x
-
-
 @given(negative_definite_matrix())
 def test_inverse_times_matrix_is_identity(m):
     n = len(m)
@@ -136,6 +87,20 @@ def test_inverse_needs_row_swap():
         (Fraction(0), Fraction(1)),
         (Fraction(1), Fraction(0)),
     )
+
+
+def test_inverse_satellite_matrix_column():
+    # the last column, normalized at its diagonal entry, is the
+    # multiplicity vector (1/3, 1/2, 1) of the satellite chain r=3
+    inv = invert_symmetric(((-3, 0, 1), (0, -2, 1), (1, 1, -1)))
+    assert [row[2] for row in inv] == [Fraction(-2), Fraction(-3), Fraction(-6)]
+
+
+def test_inverse_rejects_singular_and_non_square():
+    with pytest.raises(SingularMatrix):
+        invert_symmetric(((1, 1), (1, 1)))
+    with pytest.raises(ValueError):
+        invert_symmetric(((1, 0),))
 
 
 @given(st.integers(min_value=-40, max_value=40), st.integers(min_value=1, max_value=24))

@@ -1,9 +1,9 @@
 import pytest
 
-from germval import exact, germ
+from germval import germ
 from germval.errors import InvalidStep
 
-from conftest import chain2, satellite_chain, single_blowup
+from conftest import chain2, is_negative_definite, satellite_chain, single_blowup
 
 
 def test_build_single_blowup():
@@ -112,7 +112,7 @@ def test_invariants_on_enumerated_clusters():
         k = germ.canonical_vector(c)
         n = len(m)
         assert n == rank_of[c.base] + len(c.steps)
-        assert exact.is_negative_definite(m)
+        assert is_negative_definite(m)
         assert all(m[i][j] in (0, 1) for i in range(n) for j in range(n) if i != j)
         for idx, parents in enumerate(germ.step_parents(c)):
             for p in parents:
@@ -178,6 +178,8 @@ def test_json_schema_shape():
         {"base": "smooth", "steps": [{"kind": "satellite", "on": [0]}]},
         {"base": "smooth", "steps": [{"kind": "pinch", "on": 0}]},
         {"base": {"du_val": "Q5"}, "steps": []},
+        {"base": "smooth", "steps": [{"kind": "free", "on": None}, {"kind": "free", "on": False}]},
+        {"base": "smooth", "steps": [{"kind": "free", "on": None}, {"kind": "satellite", "on": [False, True]}]},
     ],
 )
 def test_json_rejects_malformed(doc):

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from germval import germ, thresholds, valuation
 
+from conftest import check_proximity_model
+
 BASES = [
     germ.SMOOTH,
     germ.du_val("A1"),
@@ -43,6 +45,14 @@ def test_multiplicities_and_degree_invariants(cc):
     m0 = valuation.fingen_degree(c, e)
     assert valuation.valuation_ideal(c, e, m0) == tuple(int(v * m0) for v in x)
     assert valuation.rees_valuations(c, valuation.valuation_ideal(c, e, m0)) == {e}
+
+
+@settings(max_examples=40, deadline=None)
+@given(clusters(max_extra_steps=34), st.data())
+def test_proximity_model_against_dense_oracles(c, data):
+    # up to 40 curves: 34 steps over E6, 35 over a smooth point
+    e = data.draw(st.integers(min_value=0, max_value=c.curve_count() - 1))
+    check_proximity_model(c, (e,))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,10 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from germval import germ, thresholds
+from germval import germ, thresholds, valuation
 from germval.errors import MldMinusInfinity, NotAnLctComputer, NotAntinef
 from germval.explorer import antinef_ideals
 from germval.thresholds import MINUS_INFINITY, PLUS_INFINITY
@@ -68,6 +70,33 @@ def test_asymptotic_lct_against_unloading_oracle():
     cases += [(chain2(), 0), (chain2(), 1), (germ.build(germ.du_val("A2"), ()), 1)]
     for c, e in cases:
         assert thresholds.asymptotic_lct(c, e).value == oracle_lct_unloading(c, e)
+
+
+def test_satellite_chain_law():
+    # The chain's last curve has lct 5(r+3)/6 = (k2+1)/dstar2, attained
+    # only at E2; the closed form 6(r+2)/(r+3) recorded by paper_examples
+    # agrees only at r = 3.  Past r = 30 the oracle starts unloading at
+    # the degree r + 3 that the chain's valuation ideals stabilize in
+    # (each earlier degree costs a dense unload), and still checks there
+    # that the ideal is numerically trivial off the last curve.
+    for r in range(3, 61):
+        c = satellite_chain(r)
+        rep = thresholds.asymptotic_lct(c, r - 1)
+        assert rep.value == Fraction(5 * (r + 3), 6) and rep.argmin == frozenset({2})
+        assert rep.value == oracle_lct_unloading(c, r - 1, start=1 if r <= 30 else r + 3)
+        assert (rep.value == Fraction(6 * (r + 2), r + 3)) == (r == 3)
+
+
+def test_cluster_freed_after_queries():
+    c = germ.build(germ.du_val("D4"), (germ.Free(0), germ.Satellite((0, 4))))
+    e = c.curve_count() - 1
+    thresholds.classify(c, e)
+    valuation.profile(c, e)
+    thresholds.lct_witness_ideal(c, e)
+    ref = weakref.ref(c)
+    del c
+    gc.collect()
+    assert ref() is None
 
 
 def test_computes_lct_examples():

@@ -7,7 +7,13 @@ from germval import germ, valuation
 from germval.errors import NotAntinef
 from germval.explorer import EnumBudget, enumerate_clusters
 
-from conftest import chain2, oracle_lct_unloading, satellite_chain, single_blowup
+from conftest import (
+    chain2,
+    check_proximity_model,
+    oracle_lct_unloading,
+    satellite_chain,
+    single_blowup,
+)
 
 
 def products(c, d):
@@ -126,6 +132,20 @@ def test_oracle_equivalence_linear_algebra_vs_unloading():
             assert valuation.valuation_ideal(c, e, m0) == tuple(
                 int(v * m0) for v in dstar
             )
+
+
+def test_proximity_model_against_dense_oracles():
+    smooth = EnumBudget(max_steps=5, bases=(germ.SMOOTH,))
+    du_val = EnumBudget(
+        max_steps=2,
+        bases=tuple(germ.du_val(t) for t in ("A1", "A2", "A3", "A4", "D4", "D5", "E6", "E7", "E8")),
+    )
+    count = 0
+    for budget in (smooth, du_val):
+        for c in enumerate_clusters(budget):
+            check_proximity_model(c, range(c.curve_count()))
+            count += 1
+    assert count > 100
 
 
 def test_rees_valuations_examples():
