@@ -96,9 +96,12 @@ def test_inverse_satellite_matrix_column():
     assert [row[2] for row in inv] == [Fraction(-2), Fraction(-3), Fraction(-6)]
 
 
-def test_inverse_rejects_singular_and_non_square():
+def test_inverse_singular_raises():
     with pytest.raises(SingularMatrix):
         invert_symmetric(((1, 1), (1, 1)))
+
+
+def test_inverse_non_square_raises():
     with pytest.raises(ValueError):
         invert_symmetric(((1, 0),))
 
