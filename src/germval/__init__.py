@@ -16,7 +16,6 @@ from .germ import (
     BaseGerm,
     BlowupStep,
     Cluster,
-    CurveInfo,
     DualGraph,
     Free,
     Satellite,
@@ -26,7 +25,6 @@ from .germ import (
     cluster_from_file,
     cluster_from_json,
     cluster_to_json,
-    curve_table,
     du_val,
     dual_graph,
     extend,
@@ -36,10 +34,8 @@ from .germ import (
     to_dot,
 )
 from .valuation import (
-    ValuationProfile,
     asymptotic_multiplicities,
     fingen_degree,
-    profile,
     rees_valuations,
     unload,
     valuation_ideal,

@@ -211,16 +211,15 @@ def _parse_pair(args, c: germ.Cluster) -> thresholds.PairSpec:
 def cmd_analyze(args) -> int:
     c = germ.cluster_from_file(args.cluster)
     e = _pick_curve(args, c)
-    prof = valuation.profile(c, e)
     report = thresholds.asymptotic_lct(c, e)
     cl = thresholds.classify(c, e)
     has_witness_ideal = thresholds.computes_lct(c, e)
     doc = {
         "base": "smooth" if c.base.is_smooth else c.base.dynkin,
         "curve": e,
-        "k": prof.k,
-        "dstar": [format_rational(v) for v in prof.dstar],
-        "fingen_degree": prof.fingen_degree,
+        "k": germ.canonical_vector(c)[e],
+        "dstar": [format_rational(v) for v in valuation.asymptotic_multiplicities(c, e)],
+        "fingen_degree": valuation.fingen_degree(c, e),
         "lct": format_value(report.value),
         "argmin": sorted(report.argmin),
         "gap": format_rational(thresholds.lct_gap(c, e)),
@@ -302,15 +301,13 @@ def cmd_classify(args) -> int:
 def cmd_fingen(args) -> int:
     c = germ.cluster_from_file(args.cluster)
     e = _pick_curve(args, c)
-    prof = valuation.profile(c, e)
+    m0 = valuation.fingen_degree(c, e)
     doc = {
         "curve": e,
-        "k": prof.k,
-        "dstar": [format_rational(v) for v in prof.dstar],
-        "fingen_degree": prof.fingen_degree,
-        "ideal_at_degree": [
-            str(v) for v in valuation.valuation_ideal(c, e, prof.fingen_degree)
-        ],
+        "k": germ.canonical_vector(c)[e],
+        "dstar": [format_rational(v) for v in valuation.asymptotic_multiplicities(c, e)],
+        "fingen_degree": m0,
+        "ideal_at_degree": [str(v) for v in valuation.valuation_ideal(c, e, m0)],
     }
     emit(doc, args)
     return 0

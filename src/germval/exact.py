@@ -13,26 +13,16 @@ through the proximity factorisation of the intersection form (see
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import SingularMatrix
 
-QMatrix = tuple[tuple[Fraction, ...], ...]
 
-# Matrices and vectors may mix ints and Fractions; ints are exact rationals.
-RationalLike = Fraction | int
-
-
-def as_fraction(x: RationalLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def format_rational(x: RationalLike) -> str:
-    """Serialize as "p/q", or "p" when the denominator is 1."""
-    f = as_fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+def format_rational(x: Fraction | int) -> str:
+    """Serialize as "p/q", or "p" when the denominator is 1 (an int has
+    denominator 1)."""
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
 
 
 def parse_rational(s: str) -> Fraction:
@@ -43,17 +33,8 @@ def parse_rational(s: str) -> Fraction:
         raise ValueError(f"not a rational: {s!r}") from exc
 
 
-def _int_scale(m) -> tuple[list[list[int]], int]:
-    """Integer copy of the matrix and the positive scale that was applied."""
-    if all(type(e) is int for row in m for e in row):
-        return [list(row) for row in m], 1
-    dens = [as_fraction(e).denominator for row in m for e in row]
-    s = lcm(*dens) if dens else 1
-    return [[int(as_fraction(e) * s) for e in row] for row in m], s
-
-
-def invert_symmetric(m) -> QMatrix:
-    """Exact inverse of a nonsingular symmetric matrix.
+def invert_symmetric(m) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse of a nonsingular symmetric integer matrix.
 
     Fraction-free Gauss-Jordan elimination of the augmented block
     [M | I]: integer arithmetic throughout, with rationals assembled only
@@ -63,11 +44,11 @@ def invert_symmetric(m) -> QMatrix:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix not square")
+    if any(type(v) is not int for row in m for v in row):
+        raise ValueError("matrix entries must be int")
     if n == 0:
         return ()
-    a, s = _int_scale(m)
-    for i in range(n):
-        a[i].extend(1 if j == i else 0 for j in range(n))
+    a = [list(row) + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(m)]
 
     prev = 1
     for k in range(n):
@@ -90,7 +71,7 @@ def invert_symmetric(m) -> QMatrix:
             row_i[k] = 0
         prev = pk
 
-    det = a[n - 1][n - 1]  # all diagonal entries equal det of the scaled matrix
+    det = a[n - 1][n - 1]  # all diagonal entries equal det of the matrix
     return tuple(
-        tuple(Fraction(a[i][n + j] * s, det) for j in range(n)) for i in range(n)
+        tuple(Fraction(a[i][n + j], det) for j in range(n)) for i in range(n)
     )

@@ -22,6 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
+from operator import mul
 
 from . import germ, thresholds, valuation
 from .exact import format_rational
@@ -252,26 +253,24 @@ class AtlasRow:
     enum_index: int
 
 
+def _row(c: germ.Cluster, e: int, enum_index: int) -> AtlasRow:
+    cl = thresholds.classify(c, e)
+    return AtlasRow(
+        cluster=c,
+        curve=e,
+        k=germ.canonical_vector(c)[e],
+        lct=thresholds.asymptotic_lct(c, e).value,
+        gap=thresholds.lct_gap(c, e),
+        fingen_degree=valuation.fingen_degree(c, e),
+        verdict=cl.verdict,
+        witness=cl.witness,
+        enum_index=enum_index,
+    )
+
+
 def _rows_for_cluster(task: tuple[int, germ.Cluster]) -> list[AtlasRow]:
     enum_index, c = task
-    k = germ.canonical_vector(c)
-    rows = []
-    for e in range(c.curve_count()):
-        cl = thresholds.classify(c, e)
-        rows.append(
-            AtlasRow(
-                cluster=c,
-                curve=e,
-                k=k[e],
-                lct=thresholds.asymptotic_lct(c, e).value,
-                gap=thresholds.lct_gap(c, e),
-                fingen_degree=valuation.fingen_degree(c, e),
-                verdict=cl.verdict,
-                witness=cl.witness,
-                enum_index=enum_index,
-            )
-        )
-    return rows
+    return [_row(c, e, enum_index) for e in range(c.curve_count())]
 
 
 def atlas_rows(b: EnumBudget, jobs: int = 1) -> list[AtlasRow]:
@@ -324,28 +323,6 @@ def write_atlas_csv(rows, fh) -> None:
 
 # -- theorem sweep --------------------------------------------------------
 
-SUITE_NAMES = (
-    "dstar_unit",
-    "oracle_equivalence",
-    "ideal_monotonicity",
-    "graded_subadditivity",
-    "rees_singleton",
-    "model_stability",
-    "pullback_stability",
-    "lct_scaling",
-    "lct_containment",
-    "lct_upper_bound",
-    "prime_blowup_positive",
-    "unique_place_plt",
-    "gap_inequality",
-    "gap_attainment",
-    "witness_strictness",
-    "mld_implies_lct",
-    "classification_decisive",
-    "mld_extension_guard",
-    "atlas_spot_check",
-)
-
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -397,231 +374,313 @@ class VerificationReport:
         }
 
 
+
+
+@dataclass(frozen=True)
+class _Case:
+    """Everything the suites share about one enumerated cluster, computed
+    once per cluster."""
+
+    c: germ.Cluster
+    budget: EnumBudget
+    rows: list[AtlasRow]
+    k: tuple[int, ...]
+    kp1: list[int]
+    ideals: list[tuple[tuple[int, ...], Fraction | None]]  # (divisor, lct); None for the trivial ideal
+    graded: list[list[tuple[int, ...]]]  # per curve, its valuation ideals of degree 1..4
+    gaps: list[tuple[int, int]]  # per curve, the gap as (numerator, denominator)
+    lct_flags: list[bool]
+    obstructions: list[tuple[int, int]]  # (curve, witness) of every MldObstructed row
+    extensions: list[germ.BlowupStep]  # sampled one-blowup extensions
+    # (divisor, lambda, q·(log discrepancy per curve), minimum) of every
+    # log canonical pair; lambda = p/q in lowest terms.
+    pairs: list[tuple[tuple[int, ...], Fraction, list[int], int]]
+    lambda_checks: int
+
+
+def _case(b: EnumBudget, enum_index: int, c: germ.Cluster) -> _Case:
+    rows = _rows_for_cluster((enum_index, c))
+    n = c.curve_count()
+    k = germ.canonical_vector(c)
+    kp1 = [v + 1 for v in k]
+    ideals = []
+    for coeffs in antinef_ideals(c, b.ideal_coeff_bound):
+        support = [j for j in range(n) if coeffs[j] > 0]
+        ideals.append((coeffs, min(Fraction(kp1[j], coeffs[j]) for j in support) if support else None))
+    pairs = []
+    lambda_checks = 0
+    for coeffs, _ in ideals:
+        for lam in lambda_grid(c, coeffs, b.lambda_denominator_bound):
+            lambda_checks += 1
+            p, q = lam.numerator, lam.denominator
+            vs = [q * kp1[j] - p * coeffs[j] for j in range(n)]
+            mn = min(vs)
+            if mn >= 0:
+                pairs.append((coeffs, lam, vs, mn))
+    steps = germ.legal_steps(c)
+    return _Case(
+        c, b, rows, k, kp1, ideals,
+        graded=[[valuation.valuation_ideal(c, e, m) for m in range(1, 5)] for e in range(n)],
+        gaps=[(r.gap.numerator, r.gap.denominator) for r in rows],
+        lct_flags=[r.gap == 0 for r in rows],
+        obstructions=[(r.curve, r.witness) for r in rows if r.verdict == "MldObstructed"],
+        # sampled deterministically when there are many
+        extensions=steps[:: max(1, -(-len(steps) // _STABILITY_CAP))],
+        pairs=pairs, lambda_checks=lambda_checks,
+    )
+
+
+def _found(failed: bool, **details) -> list[dict]:
+    return [details] if failed else []
+
+
+def _pair_details(coeffs, lam, **details) -> dict:
+    return {**details, "ideal": list(coeffs), "lambda": format_rational(lam)}
+
+
+def _dstar_unit(case: _Case):
+    """dstar is positive at every curve and 1 at E."""
+    for e in range(len(case.rows)):
+        x = valuation.asymptotic_multiplicities(case.c, e)
+        yield _found(x[e] != 1 or any(v <= 0 for v in x), curve=e)
+
+
+def _oracle_equivalence(case: _Case):
+    """Unloading m0·E gives m0·dstar at the finite-generation degree m0."""
+    for row in case.rows:
+        e, m0 = row.curve, row.fingen_degree
+        scaled = tuple(int(v * m0) for v in valuation.asymptotic_multiplicities(case.c, e))
+        yield _found(valuation.valuation_ideal(case.c, e, m0) != scaled, curve=e, m0=m0)
+
+
+def _ideal_monotonicity(case: _Case):
+    """E's valuation ideals of degree 1..4 have pointwise growing divisors."""
+    for e, ds in enumerate(case.graded):
+        yield _found(any(a > b for da, db in zip(ds, ds[1:]) for a, b in zip(da, db)), curve=e)
+
+
+def _graded_subadditivity(case: _Case):
+    """The divisor of degree m + n is at most the sum of degrees m and n (m + n <= 4)."""
+    splits = [(m, n) for m in range(1, 4) for n in range(1, 5 - m)]
+    for e, ds in enumerate(case.graded):
+        over = any(s > a + b for m, n in splits for s, a, b in zip(ds[m + n - 1], ds[m - 1], ds[n - 1]))
+        yield _found(over, curve=e)
+
+
+def _rees_singleton(case: _Case):
+    """E is the only Rees valuation of its ideals of degree m0, 2m0, 3m0, 4m0."""
+    c = case.c
+    for row in case.rows:
+        e, m0 = row.curve, row.fingen_degree
+        ideals = (valuation.valuation_ideal(c, e, mm * m0) for mm in range(1, 5))
+        extra = any(valuation.rees_valuations(c, d) != frozenset((e,)) for d in ideals)
+        yield _found(extra, curve=e, m0=m0)
+
+
+def _model_stability(case: _Case):
+    """One more blowup keeps E's multiplicities on the old curves and its asymptotic lct."""
+    c, n = case.c, len(case.rows)
+    dstars = [valuation.asymptotic_multiplicities(c, e) for e in range(n)]
+    for step in case.extensions:
+        c2, label = germ.extend(c, step), repr(step)
+        k2 = germ.canonical_vector(c2)
+        for e, row in enumerate(case.rows):
+            x2 = valuation.asymptotic_multiplicities(c2, e)
+            val2 = min(Fraction(k2[j] + 1) / x2[j] for j in range(n + 1))
+            changed = x2[:n] != dstars[e] or val2 != row.lct
+            yield _found(changed, curve=e, step=label)
+
+
+def _pullback_stability(case: _Case):
+    """The curve of one more blowup does not lower a nonzero ideal's lct."""
+    for step in case.extensions:
+        refs, label = germ._step_refs(step), repr(step)
+        new_k = 1 + sum(case.k[r] for r in refs)
+        for coeffs, old in case.ideals:
+            if old is not None:
+                new_d = sum(coeffs[r] for r in refs)
+                lowered = new_d > 0 and Fraction(new_k + 1, new_d) < old
+                yield _found(lowered, ideal=list(coeffs), step=label)
+
+
+def _lct_scaling(case: _Case):
+    """lct(a^m) = lct(a)/m for m = 2, 3."""
+    for coeffs, old in case.ideals:
+        if old is not None:
+            powers = ((mm, thresholds.CompleteIdeal(tuple(mm * v for v in coeffs))) for mm in (2, 3))
+            wrong = any(thresholds.lct_ideal(case.c, a).value != old / mm for mm, a in powers)
+            yield _found(wrong, ideal=list(coeffs))
+
+
+def _lct_containment(case: _Case):
+    """Of two nested ideals, the deeper one has the smaller lct."""
+    stride = max(1, -(-len(case.ideals) // _CONTAINMENT_CAP))
+    sample = case.ideals[::stride]
+    for ia, (da, va) in enumerate(sample):
+        for db, vb in sample[ia + 1 :]:
+            dominates = all(a >= b for a, b in zip(da, db))
+            if dominates or all(a <= b for a, b in zip(da, db)):
+                # The bigger divisor cuts the deeper ideal.
+                big, small = (va, vb) if dominates else (vb, va)
+                failed = big is not None and small is not None and big > small
+                yield _found(failed, a=list(da), b=list(db))
+
+
+def _lct_upper_bound(case: _Case):
+    """E's asymptotic lct is at most k + 1."""
+    for row in case.rows:
+        yield _found(not row.lct <= case.kp1[row.curve], curve=row.curve)
+
+
+def _prime_blowup_positive(case: _Case):
+    """The one-divisor model's threshold lct - k is positive exactly when the gap is below 1."""
+    for row in case.rows:
+        report = thresholds.asymptotic_lct(case.c, row.curve)
+        pbl = report.prime_blowup_lct
+        yield _found(pbl != report.value - row.k or (row.gap < 1) != (pbl > 0), curve=row.curve)
+
+
+def _unique_place_plt(case: _Case):
+    """The unique lc place of a nonzero ideal, when there is one, is plt over the model."""
+    plt = [thresholds.plt_check(case.c, e) for e in range(len(case.rows))]
+    for coeffs, old in case.ideals:
+        if old is not None:
+            place = thresholds.unique_lc_place(case.c, thresholds.CompleteIdeal(coeffs))
+            yield _found(place is not None and not plt[place], ideal=list(coeffs))
+
+
+def _gap_inequality(case: _Case):
+    """Along every lc pair, each curve's log discrepancy is at least its gap."""
+    for coeffs, lam, vs, _ in case.pairs:
+        q = lam.denominator
+        yield [
+            _pair_details(coeffs, lam, curve=e)
+            for e, (gn, gd) in enumerate(case.gaps)
+            if vs[e] * gd < q * gn
+        ]
+
+
+def _gap_attainment(case: _Case):
+    """A curve computing an lct has log discrepancy 0 along its witness ideal at its lct."""
+    c = case.c
+    for row in case.rows:
+        if row.gap == 0:
+            witness = thresholds.lct_witness_ideal(c, row.curve)
+            pair = thresholds.PairSpec(witness, thresholds.lct_ideal(c, witness).value)
+            yield _found(thresholds.log_discrepancy(c, pair, row.curve) != row.gap, curve=row.curve)
+
+
+def _witness_strictness(case: _Case):
+    """A witness keeps a strictly smaller log discrepancy than its curve along nonzero lc pairs."""
+    for coeffs, lam, vs, _ in case.pairs:
+        if any(coeffs):
+            yield [
+                _pair_details(coeffs, lam, curve=e, witness=f)
+                for e, f in case.obstructions
+                if not vs[f] < vs[e]
+            ]
+
+
+def _mld_implies_lct(case: _Case):
+    """A curve computing the mld of an lc pair with nonzero ideal computes an lct."""
+    for coeffs, lam, vs, mn in case.pairs:
+        if any(coeffs):
+            yield [
+                _pair_details(coeffs, lam, curve=j)
+                for j, v in enumerate(vs)
+                if v == mn and not case.lct_flags[j]
+            ]
+
+
+def _classification_decisive(case: _Case):
+    """Every curve either computes an lct or has an mld obstruction witness."""
+    for row in case.rows:
+        yield _found(row.verdict == "Indeterminate", curve=row.curve)
+
+
+def _mld_extension_guard(case: _Case):
+    """No curve within the extension depth goes below the model's mld (the model is a log resolution)."""
+    forms = extension_forms(case.c, case.budget.extension_depth)
+    if not forms:
+        return
+    # (k, ideal coefficient) of each extension curve, per ideal
+    kd_of = {
+        coeffs: sorted(
+            {(const + sum(map(mul, ws, case.k)), sum(map(mul, ws, coeffs))) for const, ws in forms}
+        )
+        for coeffs, _ in case.ideals
+    }
+    for coeffs, lam, _, mn in case.pairs:
+        p, q = lam.numerator, lam.denominator
+        below = [(kk, dd) for kk, dd in kd_of[coeffs] if q * (kk + 1) - p * dd < mn][:1]
+        yield [
+            {"ideal": list(coeffs), "lambda": format_rational(lam), "ext_k": kk, "ext_d": dd}
+            for kk, dd in below
+        ]
+
+
+_SUITES = {
+    "dstar_unit": _dstar_unit,
+    "oracle_equivalence": _oracle_equivalence,
+    "ideal_monotonicity": _ideal_monotonicity,
+    "graded_subadditivity": _graded_subadditivity,
+    "rees_singleton": _rees_singleton,
+    "model_stability": _model_stability,
+    "pullback_stability": _pullback_stability,
+    "lct_scaling": _lct_scaling,
+    "lct_containment": _lct_containment,
+    "lct_upper_bound": _lct_upper_bound,
+    "prime_blowup_positive": _prime_blowup_positive,
+    "unique_place_plt": _unique_place_plt,
+    "gap_inequality": _gap_inequality,
+    "gap_attainment": _gap_attainment,
+    "witness_strictness": _witness_strictness,
+    "mld_implies_lct": _mld_implies_lct,
+    "classification_decisive": _classification_decisive,
+    "mld_extension_guard": _mld_extension_guard,
+}
+SUITE_NAMES = (*_SUITES, "atlas_spot_check")
+
+
+def _context(c: germ.Cluster) -> dict:
+    return {"base": _base_label(c.base), "steps": _steps_json(c)}
+
+
 def verify_theorems(b: EnumBudget) -> VerificationReport:
-    """Run every invariant suite of the valuation and thresholds modules
-    over the enumeration, plus the atlas spot check.  Failures become
-    counterexample entries in the report."""
-    checked = {name: 0 for name in SUITE_NAMES}
+    """Run every suite over the enumeration, plus the atlas spot check,
+    which recomputes a seeded sample of the rows from a JSON round trip
+    of their clusters.  Failures become counterexample entries in the
+    report."""
+    checked = dict.fromkeys(SUITE_NAMES, 0)
     bad: dict[str, list[dict]] = {name: [] for name in SUITE_NAMES}
-    counts = {"clusters": 0, "curves": 0, "ideals": 0, "lc_pairs": 0, "lambda_checks": 0}
-    all_rows: list[AtlasRow] = []
+    counts = dict.fromkeys(("clusters", "curves", "ideals", "lc_pairs", "lambda_checks"), 0)
+    rows: list[AtlasRow] = []
+
+    def record(name, ctx, checks):
+        for details in checks:
+            checked[name] += 1
+            if details:
+                bad[name].extend({**ctx, **d} for d in details)
 
     for enum_index, c in enumerate(enumerate_clusters(b)):
+        case = _case(b, enum_index, c)
         counts["clusters"] += 1
-        ctx = {"base": _base_label(c.base), "steps": _steps_json(c)}
-        n = c.curve_count()
-        k = germ.canonical_vector(c)
-        kp1 = [k[j] + 1 for j in range(n)]
-
-        dstars = []
-        m0s = []
-        lct_flags = []
-        plt_flags = []
-        gaps = []
-        obstructions: list[tuple[int, int]] = []
-        for e in range(n):
-            counts["curves"] += 1
-            x = valuation.asymptotic_multiplicities(c, e)
-            dstars.append(x)
-            checked["dstar_unit"] += 1
-            if x[e] != 1 or any(v <= 0 for v in x):
-                bad["dstar_unit"].append({**ctx, "curve": e})
-
-            m0 = valuation.fingen_degree(c, e)
-            m0s.append(m0)
-            checked["oracle_equivalence"] += 1
-            scaled = tuple(int(v * m0) for v in x)
-            if valuation.valuation_ideal(c, e, m0) != scaled:
-                bad["oracle_equivalence"].append({**ctx, "curve": e, "m0": m0})
-
-            ideals_m = [valuation.valuation_ideal(c, e, m) for m in range(1, 5)]
-            checked["ideal_monotonicity"] += 1
-            if not all(
-                a <= bb for da, db in zip(ideals_m, ideals_m[1:]) for a, bb in zip(da, db)
-            ):
-                bad["ideal_monotonicity"].append({**ctx, "curve": e})
-            checked["graded_subadditivity"] += 1
-            ok = True
-            for mm in range(1, 4):
-                for nn in range(1, 5 - mm):
-                    dm, dn, dmn = ideals_m[mm - 1], ideals_m[nn - 1], ideals_m[mm + nn - 1]
-                    if any(s > a + bb for s, a, bb in zip(dmn, dm, dn)):
-                        ok = False
-            if not ok:
-                bad["graded_subadditivity"].append({**ctx, "curve": e})
-
-            checked["rees_singleton"] += 1
-            if any(
-                valuation.rees_valuations(c, valuation.valuation_ideal(c, e, mm * m0))
-                != frozenset((e,))
-                for mm in range(1, 5)
-            ):
-                bad["rees_singleton"].append({**ctx, "curve": e, "m0": m0})
-
-            report = thresholds.asymptotic_lct(c, e)
-            gap = thresholds.lct_gap(c, e)
-            gaps.append(gap)
-            lct_flags.append(report.value == kp1[e])
-            plt_flags.append(thresholds.plt_check(c, e))
-            checked["lct_upper_bound"] += 1
-            if not report.value <= kp1[e]:
-                bad["lct_upper_bound"].append({**ctx, "curve": e})
-            checked["prime_blowup_positive"] += 1
-            if report.prime_blowup_lct != report.value - k[e] or (
-                (gap < 1) != (report.prime_blowup_lct > 0)
-            ):
-                bad["prime_blowup_positive"].append({**ctx, "curve": e})
-
-            if gap == 0:
-                checked["gap_attainment"] += 1
-                witness = thresholds.lct_witness_ideal(c, e)
-                lam = thresholds.lct_ideal(c, witness).value
-                pairw = thresholds.PairSpec(witness, lam)
-                if thresholds.log_discrepancy(c, pairw, e) != gap:
-                    bad["gap_attainment"].append({**ctx, "curve": e})
-
-            cl = thresholds.classify(c, e)
-            checked["classification_decisive"] += 1
-            if cl.verdict == "Indeterminate":
-                bad["classification_decisive"].append({**ctx, "curve": e})
-            if cl.verdict == "MldObstructed":
-                obstructions.append((e, cl.witness))
-            all_rows.append(
-                AtlasRow(c, e, k[e], report.value, gap, m0, cl.verdict, cl.witness, enum_index)
-            )
-
-        # Stability under one extra blowup: retained multiplicities,
-        # retained thresholds, and thresholds of pulled-back ideals.
-        # Extensions are sampled deterministically when there are many.
-        ideals = antinef_ideals(c, b.ideal_coeff_bound)
-        counts["ideals"] += len(ideals)
-        lct_vals = []
-        for coeffs in ideals:
-            support = [j for j in range(n) if coeffs[j] > 0]
-            lct_vals.append(
-                min(Fraction(kp1[j], coeffs[j]) for j in support) if support else None
-            )
-        ext_steps = germ.legal_steps(c)
-        ext_steps = ext_steps[:: max(1, -(-len(ext_steps) // _STABILITY_CAP))]
-        for step in ext_steps:
-            c2 = germ.extend(c, step)
-            refs = germ._step_refs(step)
-            k2 = germ.canonical_vector(c2)
-            for e in range(n):
-                x2 = valuation.asymptotic_multiplicities(c2, e)
-                checked["model_stability"] += 1
-                val2 = min(Fraction(k2[j] + 1) / x2[j] for j in range(n + 1))
-                if x2[:n] != dstars[e] or val2 != kp1[e] - gaps[e]:
-                    bad["model_stability"].append({**ctx, "curve": e, "step": repr(step)})
-            new_k = 1 + sum(k[r] for r in refs)
-            for coeffs, old in zip(ideals, lct_vals):
-                if old is None:
-                    continue
-                checked["pullback_stability"] += 1
-                new_d = sum(coeffs[r] for r in refs)
-                if new_d > 0 and Fraction(new_k + 1, new_d) < old:
-                    bad["pullback_stability"].append({**ctx, "ideal": list(coeffs), "step": repr(step)})
-
-        for coeffs, old in zip(ideals, lct_vals):
-            if old is None:
-                continue
-            checked["lct_scaling"] += 1
-            scaled_ok = all(
-                thresholds.lct_ideal(
-                    c, thresholds.CompleteIdeal(tuple(mm * v for v in coeffs))
-                ).value
-                == old / mm
-                for mm in (2, 3)
-            )
-            if not scaled_ok:
-                bad["lct_scaling"].append({**ctx, "ideal": list(coeffs)})
-            checked["unique_place_plt"] += 1
-            place = thresholds.unique_lc_place(c, thresholds.CompleteIdeal(coeffs))
-            if place is not None and not plt_flags[place]:
-                bad["unique_place_plt"].append({**ctx, "ideal": list(coeffs)})
-
-        stride = max(1, -(-len(ideals) // _CONTAINMENT_CAP))
-        sample = list(zip(ideals, lct_vals))[::stride]
-        for ia, (da, va) in enumerate(sample):
-            for db, vb in sample[ia + 1 :]:
-                dominates = all(a >= bb for a, bb in zip(da, db))
-                dominated = all(a <= bb for a, bb in zip(da, db))
-                if not (dominates or dominated):
-                    continue
-                checked["lct_containment"] += 1
-                # The bigger divisor cuts the deeper ideal, so its
-                # threshold must not exceed the smaller divisor's.
-                big, small = (va, vb) if dominates else (vb, va)
-                if big is not None and small is not None and big > small:
-                    bad["lct_containment"].append({**ctx, "a": list(da), "b": list(db)})
-
-        # Exact integer sweep over every enumerated pair of this cluster.
-        gap_nd = [(g.numerator, g.denominator) for g in gaps]
-        forms = extension_forms(c, b.extension_depth)
-        for coeffs in ideals:
-            nonzero = any(coeffs)
-            kd = sorted(
-                {(const + sum(w * kv for w, kv in zip(ws, k)), sum(w * dv for w, dv in zip(ws, coeffs)))
-                 for const, ws in forms}
-            )
-            for lam in lambda_grid(c, coeffs, b.lambda_denominator_bound):
-                counts["lambda_checks"] += 1
-                p, q = lam.numerator, lam.denominator
-                vs = [q * kp1[j] - p * coeffs[j] for j in range(n)]
-                mn = min(vs)
-                if mn < 0:
-                    continue
-                counts["lc_pairs"] += 1
-                if nonzero:
-                    checked["mld_implies_lct"] += 1
-                    for j in range(n):
-                        if vs[j] == mn and not lct_flags[j]:
-                            bad["mld_implies_lct"].append(
-                                {**ctx, "curve": j, "ideal": list(coeffs), "lambda": format_rational(lam)}
-                            )
-                    checked["witness_strictness"] += 1
-                    for e, f in obstructions:
-                        if not vs[f] < vs[e]:
-                            bad["witness_strictness"].append(
-                                {**ctx, "curve": e, "witness": f, "ideal": list(coeffs), "lambda": format_rational(lam)}
-                            )
-                checked["gap_inequality"] += 1
-                for e in range(n):
-                    gn, gd = gap_nd[e]
-                    if vs[e] * gd < q * gn:
-                        bad["gap_inequality"].append(
-                            {**ctx, "curve": e, "ideal": list(coeffs), "lambda": format_rational(lam)}
-                        )
-                if forms:
-                    checked["mld_extension_guard"] += 1
-                    for kk, dd in kd:
-                        if q * (kk + 1) - p * dd < mn:
-                            bad["mld_extension_guard"].append(
-                                {**ctx, "ideal": list(coeffs), "lambda": format_rational(lam), "ext_k": kk, "ext_d": dd}
-                            )
-                            break
+        counts["curves"] += len(case.rows)
+        counts["ideals"] += len(case.ideals)
+        counts["lc_pairs"] += len(case.pairs)
+        counts["lambda_checks"] += case.lambda_checks
+        rows.extend(case.rows)
+        ctx = _context(c)
+        for name, suite in _SUITES.items():
+            record(name, ctx, suite(case))
 
     rng = random.Random(ATLAS_SPOT_CHECK_SEED)
-    if all_rows:
-        size = max(1, len(all_rows) // 20)
-        for idx in sorted(rng.sample(range(len(all_rows)), size)):
-            row = all_rows[idx]
-            checked["atlas_spot_check"] += 1
+    if rows:
+        for idx in sorted(rng.sample(range(len(rows)), max(1, len(rows) // 20))):
+            row = rows[idx]
             fresh = germ.cluster_from_json(germ.cluster_to_json(row.cluster))
-            cl = thresholds.classify(fresh, row.curve)
-            same = (
-                germ.canonical_vector(fresh)[row.curve] == row.k
-                and thresholds.asymptotic_lct(fresh, row.curve).value == row.lct
-                and thresholds.lct_gap(fresh, row.curve) == row.gap
-                and valuation.fingen_degree(fresh, row.curve) == row.fingen_degree
-                and (cl.verdict, cl.witness) == (row.verdict, row.witness)
-            )
-            if not same:
-                bad["atlas_spot_check"].append(
-                    {"base": _base_label(row.cluster.base), "steps": _steps_json(row.cluster), "curve": row.curve}
-                )
+            changed = _row(fresh, row.curve, row.enum_index) != row
+            record("atlas_spot_check", _context(row.cluster), [_found(changed, curve=row.curve)])
 
-    suites = tuple(
-        SuiteResult(name, checked[name], tuple(bad[name])) for name in SUITE_NAMES
-    )
-    return VerificationReport(b, ATLAS_SPOT_CHECK_SEED, counts, suites, tuple(all_rows))
+    suites = tuple(SuiteResult(name, checked[name], tuple(bad[name])) for name in SUITE_NAMES)
+    return VerificationReport(b, ATLAS_SPOT_CHECK_SEED, counts, suites, tuple(rows))

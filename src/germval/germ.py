@@ -230,22 +230,6 @@ def canonical_vector(c: Cluster) -> tuple[int, ...]:
     return c._k
 
 
-@dataclass(frozen=True)
-class CurveInfo:
-    id: int
-    k: int
-    origin: int | None  # step index, or None for a minimal-resolution curve
-
-
-def curve_table(c: Cluster) -> tuple[CurveInfo, ...]:
-    k = canonical_vector(c)
-    rank = c.base.rank()
-    return tuple(
-        CurveInfo(i, k[i], None if i < rank else i - rank)
-        for i in range(c.curve_count())
-    )
-
-
 def step_parents(c: Cluster) -> tuple[tuple[int, ...], ...]:
     """For each step, the sorted ids of the curves through its center."""
     return tuple(tuple(sorted(_step_refs(s))) for s in c.steps)

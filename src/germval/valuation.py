@@ -22,7 +22,6 @@ harness and the theorem sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -175,22 +174,3 @@ def rees_valuations(c: germ.Cluster, d) -> frozenset[int]:
     if bad:
         raise NotAntinef(f"divisor meets curve {bad[0]} positively")
     return frozenset(j for j in range(n) if prod[j] < 0)
-
-
-@dataclass(frozen=True)
-class ValuationProfile:
-    """Everything the thresholds layer needs about one curve's graded
-    sequence: the canonical coefficient, the asymptotic multiplicities and
-    the finite-generation degree."""
-
-    curve: int
-    k: int
-    dstar: tuple[Fraction, ...]
-    fingen_degree: int
-
-
-def profile(c: germ.Cluster, e: int) -> ValuationProfile:
-    dstar = asymptotic_multiplicities(c, e)
-    m0 = fingen_degree(c, e)
-    assert dstar[e] == 1
-    return ValuationProfile(e, germ.canonical_vector(c)[e], dstar, m0)

@@ -106,6 +106,12 @@ def test_inverse_non_square_raises():
         invert_symmetric(((1, 0),))
 
 
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), 2.0, True])
+def test_inverse_rejects_non_int_entries(entry):
+    with pytest.raises(ValueError):
+        invert_symmetric(((entry, 1), (1, -2)))
+
+
 @given(st.integers(min_value=-40, max_value=40), st.integers(min_value=1, max_value=24))
 def test_rational_string_round_trip(p, q):
     f = Fraction(p, q)

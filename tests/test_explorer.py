@@ -8,6 +8,7 @@ import pytest
 from germval import germ, thresholds, valuation
 from germval.explorer import (
     ATLAS_COLUMNS,
+    SUITE_NAMES,
     EnumBudget,
     antinef_ideals,
     atlas_rows,
@@ -163,22 +164,62 @@ def test_verify_theorems_small_smooth():
         smooth_budget(3, ideal_coeff_bound=2, lambda_denominator_bound=6, extension_depth=2)
     )
     assert report.counterexample_total() == 0
-    for name in (
-        "dstar_unit",
-        "oracle_equivalence",
-        "rees_singleton",
-        "mld_implies_lct",
-        "witness_strictness",
-        "gap_inequality",
-        "classification_decisive",
-        "mld_extension_guard",
-        "atlas_spot_check",
-    ):
+    assert [s.name for s in report.suites] == list(SUITE_NAMES)
+    for name in SUITE_NAMES:
         assert report.suite(name).checked > 0, name
     doc = report.to_json()
     json.dumps(doc)  # must be serializable
     assert doc["seed"] == report.seed
     assert doc["total_counterexamples"] == 0
+
+
+def test_verify_theorems_bookkeeping():
+    report = verify_theorems(
+        EnumBudget(
+            max_steps=3,
+            bases=(germ.SMOOTH, germ.du_val("A2")),
+            ideal_coeff_bound=2,
+            lambda_denominator_bound=6,
+            extension_depth=1,
+        )
+    )
+    counts = report.counts
+    checked = {s.name: s.checked for s in report.suites}
+    assert counts["curves"] > 0 and counts["lc_pairs"] > 0
+    per_curve = (
+        "dstar_unit",
+        "oracle_equivalence",
+        "ideal_monotonicity",
+        "graded_subadditivity",
+        "rees_singleton",
+        "lct_upper_bound",
+        "prime_blowup_positive",
+        "classification_decisive",
+    )
+    for name in per_curve:
+        assert checked[name] == counts["curves"], name
+    # every grid exponent is at most the ideal's lct, so every pair is lc
+    assert checked["gap_inequality"] == counts["lc_pairs"] == counts["lambda_checks"]
+    assert checked["mld_implies_lct"] == checked["witness_strictness"]
+
+
+def test_counterexamples_keep_one_check_per_pair(monkeypatch):
+    # a gap above every log discrepancy fails the inequality at every
+    # curve of every pair, yet each pair is still one check
+    b = smooth_budget(3, ideal_coeff_bound=1)
+    expected = verify_theorems(b).suite("gap_inequality").checked
+    monkeypatch.setattr(thresholds, "lct_gap", lambda c, e: Fraction(10**6))
+    suite = verify_theorems(b).suite("gap_inequality")
+    assert suite.checked == expected
+    assert len(suite.counterexamples) > suite.checked
+    for entry in suite.counterexamples:
+        assert set(entry) == {"base", "steps", "curve", "ideal", "lambda"}
+    per_check = {}
+    for entry in suite.counterexamples:
+        key = (entry["steps"], tuple(entry["ideal"]), entry["lambda"])
+        per_check.setdefault(key, []).append(entry["curve"])
+    assert max(len(curves) for curves in per_check.values()) >= 2
+    assert all(curves == sorted(set(curves)) for curves in per_check.values())
 
 
 def test_verify_theorems_du_val_dichotomy():

@@ -91,7 +91,8 @@ def test_cluster_freed_after_queries():
     c = germ.build(germ.du_val("D4"), (germ.Free(0), germ.Satellite((0, 4))))
     e = c.curve_count() - 1
     thresholds.classify(c, e)
-    valuation.profile(c, e)
+    valuation.asymptotic_multiplicities(c, e)
+    valuation.fingen_degree(c, e)
     thresholds.lct_witness_ideal(c, e)
     ref = weakref.ref(c)
     del c
