@@ -21,7 +21,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 from operator import mul
 
 from . import germ, thresholds, valuation
@@ -154,10 +154,36 @@ def enumerate_clusters(b: EnumBudget):
 
 def antinef_ideals(c: germ.Cluster, bound: int) -> list[tuple[int, ...]]:
     """Antinef closures of every coefficient vector bounded by ``bound``,
-    deduplicated and sorted.  Closures may exceed the bound pointwise."""
+    deduplicated and sorted.  Closures may exceed the bound pointwise.
+
+    The set is generated by joins instead of unloading all (bound+1)^n
+    vectors.  ``unload(z)`` is the least antinef divisor >= z and antinef
+    divisors are closed under pointwise min (the complete ideals of a
+    rational surface singularity, Zariski-Lipman), so
+    unload(max(x, y)) = unload(max(unload(x), unload(y))).  Every bounded
+    v is the max of its v_j·e_j, so the closures are exactly the closure
+    of the zero divisor under a -> unload(max(a, g)) over the generators
+    g = unload(b·e_j), 0 < b <= bound.  That takes at most
+    n·bound·(len(result) + 1) unloads.
+    """
     n = c.curve_count()
-    out = {valuation.unload(c, v) for v in product(range(bound + 1), repeat=n)}
-    return sorted(out)
+    gens = {
+        valuation.unload(c, tuple(b if i == j else 0 for i in range(n)))
+        for j in range(n)
+        for b in range(1, bound + 1)
+    }
+    seen = {(0,) * n} | gens
+    todo = list(gens)
+    while todo:
+        a = todo.pop()
+        for g in gens:
+            z = tuple(map(max, a, g))
+            if z not in seen:  # a divisor in seen is antinef: its closure is itself
+                d = valuation.unload(c, z)
+                if d not in seen:
+                    seen.add(d)
+                    todo.append(d)
+    return sorted(seen)
 
 
 def lambda_grid(c: germ.Cluster, coeffs, qmax: int) -> list[Fraction]:
@@ -253,13 +279,14 @@ class AtlasRow:
     enum_index: int
 
 
-def _row(c: germ.Cluster, e: int, enum_index: int) -> AtlasRow:
+def _row(c: germ.Cluster, e: int, enum_index: int, report: thresholds.LctReport) -> AtlasRow:
+    """The row of curve ``e``; ``report`` is its ``thresholds.asymptotic_lct``."""
     cl = thresholds.classify(c, e)
     return AtlasRow(
         cluster=c,
         curve=e,
         k=germ.canonical_vector(c)[e],
-        lct=thresholds.asymptotic_lct(c, e).value,
+        lct=report.value,
         gap=thresholds.lct_gap(c, e),
         fingen_degree=valuation.fingen_degree(c, e),
         verdict=cl.verdict,
@@ -270,7 +297,7 @@ def _row(c: germ.Cluster, e: int, enum_index: int) -> AtlasRow:
 
 def _rows_for_cluster(task: tuple[int, germ.Cluster]) -> list[AtlasRow]:
     enum_index, c = task
-    return [_row(c, e, enum_index) for e in range(c.curve_count())]
+    return [_row(c, e, enum_index, thresholds.asymptotic_lct(c, e)) for e in range(c.curve_count())]
 
 
 def atlas_rows(b: EnumBudget, jobs: int = 1) -> list[AtlasRow]:
@@ -384,6 +411,7 @@ class _Case:
     c: germ.Cluster
     budget: EnumBudget
     rows: list[AtlasRow]
+    reports: list[thresholds.LctReport]  # per curve, the asymptotic lct its row was read from
     k: tuple[int, ...]
     kp1: list[int]
     ideals: list[tuple[tuple[int, ...], Fraction | None]]  # (divisor, lct); None for the trivial ideal
@@ -399,8 +427,9 @@ class _Case:
 
 
 def _case(b: EnumBudget, enum_index: int, c: germ.Cluster) -> _Case:
-    rows = _rows_for_cluster((enum_index, c))
     n = c.curve_count()
+    reports = [thresholds.asymptotic_lct(c, e) for e in range(n)]
+    rows = [_row(c, e, enum_index, report) for e, report in enumerate(reports)]
     k = germ.canonical_vector(c)
     kp1 = [v + 1 for v in k]
     ideals = []
@@ -419,7 +448,7 @@ def _case(b: EnumBudget, enum_index: int, c: germ.Cluster) -> _Case:
                 pairs.append((coeffs, lam, vs, mn))
     steps = germ.legal_steps(c)
     return _Case(
-        c, b, rows, k, kp1, ideals,
+        c, b, rows, reports, k, kp1, ideals,
         graded=[[valuation.valuation_ideal(c, e, m) for m in range(1, 5)] for e in range(n)],
         gaps=[(r.gap.numerator, r.gap.denominator) for r in rows],
         lct_flags=[r.gap == 0 for r in rows],
@@ -534,8 +563,7 @@ def _lct_upper_bound(case: _Case):
 
 def _prime_blowup_positive(case: _Case):
     """The one-divisor model's threshold lct - k is positive exactly when the gap is below 1."""
-    for row in case.rows:
-        report = thresholds.asymptotic_lct(case.c, row.curve)
+    for row, report in zip(case.rows, case.reports):
         pbl = report.prime_blowup_lct
         yield _found(pbl != report.value - row.k or (row.gap < 1) != (pbl > 0), curve=row.curve)
 
@@ -679,7 +707,8 @@ def verify_theorems(b: EnumBudget) -> VerificationReport:
         for idx in sorted(rng.sample(range(len(rows)), max(1, len(rows) // 20))):
             row = rows[idx]
             fresh = germ.cluster_from_json(germ.cluster_to_json(row.cluster))
-            changed = _row(fresh, row.curve, row.enum_index) != row
+            report = thresholds.asymptotic_lct(fresh, row.curve)
+            changed = _row(fresh, row.curve, row.enum_index, report) != row
             record("atlas_spot_check", _context(row.cluster), [_found(changed, curve=row.curve)])
 
     suites = tuple(SuiteResult(name, checked[name], tuple(bad[name])) for name in SUITE_NAMES)

@@ -49,14 +49,25 @@ class BaseGerm:
     """The germ under the cluster: smooth, or du Val of the given type.
 
     ``dynkin`` is None for a smooth point, else a label like "A3" or "E7".
+    The rank is parsed from it once, on construction; it takes no part in
+    equality, hashing, repr or pickling.
     """
 
     dynkin: str | None = None
+    _rank: int = field(init=False, compare=False, repr=False, default=0)
 
     def __post_init__(self):
         if self.dynkin is not None:
             letter, rank = _parse_dynkin(self.dynkin)
             object.__setattr__(self, "dynkin", f"{letter}{rank}")
+            object.__setattr__(self, "_rank", rank)
+
+    def __getstate__(self):  # pickles carry only the label; loading parses the rank again
+        return {"dynkin": self.dynkin}
+
+    def __setstate__(self, state):
+        object.__setattr__(self, "dynkin", state["dynkin"])
+        self.__post_init__()
 
     @property
     def is_smooth(self) -> bool:
@@ -64,9 +75,7 @@ class BaseGerm:
 
     def rank(self) -> int:
         """Number of minimal-resolution curves (0 for a smooth base)."""
-        if self.dynkin is None:
-            return 0
-        return _parse_dynkin(self.dynkin)[1]
+        return self._rank
 
 
 SMOOTH = BaseGerm(None)

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -33,6 +34,14 @@ def oracle_lct_unloading(c: germ.Cluster, e: int, mmax: int = 2000, start: int =
         if all(prods[j] == 0 for j in range(n) if j != e):
             return min(Fraction((k[j] + 1) * mm, d[j]) for j in range(n))
     raise AssertionError(f"no stable degree below {mmax}")
+
+
+def antinef_ideals_bruteforce(c: germ.Cluster, bound: int) -> list[tuple[int, ...]]:
+    """Antinef closures of all (bound+1)^n coefficient vectors bounded by
+    ``bound``, deduplicated and sorted: the definition the join closure of
+    ``explorer.antinef_ideals`` must reproduce."""
+    n = c.curve_count()
+    return sorted({valuation.unload(c, v) for v in product(range(bound + 1), repeat=n)})
 
 
 def leading_principal_minors(m) -> tuple[Fraction, ...]:

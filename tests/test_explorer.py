@@ -23,7 +23,7 @@ from germval.explorer import (
     write_atlas_csv,
 )
 
-from conftest import chain2, satellite_chain, single_blowup
+from conftest import antinef_ideals_bruteforce, chain2, satellite_chain, single_blowup
 
 
 def smooth_budget(max_steps, **kw):
@@ -93,6 +93,49 @@ def test_antinef_ideals_examples():
     expected = sorted({valuation.unload(chain2(), v) for v in product(range(3), repeat=2)})
     assert antinef_ideals(chain2(), 2) == expected
     assert (1, 2) in expected and (0, 0) in expected
+
+
+def du_val_budget(labels, max_steps):
+    return EnumBudget(max_steps=max_steps, bases=tuple(germ.du_val(x) for x in labels))
+
+
+# (budget, ideal bound) pairs, each compared cluster by cluster.  E8 stops
+# at one step because its 2-step clusters alone take 4 s of brute force.
+# A2 at 2 steps with bound 3 is the smallest budget found with an ideal
+# that is no join of two generators, so it fails a single round of joins.
+JOIN_ORACLE_BUDGETS = [
+    pytest.param(smooth_budget(5), 1, id="smooth5-B1"),
+    pytest.param(smooth_budget(5), 2, id="smooth5-B2"),
+    pytest.param(du_val_budget(("A1", "A2", "A3", "D4", "E6", "E7"), 2), 1, id="A1-E7x2-B1"),
+    pytest.param(du_val_budget(("E8",), 1), 1, id="E8x1-B1"),
+    pytest.param(du_val_budget(("A2",), 3), 2, id="A2x3-B2"),
+    pytest.param(du_val_budget(("A2",), 2), 3, id="A2x2-B3"),
+]
+
+
+@pytest.mark.parametrize("budget,bound", JOIN_ORACLE_BUDGETS)
+def test_antinef_ideals_match_bruteforce(budget, bound):
+    for c in enumerate_clusters(budget):
+        assert antinef_ideals(c, bound) == antinef_ideals_bruteforce(c, bound), c
+
+
+def test_antinef_ideals_unload_count(monkeypatch):
+    # the join closure unloads each generator once and joins each ideal
+    # with each generator at most once: n·B·(|ideals| + 1) in all
+    calls = 0
+    unload = valuation.unload
+
+    def counting_unload(c, z):
+        nonlocal calls
+        calls += 1
+        return unload(c, z)
+
+    monkeypatch.setattr(valuation, "unload", counting_unload)
+    bound = 1
+    for c in enumerate_clusters(du_val_budget(("A1", "A2", "A3", "D4", "E6", "E7"), 2)):
+        calls = 0
+        ideals = antinef_ideals(c, bound)
+        assert calls <= c.curve_count() * bound * (len(ideals) + 1), c
 
 
 def test_lambda_grid_contents():
@@ -220,6 +263,23 @@ def test_counterexamples_keep_one_check_per_pair(monkeypatch):
         per_check.setdefault(key, []).append(entry["curve"])
     assert max(len(curves) for curves in per_check.values()) >= 2
     assert all(curves == sorted(set(curves)) for curves in per_check.values())
+
+
+def test_sweep_reuses_row_lct_reports(monkeypatch):
+    # an atlas row asks three times (classify, its own report, lct_gap) and
+    # gap_attainment once per check; no other suite recomputes the report
+    calls = 0
+    asymptotic_lct = thresholds.asymptotic_lct
+
+    def counting_lct(c, e):
+        nonlocal calls
+        calls += 1
+        return asymptotic_lct(c, e)
+
+    monkeypatch.setattr(thresholds, "asymptotic_lct", counting_lct)
+    report = verify_theorems(smooth_budget(3, ideal_coeff_bound=1))
+    rows = report.counts["curves"] + report.suite("atlas_spot_check").checked
+    assert calls <= 3 * rows + report.suite("gap_attainment").checked
 
 
 def test_verify_theorems_du_val_dichotomy():

@@ -6,8 +6,9 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from germval import germ, thresholds, valuation
+from germval.explorer import antinef_ideals
 
-from conftest import check_proximity_model
+from conftest import antinef_ideals_bruteforce, check_proximity_model
 
 BASES = [
     germ.SMOOTH,
@@ -77,6 +78,12 @@ def test_multiplicities_stable_under_extension(cc, data):
     assert valuation.asymptotic_multiplicities(c2, e)[:n] == (
         valuation.asymptotic_multiplicities(c, e)
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(clusters().filter(lambda c: c.curve_count() <= 8), st.sampled_from((1, 2)))
+def test_antinef_ideals_join_closure_matches_bruteforce(c, bound):
+    assert antinef_ideals(c, bound) == antinef_ideals_bruteforce(c, bound)
 
 
 @settings(max_examples=40, deadline=None)
