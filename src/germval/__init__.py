@@ -30,7 +30,6 @@ from .germ import (
     extend,
     intersection_matrix,
     legal_steps,
-    prune_to_ancestors,
     to_dot,
 )
 from .valuation import (

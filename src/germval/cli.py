@@ -135,15 +135,17 @@ def paper_examples() -> list[dict]:
 
 
 def _approx_of(value):
+    """Decimal approximation of a rational string or a list of them; None
+    when there is none, or when a value is beyond the float range."""
     if isinstance(value, str):
         try:
             return float(Fraction(value))
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError, OverflowError):
             return None
     if isinstance(value, list) and value and all(isinstance(v, str) for v in value):
         try:
             return [float(Fraction(v)) for v in value]
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError, OverflowError):
             return None
     return None
 
@@ -213,7 +215,6 @@ def cmd_analyze(args) -> int:
     e = _pick_curve(args, c)
     report = thresholds.asymptotic_lct(c, e)
     cl = thresholds.classify(c, e)
-    has_witness_ideal = thresholds.computes_lct(c, e)
     doc = {
         "base": "smooth" if c.base.is_smooth else c.base.dynkin,
         "curve": e,
@@ -222,14 +223,14 @@ def cmd_analyze(args) -> int:
         "fingen_degree": valuation.fingen_degree(c, e),
         "lct": format_value(report.value),
         "argmin": sorted(report.argmin),
-        "gap": format_rational(thresholds.lct_gap(c, e)),
+        "gap": format_rational(cl.gap),
         "prime_blowup_lct": format_rational(report.prime_blowup_lct),
-        "computes_lct": has_witness_ideal,
+        "computes_lct": cl.gap == 0,
         "plt_over_model_divisors": thresholds.plt_check(c, e),
         "verdict": cl.verdict,
         "witness": cl.witness,
         "witness_ideal": [str(v) for v in thresholds.lct_witness_ideal(c, e).coeffs]
-        if has_witness_ideal
+        if cl.gap == 0
         else None,
     }
     emit(doc, args)
@@ -336,6 +337,8 @@ def _parse_bases(arg: str) -> tuple[germ.BaseGerm, ...]:
 
 
 def cmd_enumerate(args) -> int:
+    if args.jobs < 1:  # checked here too, since the sweep does not reach atlas_rows
+        raise ValueError("--jobs must be >= 1")
     budget = explorer.EnumBudget(
         max_steps=args.max_steps,
         bases=_parse_bases(args.bases),

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -287,7 +288,7 @@ def _row(c: germ.Cluster, e: int, enum_index: int, report: thresholds.LctReport)
         curve=e,
         k=germ.canonical_vector(c)[e],
         lct=report.value,
-        gap=thresholds.lct_gap(c, e),
+        gap=cl.gap,
         fingen_degree=valuation.fingen_degree(c, e),
         verdict=cl.verdict,
         witness=cl.witness,
@@ -302,10 +303,14 @@ def _rows_for_cluster(task: tuple[int, germ.Cluster]) -> list[AtlasRow]:
 
 def atlas_rows(b: EnumBudget, jobs: int = 1) -> list[AtlasRow]:
     """One row per (cluster, curve); deterministic regardless of the
-    worker count (results are merged in enumeration order)."""
+    worker count (results are merged in enumeration order).  The pool
+    starts at most one worker per task and per CPU."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     tasks = list(enumerate(enumerate_clusters(b)))
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_rows_for_cluster, tasks))
     else:
         chunks = [_rows_for_cluster(t) for t in tasks]
@@ -415,7 +420,8 @@ class _Case:
     k: tuple[int, ...]
     kp1: list[int]
     ideals: list[tuple[tuple[int, ...], Fraction | None]]  # (divisor, lct); None for the trivial ideal
-    graded: list[list[tuple[int, ...]]]  # per curve, its valuation ideals of degree 1..4
+    # per curve, its valuation ideals of degree 1..4 and m0..4m0, keyed by degree
+    graded: list[dict[int, tuple[int, ...]]]
     gaps: list[tuple[int, int]]  # per curve, the gap as (numerator, denominator)
     lct_flags: list[bool]
     obstructions: list[tuple[int, int]]  # (curve, witness) of every MldObstructed row
@@ -449,7 +455,10 @@ def _case(b: EnumBudget, enum_index: int, c: germ.Cluster) -> _Case:
     steps = germ.legal_steps(c)
     return _Case(
         c, b, rows, reports, k, kp1, ideals,
-        graded=[[valuation.valuation_ideal(c, e, m) for m in range(1, 5)] for e in range(n)],
+        graded=[
+            {m: valuation.valuation_ideal(c, e, m) for m in {*range(1, 5), *range(m0, 5 * m0, m0)}}
+            for e, m0 in enumerate(r.fingen_degree for r in rows)
+        ],
         gaps=[(r.gap.numerator, r.gap.denominator) for r in rows],
         lct_flags=[r.gap == 0 for r in rows],
         obstructions=[(r.curve, r.witness) for r in rows if r.verdict == "MldObstructed"],
@@ -479,30 +488,30 @@ def _oracle_equivalence(case: _Case):
     for row in case.rows:
         e, m0 = row.curve, row.fingen_degree
         scaled = tuple(int(v * m0) for v in valuation.asymptotic_multiplicities(case.c, e))
-        yield _found(valuation.valuation_ideal(case.c, e, m0) != scaled, curve=e, m0=m0)
+        yield _found(case.graded[e][m0] != scaled, curve=e, m0=m0)
 
 
 def _ideal_monotonicity(case: _Case):
     """E's valuation ideals of degree 1..4 have pointwise growing divisors."""
-    for e, ds in enumerate(case.graded):
+    for e, g in enumerate(case.graded):
+        ds = [g[m] for m in range(1, 5)]
         yield _found(any(a > b for da, db in zip(ds, ds[1:]) for a, b in zip(da, db)), curve=e)
 
 
 def _graded_subadditivity(case: _Case):
     """The divisor of degree m + n is at most the sum of degrees m and n (m + n <= 4)."""
     splits = [(m, n) for m in range(1, 4) for n in range(1, 5 - m)]
-    for e, ds in enumerate(case.graded):
-        over = any(s > a + b for m, n in splits for s, a, b in zip(ds[m + n - 1], ds[m - 1], ds[n - 1]))
+    for e, g in enumerate(case.graded):
+        over = any(s > a + b for m, n in splits for s, a, b in zip(g[m + n], g[m], g[n]))
         yield _found(over, curve=e)
 
 
 def _rees_singleton(case: _Case):
     """E is the only Rees valuation of its ideals of degree m0, 2m0, 3m0, 4m0."""
-    c = case.c
     for row in case.rows:
         e, m0 = row.curve, row.fingen_degree
-        ideals = (valuation.valuation_ideal(c, e, mm * m0) for mm in range(1, 5))
-        extra = any(valuation.rees_valuations(c, d) != frozenset((e,)) for d in ideals)
+        ideals = (case.graded[e][mm * m0] for mm in range(1, 5))
+        extra = any(valuation.rees_valuations(case.c, d) != frozenset((e,)) for d in ideals)
         yield _found(extra, curve=e, m0=m0)
 
 

@@ -309,35 +309,6 @@ def ancestor_curves(c: Cluster, curve: int) -> frozenset[int]:
     return frozenset(keep)
 
 
-def prune_to_ancestors(c: Cluster, curve: int) -> tuple[Cluster, dict[int, int]]:
-    """Restrict the cluster to the ancestors of ``curve``.
-
-    Returns the pruned cluster and the old-id -> new-id map.  Dropping
-    non-ancestor steps keeps every remaining step legal: a satellite's
-    intersection point can only have been consumed by the satellite step
-    itself, which is an ancestor whenever its curve is kept.  When every
-    curve is an ancestor the cluster itself is returned, with what it has
-    already computed.
-    """
-    keep = ancestor_curves(c, curve)
-    if len(keep) == c.curve_count():
-        return c, {i: i for i in range(len(keep))}
-    rank = c.base.rank()
-    old_to_new = {i: i for i in range(rank)}
-    new_steps: list[BlowupStep] = []
-    for idx, step in enumerate(c.steps):
-        old_id = rank + idx
-        if old_id not in keep:
-            continue
-        old_to_new[old_id] = rank + len(new_steps)
-        if isinstance(step, Free):
-            new_steps.append(Free(None if step.on is None else old_to_new[step.on]))
-        else:
-            i, j = step.on
-            new_steps.append(Satellite((old_to_new[i], old_to_new[j])))
-    return build(c.base, new_steps), old_to_new
-
-
 # -- JSON wire format ---------------------------------------------------
 #
 # { "base": "smooth" | {"du_val": "A1"|...|"E8"},

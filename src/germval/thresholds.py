@@ -120,18 +120,36 @@ def lct_ideal(c: germ.Cluster, a: CompleteIdeal) -> LctReport:
     return LctReport(value, frozenset(j for j, r in ratios.items() if r == value))
 
 
+def _ratios(c: germ.Cluster, e: int, curves) -> list[tuple[Fraction, int, int]]:
+    """(ratio, k, id) of each given curve, where ratio = (k+1)/dstar is
+    the threshold E's graded sequence sees at that curve.  The tuples
+    order by the witness tie-break: smallest ratio, then k, then id."""
+    x = valuation.asymptotic_multiplicities(c, e)
+    k = germ.canonical_vector(c)
+    return [(Fraction(k[j] + 1) / x[j], k[j], j) for j in curves]
+
+
+def _lowest(ratios) -> tuple[Fraction, frozenset[int]]:
+    """The minimal ratio and the curves attaining it."""
+    value = min(ratios)[0]
+    return value, frozenset(j for r, _, j in ratios if r == value)
+
+
+def _obstruction(ratios, e: int, ke: int) -> int | None:
+    """The least (ratio, k, id) over curves F != E with k[F] <= k[E] and
+    ratio below k[E] + 1, or None."""
+    found = [t for t in ratios if t[2] != e and t[1] <= ke and t[0] < ke + 1]
+    return min(found)[2] if found else None
+
+
 def asymptotic_lct(c: germ.Cluster, e: int) -> LctReport:
     """Asymptotic log canonical threshold of the graded sequence of E:
     the minimum of (k+1)/multiplicity over the model curves.  Always at
     most k[e] + 1, since the multiplicity at E itself is 1."""
-    x = valuation.asymptotic_multiplicities(c, e)
-    k = germ.canonical_vector(c)
-    ratios = [Fraction(k[j] + 1) / x[j] for j in range(len(x))]
-    value = min(ratios)
-    argmin = frozenset(j for j, r in enumerate(ratios) if r == value)
-    ke1 = Fraction(k[e] + 1)
-    assert value <= ke1
-    return LctReport(value, argmin, prime_blowup_lct=value - Fraction(k[e]))
+    value, argmin = _lowest(_ratios(c, e, range(c.curve_count())))
+    ke = germ.canonical_vector(c)[e]
+    assert value <= ke + 1
+    return LctReport(value, argmin, prime_blowup_lct=value - ke)
 
 
 def computes_lct(c: germ.Cluster, e: int) -> bool:
@@ -165,10 +183,8 @@ def plt_check(c: germ.Cluster, e: int) -> bool:
     """Strict inequality k[e]+1 < (k[f]+1)/multiplicity for every other
     model curve.  Certified over model divisors only: curves appearing on
     further blowups are not quantified here."""
-    x = valuation.asymptotic_multiplicities(c, e)
-    k = germ.canonical_vector(c)
-    ke1 = Fraction(k[e] + 1)
-    return all(Fraction(k[f] + 1) / x[f] > ke1 for f in range(len(x)) if f != e)
+    ke1 = germ.canonical_vector(c)[e] + 1
+    return all(r > ke1 for r, _, f in _ratios(c, e, range(c.curve_count())) if f != e)
 
 
 def unique_lc_place(c: germ.Cluster, a: CompleteIdeal) -> int | None:
@@ -214,43 +230,36 @@ def mld_obstruction(c: germ.Cluster, e: int) -> int | None:
 
     Ties are broken by smallest ratio, then smallest k, then smallest id.
     """
-    x = valuation.asymptotic_multiplicities(c, e)
-    k = germ.canonical_vector(c)
-    ke1 = Fraction(k[e] + 1)
-    best: tuple[Fraction, int, int] | None = None
-    for f in range(len(x)):
-        if f == e or k[f] > k[e]:
-            continue
-        ratio = Fraction(k[f] + 1) / x[f]
-        if ratio < ke1:
-            cand = (ratio, k[f], f)
-            if best is None or cand < best:
-                best = cand
-    return None if best is None else best[2]
+    ratios = _ratios(c, e, range(c.curve_count()))
+    return _obstruction(ratios, e, germ.canonical_vector(c)[e])
 
 
 def classify(c: germ.Cluster, e: int) -> Classification:
-    """Classify the curve after pruning the cluster to its ancestors.
+    """Classify the curve over its ancestors: E, the curves through its
+    center, recursively, and the minimal-resolution curves.
 
-    On the pruned model every curve has k at most k[e], so when the curve
-    fails to compute an lct the threshold's argmin is itself an
-    obstructing witness and the verdict is never Indeterminate over
-    smooth or du Val bases.  Reported ids refer to the original cluster.
+    E's multiplicities on its ancestors do not depend on the other
+    blowups.  On any other curve E's multiplicity is the sum of those on
+    the curves through its center, so its ratio (k+1)/multiplicity is at
+    least one of theirs (a free point raises the ratio, a satellite takes
+    the mediant of two).  The threshold over the ancestors is therefore
+    the threshold over the whole model, and no pruned cluster is built.
+    Every ancestor has k at most k[e], so when the curve fails to compute
+    an lct the threshold's argmin is itself an obstructing witness and the
+    verdict is never Indeterminate over smooth or du Val bases.
+    ``argmin`` lists ancestors only.
     """
     valuation._check_curve(c, e)
-    pruned, old_to_new = germ.prune_to_ancestors(c, e)
-    new_to_old = {v: o for o, v in old_to_new.items()}
-    pe = old_to_new[e]
-    report = asymptotic_lct(pruned, pe)
-    k = germ.canonical_vector(pruned)
-    gap = Fraction(k[pe] + 1) - report.value
-    argmin = frozenset(new_to_old[j] for j in report.argmin)
+    ratios = _ratios(c, e, germ.ancestor_curves(c, e))
+    value, argmin = _lowest(ratios)
+    ke = germ.canonical_vector(c)[e]
+    gap = ke + 1 - value
     if gap == 0:
-        return Classification(e, "ComputesLct", None, report.value, gap, argmin)
-    w = mld_obstruction(pruned, pe)
+        return Classification(e, "ComputesLct", None, value, gap, argmin)
+    w = _obstruction(ratios, e, ke)
     if w is not None:
-        return Classification(e, "MldObstructed", new_to_old[w], report.value, gap, argmin)
-    return Classification(e, "Indeterminate", None, report.value, gap, argmin)
+        return Classification(e, "MldObstructed", w, value, gap, argmin)
+    return Classification(e, "Indeterminate", None, value, gap, argmin)
 
 
 # -- JSON wire format ---------------------------------------------------

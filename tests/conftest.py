@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 
-from germval import exact, germ, valuation
+from germval import exact, germ, thresholds, valuation
 from germval.cli import satellite_chain, single_blowup
 from germval.explorer import EnumBudget, verify_theorems
 
@@ -42,6 +42,75 @@ def antinef_ideals_bruteforce(c: germ.Cluster, bound: int) -> list[tuple[int, ..
     ``explorer.antinef_ideals`` must reproduce."""
     n = c.curve_count()
     return sorted({valuation.unload(c, v) for v in product(range(bound + 1), repeat=n)})
+
+
+def prune_to_ancestors(c: germ.Cluster, curve: int) -> tuple[germ.Cluster, dict[int, int]]:
+    """Restrict the cluster to the ancestors of ``curve``.
+
+    Returns the pruned cluster and the old-id -> new-id map.  Dropping
+    non-ancestor steps keeps every remaining step legal: a satellite's
+    intersection point can only have been consumed by the satellite step
+    itself, which is an ancestor whenever its curve is kept.  When every
+    curve is an ancestor the cluster itself is returned.
+    """
+    keep = germ.ancestor_curves(c, curve)
+    if len(keep) == c.curve_count():
+        return c, {i: i for i in range(len(keep))}
+    rank = c.base.rank()
+    old_to_new = {i: i for i in range(rank)}
+    new_steps: list[germ.BlowupStep] = []
+    for idx, step in enumerate(c.steps):
+        old_id = rank + idx
+        if old_id not in keep:
+            continue
+        old_to_new[old_id] = rank + len(new_steps)
+        if isinstance(step, germ.Free):
+            new_steps.append(germ.Free(None if step.on is None else old_to_new[step.on]))
+        else:
+            i, j = step.on
+            new_steps.append(germ.Satellite((old_to_new[i], old_to_new[j])))
+    return germ.build(c.base, new_steps), old_to_new
+
+
+def classify_pruned(c: germ.Cluster, e: int) -> thresholds.Classification:
+    """The classification read on the cluster pruned to E's ancestors,
+    with ids mapped back: what ``thresholds.classify`` must give without
+    building the pruned cluster."""
+    pruned, old_to_new = prune_to_ancestors(c, e)
+    new_to_old = {v: o for o, v in old_to_new.items()}
+    pe = old_to_new[e]
+    report = thresholds.asymptotic_lct(pruned, pe)
+    k = germ.canonical_vector(pruned)
+    gap = Fraction(k[pe] + 1) - report.value
+    argmin = frozenset(new_to_old[j] for j in report.argmin)
+    if gap == 0:
+        return thresholds.Classification(e, "ComputesLct", None, report.value, gap, argmin)
+    w = thresholds.mld_obstruction(pruned, pe)
+    if w is not None:
+        return thresholds.Classification(e, "MldObstructed", new_to_old[w], report.value, gap, argmin)
+    return thresholds.Classification(e, "Indeterminate", None, report.value, gap, argmin)
+
+
+def check_classify_against_pruned(clusters) -> None:
+    """``thresholds.classify`` builds no cluster and equals
+    ``classify_pruned`` on every curve of the given clusters."""
+    clusters = list(clusters)
+    post_init = germ.Cluster.__post_init__
+    built = 0
+
+    def counting_post_init(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    germ.Cluster.__post_init__ = counting_post_init
+    try:
+        got = [[thresholds.classify(c, e) for e in range(c.curve_count())] for c in clusters]
+    finally:
+        germ.Cluster.__post_init__ = post_init
+    assert built == 0
+    for c, cls in zip(clusters, got):
+        assert cls == [classify_pruned(c, e) for e in range(c.curve_count())], c
 
 
 def leading_principal_minors(m) -> tuple[Fraction, ...]:

@@ -178,6 +178,36 @@ def test_enumerate_writes_atlas_and_report(capsys, tmp_path):
     assert doc["total_counterexamples"] == 0
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_approx_leaves_out_values_beyond_float_range(capsys, sb_file, fmt):
+    big = str(10**400)
+    argv = ["lct", sb_file, "--ideal", big, "--format", fmt]
+    code, exact, _ = run(capsys, argv)
+    assert code == 0
+    code, out, err = run(capsys, argv + ["--approx"])
+    assert code == 0 and err == ""
+    # 2/10**400 rounds to 0.0; 10**400 has no float and gets no approximation
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc.pop("approx") == {"value": 0.0}
+        assert doc == json.loads(exact)
+        assert doc["ideal"] == [big] and doc["value"] == f"1/{5 * 10**399}"
+    else:
+        lines = out.splitlines()
+        assert lines[0] == f"ideal = [{big}]" == exact.splitlines()[0]
+        assert lines[1] == exact.splitlines()[1] + "   (approx 0.0)"
+        assert lines[2:] == exact.splitlines()[2:]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+@pytest.mark.parametrize("report", [False, True])
+def test_enumerate_rejects_nonpositive_jobs(capsys, tmp_path, jobs, report):
+    extra = ["--report", str(tmp_path / "report.json")] if report else []
+    code, out, err = run(capsys, ["enumerate", "--max-steps", "1", "--jobs", jobs] + extra)
+    assert code == 1 and out == "" and "ValueError" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_enumerate_jobs_output_identical(capsys, tmp_path):
     paths = []
     for jobs in ("1", "2"):

@@ -1,11 +1,13 @@
 import io
 import json
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from germval import germ, thresholds, valuation
+from germval import explorer, germ, thresholds, valuation
 from germval.explorer import (
     ATLAS_COLUMNS,
     SUITE_NAMES,
@@ -251,7 +253,10 @@ def test_counterexamples_keep_one_check_per_pair(monkeypatch):
     # curve of every pair, yet each pair is still one check
     b = smooth_budget(3, ideal_coeff_bound=1)
     expected = verify_theorems(b).suite("gap_inequality").checked
-    monkeypatch.setattr(thresholds, "lct_gap", lambda c, e: Fraction(10**6))
+    classify = thresholds.classify
+    monkeypatch.setattr(
+        thresholds, "classify", lambda c, e: replace(classify(c, e), gap=Fraction(10**6))
+    )
     suite = verify_theorems(b).suite("gap_inequality")
     assert suite.checked == expected
     assert len(suite.counterexamples) > suite.checked
@@ -266,8 +271,9 @@ def test_counterexamples_keep_one_check_per_pair(monkeypatch):
 
 
 def test_sweep_reuses_row_lct_reports(monkeypatch):
-    # an atlas row asks three times (classify, its own report, lct_gap) and
-    # gap_attainment once per check; no other suite recomputes the report
+    # an atlas row asks once, for its own report (classify reads the
+    # ancestors' ratios itself), and gap_attainment once per check; no
+    # other suite recomputes the report
     calls = 0
     asymptotic_lct = thresholds.asymptotic_lct
 
@@ -279,7 +285,26 @@ def test_sweep_reuses_row_lct_reports(monkeypatch):
     monkeypatch.setattr(thresholds, "asymptotic_lct", counting_lct)
     report = verify_theorems(smooth_budget(3, ideal_coeff_bound=1))
     rows = report.counts["curves"] + report.suite("atlas_spot_check").checked
-    assert calls <= 3 * rows + report.suite("gap_attainment").checked
+    assert calls <= rows + report.suite("gap_attainment").checked
+
+
+def test_sweep_unloads_each_valuation_ideal_once(monkeypatch):
+    requests = Counter()
+    valuation_ideal = valuation.valuation_ideal
+
+    def counting_valuation_ideal(c, e, m):
+        requests[c, e, m] += 1
+        return valuation_ideal(c, e, m)
+
+    monkeypatch.setattr(valuation, "valuation_ideal", counting_valuation_ideal)
+    b = EnumBudget(max_steps=3, bases=(germ.SMOOTH, germ.du_val("A2")), ideal_coeff_bound=1)
+    report = verify_theorems(b)
+    repeats = {key: n for key, n in requests.items() if n > 1}
+    # the one repeat: lct_witness_ideal asks for degree m0 again, once per
+    # gap_attainment check
+    assert len(repeats) == report.suite("gap_attainment").checked > 0
+    for (c, e, m), n in repeats.items():
+        assert n == 2 and m == valuation.fingen_degree(c, e)
 
 
 def test_verify_theorems_du_val_dichotomy():
@@ -317,6 +342,45 @@ def test_atlas_rows_reproducible_and_deterministic():
 def test_atlas_rows_parallel_matches_serial():
     b = smooth_budget(3)
     assert atlas_rows(b, jobs=2) == atlas_rows(b, jobs=1)
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records the worker count and
+    maps in process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "cpus,jobs,workers", [(4, 5000, 4), (4, 3, 3), (64, 5000, 5), (None, 5000, None), (4, 1, None)]
+)
+def test_atlas_rows_pool_size_is_bounded(monkeypatch, cpus, jobs, workers):
+    # the pool is never started: smooth_budget(3) has 5 clusters, and a
+    # single worker (os.cpu_count() may be None) runs in process
+    monkeypatch.setattr(explorer, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(explorer.os, "cpu_count", lambda: cpus)
+    _SerialPool.sizes = []
+    b = smooth_budget(3)
+    assert atlas_rows(b, jobs=jobs) == atlas_rows(b)
+    assert _SerialPool.sizes == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_atlas_rows_rejects_nonpositive_jobs(jobs):
+    with pytest.raises(ValueError):
+        atlas_rows(smooth_budget(1), jobs=jobs)
 
 
 def test_extremal_gaps_ordering():

@@ -5,7 +5,7 @@ import pytest
 from germval import germ
 from germval.errors import InvalidStep
 
-from conftest import chain2, is_negative_definite, satellite_chain, single_blowup
+from conftest import chain2, is_negative_definite, prune_to_ancestors, satellite_chain, single_blowup
 
 
 def test_build_single_blowup():
@@ -202,14 +202,14 @@ def test_json_rejects_malformed(doc):
 
 def test_prune_keeps_full_ancestry_of_chain():
     c = satellite_chain(6)
-    pruned, mapping = germ.prune_to_ancestors(c, 5)
+    pruned, mapping = prune_to_ancestors(c, 5)
     assert pruned == c
     assert mapping == {i: i for i in range(6)}
 
 
 def test_prune_drops_sibling():
     c = germ.build(germ.SMOOTH, (germ.Free(None), germ.Free(0), germ.Free(0)))
-    pruned, mapping = germ.prune_to_ancestors(c, 1)
+    pruned, mapping = prune_to_ancestors(c, 1)
     assert pruned == chain2()
     assert mapping == {0: 0, 1: 1}
     assert germ.ancestor_curves(c, 1) == frozenset({0, 1})
@@ -217,9 +217,9 @@ def test_prune_drops_sibling():
 
 def test_prune_minimal_resolution_curve():
     c = germ.build(germ.du_val("A2"), (germ.Free(0), germ.Free(2)))
-    pruned, mapping = germ.prune_to_ancestors(c, 1)
+    pruned, mapping = prune_to_ancestors(c, 1)
     assert pruned == germ.build(germ.du_val("A2"), ())
     assert mapping == {0: 0, 1: 1}
     # pruning to the last curve keeps its whole chain
-    pruned2, _ = germ.prune_to_ancestors(c, 3)
+    pruned2, _ = prune_to_ancestors(c, 3)
     assert pruned2 == c

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from germval import germ, thresholds, valuation
 from germval.explorer import antinef_ideals
 
-from conftest import antinef_ideals_bruteforce, check_proximity_model
+from conftest import antinef_ideals_bruteforce, check_classify_against_pruned, check_proximity_model
 
 BASES = [
     germ.SMOOTH,
@@ -66,6 +66,13 @@ def test_threshold_invariants(cc):
     assert 0 <= gap and rep.value <= k[e] + 1
     assert (gap == 0) == thresholds.computes_lct(c, e)
     assert thresholds.classify(c, e).verdict != "Indeterminate"
+
+
+@settings(max_examples=40, deadline=None)
+@given(clusters(max_extra_steps=34))
+def test_classify_matches_pruned_cluster_oracle(c):
+    # random legal steps interleave curves off each curve's ancestry
+    check_classify_against_pruned([c])
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,10 +6,17 @@ import pytest
 
 from germval import germ, thresholds, valuation
 from germval.errors import MldMinusInfinity, NotAnLctComputer, NotAntinef
-from germval.explorer import antinef_ideals
+from germval.explorer import EnumBudget, antinef_ideals, enumerate_clusters
 from germval.thresholds import MINUS_INFINITY, PLUS_INFINITY
 
-from conftest import chain2, oracle_lct_unloading, satellite_chain, single_blowup
+from conftest import (
+    chain2,
+    check_classify_against_pruned,
+    oracle_lct_unloading,
+    prune_to_ancestors,
+    satellite_chain,
+    single_blowup,
+)
 
 
 def ideal(c, coeffs):
@@ -223,8 +230,22 @@ def test_classify_prunes_siblings():
     )
     cl = thresholds.classify(c_big, 3)
     assert cl.verdict == "MldObstructed" and cl.witness == 2
-    pruned, _ = germ.prune_to_ancestors(c_big, 3)
+    pruned, _ = prune_to_ancestors(c_big, 3)
     assert pruned == c
+
+
+DU_VAL_LABELS = ("A1", "A2", "A3", "A4", "D4", "D5", "E6", "E7", "E8")
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        pytest.param(EnumBudget(max_steps=5, bases=(germ.SMOOTH,)), id="smooth5"),
+        pytest.param(EnumBudget(max_steps=2, bases=tuple(map(germ.du_val, DU_VAL_LABELS))), id="A1-E8x2"),
+    ],
+)
+def test_classify_matches_pruned_cluster_oracle(budget):
+    check_classify_against_pruned(enumerate_clusters(budget))
 
 
 def test_lct_gap_examples():
