@@ -35,6 +35,7 @@ from .germ import (
 from .valuation import (
     asymptotic_multiplicities,
     fingen_degree,
+    fingen_ideal,
     rees_valuations,
     unload,
     valuation_ideal,

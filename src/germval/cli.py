@@ -302,13 +302,13 @@ def cmd_classify(args) -> int:
 def cmd_fingen(args) -> int:
     c = germ.cluster_from_file(args.cluster)
     e = _pick_curve(args, c)
-    m0 = valuation.fingen_degree(c, e)
+    w = valuation.fingen_ideal(c, e)
     doc = {
         "curve": e,
         "k": germ.canonical_vector(c)[e],
         "dstar": [format_rational(v) for v in valuation.asymptotic_multiplicities(c, e)],
-        "fingen_degree": m0,
-        "ideal_at_degree": [str(v) for v in valuation.valuation_ideal(c, e, m0)],
+        "fingen_degree": w[e],
+        "ideal_at_degree": [str(v) for v in w],
     }
     emit(doc, args)
     return 0

@@ -406,8 +406,6 @@ class VerificationReport:
         }
 
 
-
-
 @dataclass(frozen=True)
 class _Case:
     """Everything the suites share about one enumerated cluster, computed
@@ -420,7 +418,8 @@ class _Case:
     k: tuple[int, ...]
     kp1: list[int]
     ideals: list[tuple[tuple[int, ...], Fraction | None]]  # (divisor, lct); None for the trivial ideal
-    # per curve, its valuation ideals of degree 1..4 and m0..4m0, keyed by degree
+    # per curve, its valuation ideals of degree 1..4 and m0..4m0, keyed by
+    # degree; degree m0 is unloaded from m0·E alone, not from the column
     graded: list[dict[int, tuple[int, ...]]]
     gaps: list[tuple[int, int]]  # per curve, the gap as (numerator, denominator)
     lct_flags: list[bool]
@@ -456,7 +455,8 @@ def _case(b: EnumBudget, enum_index: int, c: germ.Cluster) -> _Case:
     return _Case(
         c, b, rows, reports, k, kp1, ideals,
         graded=[
-            {m: valuation.valuation_ideal(c, e, m) for m in {*range(1, 5), *range(m0, 5 * m0, m0)}}
+            {m: valuation.valuation_ideal(c, e, m) for m in {*range(1, 5), *range(2 * m0, 5 * m0, m0)} - {m0}}
+            | {m0: valuation.unload(c, [m0 * (j == e) for j in range(n)])}
             for e, m0 in enumerate(r.fingen_degree for r in rows)
         ],
         gaps=[(r.gap.numerator, r.gap.denominator) for r in rows],
@@ -487,8 +487,7 @@ def _oracle_equivalence(case: _Case):
     """Unloading m0·E gives m0·dstar at the finite-generation degree m0."""
     for row in case.rows:
         e, m0 = row.curve, row.fingen_degree
-        scaled = tuple(int(v * m0) for v in valuation.asymptotic_multiplicities(case.c, e))
-        yield _found(case.graded[e][m0] != scaled, curve=e, m0=m0)
+        yield _found(case.graded[e][m0] != valuation.fingen_ideal(case.c, e), curve=e, m0=m0)
 
 
 def _ideal_monotonicity(case: _Case):
@@ -518,14 +517,15 @@ def _rees_singleton(case: _Case):
 def _model_stability(case: _Case):
     """One more blowup keeps E's multiplicities on the old curves and its asymptotic lct."""
     c, n = case.c, len(case.rows)
-    dstars = [valuation.asymptotic_multiplicities(c, e) for e in range(n)]
     for step in case.extensions:
         c2, label = germ.extend(c, step), repr(step)
         k2 = germ.canonical_vector(c2)
         for e, row in enumerate(case.rows):
-            x2 = valuation.asymptotic_multiplicities(c2, e)
-            val2 = min(Fraction(k2[j] + 1) / x2[j] for j in range(n + 1))
-            changed = x2[:n] != dstars[e] or val2 != row.lct
+            # E keeps its multiplicities on the old curves exactly when w2 extends
+            # w: both are primitive and w2's new entry is a sum of old ones
+            w2 = valuation.fingen_ideal(c2, e)
+            val2 = min(Fraction((k2[j] + 1) * w2[e], w2[j]) for j in range(n + 1))
+            changed = w2[:n] != valuation.fingen_ideal(c, e) or val2 != row.lct
             yield _found(changed, curve=e, step=label)
 
 
@@ -598,11 +598,12 @@ def _gap_inequality(case: _Case):
 
 
 def _gap_attainment(case: _Case):
-    """A curve computing an lct has log discrepancy 0 along its witness ideal at its lct."""
+    """A curve computing an lct has log discrepancy 0 along its unloaded
+    ideal of degree m0 at that ideal's lct."""
     c = case.c
     for row in case.rows:
         if row.gap == 0:
-            witness = thresholds.lct_witness_ideal(c, row.curve)
+            witness = thresholds.CompleteIdeal(case.graded[row.curve][row.fingen_degree])
             pair = thresholds.PairSpec(witness, thresholds.lct_ideal(c, witness).value)
             yield _found(thresholds.log_discrepancy(c, pair, row.curve) != row.gap, curve=row.curve)
 

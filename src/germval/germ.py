@@ -149,8 +149,8 @@ class Cluster:
 
     Construction validates the steps (raising InvalidStep) and computes
     the intersection matrix and the canonical vector once.  ``_dstar``
-    holds the asymptotic multiplicity columns computed so far, keyed by
-    curve (see :mod:`germval.valuation`).  The derived fields take no part
+    holds m0·dstar, as integers, of each curve asked about so far (see
+    :mod:`germval.valuation`).  The derived fields take no part
     in equality, hashing or repr, and are freed with the cluster.
     """
 

@@ -122,11 +122,12 @@ def lct_ideal(c: germ.Cluster, a: CompleteIdeal) -> LctReport:
 
 def _ratios(c: germ.Cluster, e: int, curves) -> list[tuple[Fraction, int, int]]:
     """(ratio, k, id) of each given curve, where ratio = (k+1)/dstar is
-    the threshold E's graded sequence sees at that curve.  The tuples
-    order by the witness tie-break: smallest ratio, then k, then id."""
-    x = valuation.asymptotic_multiplicities(c, e)
+    the threshold E's graded sequence sees at that curve, read from the
+    integer column m0·dstar as (k+1)·m0/(m0·dstar).  The tuples order by
+    the witness tie-break: smallest ratio, then k, then id."""
+    w = valuation.fingen_ideal(c, e)
     k = germ.canonical_vector(c)
-    return [(Fraction(k[j] + 1) / x[j], k[j], j) for j in curves]
+    return [(Fraction((k[j] + 1) * w[e], w[j]), k[j], j) for j in curves]
 
 
 def _lowest(ratios) -> tuple[Fraction, frozenset[int]]:
@@ -167,15 +168,12 @@ def lct_gap(c: germ.Cluster, e: int) -> Fraction:
 
 
 def lct_witness_ideal(c: germ.Cluster, e: int) -> CompleteIdeal:
-    """The valuation ideal at the finite-generation degree; its threshold
-    is (k+1)/degree and is attained at E."""
-    if not computes_lct(c, e):
+    """The valuation ideal at the finite-generation degree, m0·dstar.  E
+    computes an lct exactly when it attains this ideal's threshold, which
+    is then (k+1)/m0."""
+    ideal = CompleteIdeal(valuation.fingen_ideal(c, e))
+    if e not in lct_ideal(c, ideal).argmin:
         raise NotAnLctComputer(f"curve {e} does not compute an lct")
-    m0 = valuation.fingen_degree(c, e)
-    ideal = CompleteIdeal(valuation.valuation_ideal(c, e, m0))
-    report = lct_ideal(c, ideal)
-    k = germ.canonical_vector(c)
-    assert report.value == Fraction(k[e] + 1, m0) and e in report.argmin
     return ideal
 
 

@@ -1,36 +1,30 @@
 """Graded sequences of valuation ideals attached to an exceptional curve.
 
-For a curve E on the top model of a cluster, the functions here compute:
+The ideals of functions vanishing to order >= m along a curve E of the
+top model are generated in degree m0 (Zariski's unloading; Lipman 1969),
+where the ideal is m0·dstar: dstar is E's column of M⁻¹ normalized at E,
+the vector with dstar[E] = 1 numerically trivial against every other
+curve.  Each curve keeps the primitive positive integer vector
+w = m0·dstar and reads every invariant from it: m0 = w[E], dstar as the
+Fractions w/w[E], and the valuation ideal of degree m, unloaded from
+⌈m·dstar⌉.
 
-* the asymptotic multiplicity vector dstar of the graded sequence of
-  ideals of functions vanishing to order at least m along E: the unique
-  vector with dstar[E] = 1 that is numerically trivial against every
-  other curve, that is, E's column of M⁻¹ normalized at E;
-* individual valuation ideals, realized as antinef closures by the
-  classical unloading procedure;
-* the degree in which the sequence is finitely generated;
-* Rees valuations of antinef divisors.
-
-dstar comes from the proximity factorisation M = P·D·Pᵀ described in
-:mod:`germval.germ`, as M⁻¹e = P⁻ᵀ·D⁻¹·P⁻¹e: two integer triangular passes
-over the step references around the Dynkin inverse, in O(n + Σ|refs|)
-after the per-label inverse.  Each cluster keeps the columns it has
-computed.  The unloading route computes the same objects independently
-and is the oracle for dstar and the finite-generation degree in the test
-harness and the theorem sweep.
+w comes from the proximity factorisation M = P·D·Pᵀ of :mod:`germval.germ`,
+as M⁻¹e = P⁻ᵀ·D⁻¹·P⁻¹e: two integer triangular passes over the step
+references around the Dynkin inverse, in O(n + Σ|refs|) after the
+per-label inverse.  Unloading m0·E from scratch computes w independently
+and is its oracle in the test harness and the theorem sweep.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 
 from . import germ
 from .errors import NotAntinef
 from .exact import invert_symmetric
-
-ExcDivisor = tuple  # coefficients per curve id; ints or Fractions, >= 0
 
 
 def _check_curve(c: germ.Cluster, e: int) -> None:
@@ -65,7 +59,7 @@ def _dynkin_inverse(label: str) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(int(v * den) for v in row) for row in inv), den
 
 
-def _column(c: germ.Cluster, e: int) -> tuple[Fraction, ...]:
+def _column(c: germ.Cluster, e: int) -> tuple[int, ...]:
     rank, n = c.base.rank(), c.curve_count()
     refs = [germ._step_refs(s) for s in c.steps]
     # y = P⁻¹·e_e by back substitution: y_r = [r = e] + sum of y_j over
@@ -88,23 +82,27 @@ def _column(c: germ.Cluster, e: int) -> tuple[Fraction, ...]:
             x[j] += x[r]
     assert all(v < 0 for v in x), "asymptotic multiplicities must be positive"
     assert sum(a * b for a, b in zip(c._matrix[e], x)) > 0
-    xe = x[e]
-    return tuple(Fraction(v, xe) for v in x)
+    g = gcd(*x)
+    return tuple(-v // g for v in x)
+
+
+def fingen_ideal(c: germ.Cluster, e: int) -> tuple[int, ...]:
+    """m0·dstar: E's column of M⁻¹ as a primitive positive integer vector,
+    the divisor of E's valuation ideal in degree m0, which is its entry at
+    E.  Kept on the cluster."""
+    _check_curve(c, e)
+    w = c._dstar.get(e)
+    if w is None:
+        w = c._dstar[e] = _column(c, e)
+    return w
 
 
 def asymptotic_multiplicities(c: germ.Cluster, e: int) -> tuple[Fraction, ...]:
     """Asymptotic multiplicity of the graded sequence of E at every curve:
-    the unique x with x[e] = 1 and (M.x)[j] = 0 for every j != e.
-
-    Realized as the e-th column of M⁻¹ normalized by its diagonal entry,
-    computed through the proximity factorisation and kept on the cluster.
-    Entries are all positive and the entry at e is exactly 1.
-    """
-    _check_curve(c, e)
-    x = c._dstar.get(e)
-    if x is None:
-        x = c._dstar[e] = _column(c, e)
-    return x
+    the unique x with x[e] = 1 and (M.x)[j] = 0 for every j != e, as the
+    Fractions fingen_ideal / m0, built for reporting."""
+    w = fingen_ideal(c, e)
+    return tuple(Fraction(v, w[e]) for v in w)
 
 
 def unload(c: germ.Cluster, z) -> tuple[int, ...]:
@@ -140,25 +138,24 @@ def unload(c: germ.Cluster, z) -> tuple[int, ...]:
 
 def valuation_ideal(c: germ.Cluster, e: int, m: int) -> tuple[int, ...]:
     """Divisor of the ideal of functions vanishing to order >= m along E:
-    the antinef closure of m times the curve."""
+    the antinef closure of m times the curve.  Every antinef D with
+    D[e] >= m is >= m·dstar (F = D - m·dstar is antinef off E with
+    F[e] >= 0, so F⁻·F⁻ >= 0 forces F⁻ = 0), so unloading starts at
+    ⌈m·dstar⌉ and its bumps do not grow with m."""
     _check_curve(c, e)
     if m < 1:
         raise ValueError("m must be >= 1")
-    z = [0] * c.curve_count()
-    z[e] = m
-    return unload(c, z)
+    w = fingen_ideal(c, e)
+    return unload(c, [-(-m * v // w[e]) for v in w])
 
 
 def fingen_degree(c: germ.Cluster, e: int) -> int:
-    """Least m whose valuation ideal is exactly m * dstar; the graded
-    sequence is then generated in degree m.
-
-    m * dstar is integral only when the lcm of the dstar denominators
-    divides m, and at that lcm the valuation ideal is m * dstar (Zariski's
-    unloading), so the degree is the lcm.  The unloading equality is
-    checked by the oracle_equivalence suite and the tests.
-    """
-    return lcm(*(v.denominator for v in asymptotic_multiplicities(c, e)))
+    """Least m whose valuation ideal is exactly m·dstar, the degree that
+    generates the graded sequence: m·dstar is integral exactly for the
+    multiples of w[e] for the stored w = m0·dstar, and at w[e] the ideal
+    is w (Zariski's unloading, checked by the oracle_equivalence suite
+    and the tests)."""
+    return fingen_ideal(c, e)[e]
 
 
 def rees_valuations(c: germ.Cluster, d) -> frozenset[int]:

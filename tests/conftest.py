@@ -1,12 +1,13 @@
 import time
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 from germval import exact, germ, thresholds, valuation
 from germval.cli import satellite_chain, single_blowup
+from germval.errors import NotAnLctComputer
 from germval.explorer import EnumBudget, verify_theorems
 
 __all__ = ["satellite_chain", "single_blowup"]
@@ -15,6 +16,14 @@ __all__ = ["satellite_chain", "single_blowup"]
 def chain2() -> germ.Cluster:
     """Two blowups: a free point, then a free point on its curve."""
     return germ.build(germ.SMOOTH, (germ.Free(None), germ.Free(0)))
+
+
+def cold_valuation_ideal(c: germ.Cluster, e: int, m: int) -> tuple[int, ...]:
+    """The valuation ideal of degree m unloaded from m·E itself, without
+    the warm start from the column that ``valuation.valuation_ideal``
+    takes: the oracle wherever the claim is that unloading agrees with
+    dstar."""
+    return valuation.unload(c, tuple(m if j == e else 0 for j in range(c.curve_count())))
 
 
 def oracle_lct_unloading(c: germ.Cluster, e: int, mmax: int = 2000, start: int = 1) -> Fraction:
@@ -182,19 +191,27 @@ def oracle_dstar_dense(c: germ.Cluster) -> list[tuple[Fraction, ...]]:
 
 def check_proximity_model(c: germ.Cluster, curves) -> None:
     """M = P·D·Pᵀ, M passes Sylvester's criterion, and on the given curves
-    dstar is the dense-inverse column and the finite-generation degree is
-    the lcm of its denominators, where unloading gives degree · dstar."""
+    dstar is the dense-inverse column, the stored column m0·dstar is
+    primitive with m0 the lcm of dstar's denominators and agrees with the
+    cold unloading of m0·E, and ``lct_witness_ideal`` returns or raises as
+    ``computes_lct`` and that unloading say."""
     m = [list(row) for row in germ.intersection_matrix(c)]
     p, d = proximity_factors(c)
     assert m == _mat_mul(_mat_mul(p, d), [list(col) for col in zip(*p)])
     assert is_negative_definite(m)
     dense = oracle_dstar_dense(c)
     for e in curves:
-        dstar = valuation.asymptotic_multiplicities(c, e)
-        assert dstar == dense[e]
-        m0 = valuation.fingen_degree(c, e)
-        assert m0 == lcm(*(v.denominator for v in dstar))
-        assert valuation.valuation_ideal(c, e, m0) == tuple(m0 * v for v in dstar)
+        assert valuation.asymptotic_multiplicities(c, e) == dense[e]
+        m0 = lcm(*(v.denominator for v in dense[e]))
+        w = valuation.fingen_ideal(c, e)
+        assert gcd(*w) == 1 and valuation.fingen_degree(c, e) == m0
+        cold = cold_valuation_ideal(c, e, m0)
+        assert w == tuple(m0 * v for v in dense[e]) == cold
+        if thresholds.computes_lct(c, e):
+            assert thresholds.lct_witness_ideal(c, e) == thresholds.CompleteIdeal(cold)
+        else:
+            with pytest.raises(NotAnLctComputer):
+                thresholds.lct_witness_ideal(c, e)
 
 
 def _mat_mul(a, b):

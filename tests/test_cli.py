@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from germval import germ
+from germval import germ, valuation
 from germval.cli import main, paper_examples, satellite_chain
 
 from conftest import single_blowup
@@ -133,6 +133,24 @@ def test_fingen_subcommand(capsys, r3_file):
     doc = json.loads(out)
     assert doc["fingen_degree"] == 6
     assert doc["ideal_at_degree"] == ["2", "3", "6"]
+
+
+def test_analyze_and_fingen_read_the_stored_column(capsys, r3_file, monkeypatch):
+    # the witness ideal and the ideal at degree m0 are the column itself
+    calls = 0
+    unload = valuation.unload
+
+    def counting_unload(c, z):
+        nonlocal calls
+        calls += 1
+        return unload(c, z)
+
+    monkeypatch.setattr(valuation, "unload", counting_unload)
+    code, out, _ = run(capsys, ["analyze", r3_file, "--last", "--format", "json"])
+    assert code == 0 and json.loads(out)["witness_ideal"] == ["2", "3", "6"]
+    code, out, _ = run(capsys, ["fingen", r3_file, "--last", "--format", "json"])
+    assert code == 0 and json.loads(out)["ideal_at_degree"] == ["2", "3", "6"]
+    assert calls == 0
 
 
 def test_dot_subcommand(capsys, sb_file, tmp_path):

@@ -8,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 from germval import germ, thresholds, valuation
 from germval.explorer import antinef_ideals
 
-from conftest import antinef_ideals_bruteforce, check_classify_against_pruned, check_proximity_model
+from conftest import (
+    antinef_ideals_bruteforce,
+    check_classify_against_pruned,
+    check_proximity_model,
+    cold_valuation_ideal,
+)
 
 BASES = [
     germ.SMOOTH,
@@ -44,8 +49,9 @@ def test_multiplicities_and_degree_invariants(cc):
     x = valuation.asymptotic_multiplicities(c, e)
     assert x[e] == 1 and all(v > 0 for v in x)
     m0 = valuation.fingen_degree(c, e)
-    assert valuation.valuation_ideal(c, e, m0) == tuple(int(v * m0) for v in x)
-    assert valuation.rees_valuations(c, valuation.valuation_ideal(c, e, m0)) == {e}
+    cold = cold_valuation_ideal(c, e, m0)
+    assert cold == tuple(m0 * v for v in x)
+    assert valuation.rees_valuations(c, cold) == {e}
 
 
 @settings(max_examples=40, deadline=None)

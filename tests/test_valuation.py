@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +11,7 @@ from germval.explorer import EnumBudget, enumerate_clusters
 from conftest import (
     chain2,
     check_proximity_model,
+    cold_valuation_ideal,
     oracle_lct_unloading,
     satellite_chain,
     single_blowup,
@@ -129,9 +131,33 @@ def test_oracle_equivalence_linear_algebra_vs_unloading():
         for e in range(c.curve_count()):
             m0 = valuation.fingen_degree(c, e)
             dstar = valuation.asymptotic_multiplicities(c, e)
-            assert valuation.valuation_ideal(c, e, m0) == tuple(
-                int(v * m0) for v in dstar
-            )
+            assert cold_valuation_ideal(c, e, m0) == tuple(m0 * v for v in dstar)
+
+
+def test_warm_started_valuation_ideal_matches_cold_unloading():
+    smooth = EnumBudget(max_steps=5, bases=(germ.SMOOTH,))
+    du_val = EnumBudget(
+        max_steps=2,
+        bases=tuple(germ.du_val(t) for t in ("A1", "A2", "A3", "A4", "D4", "D5", "E6", "E7", "E8")),
+    )
+    checked = 0
+    for budget in (smooth, du_val):
+        for c in enumerate_clusters(budget):
+            for e in range(c.curve_count()):
+                for m in range(1, 2 * valuation.fingen_degree(c, e) + 2):
+                    assert valuation.valuation_ideal(c, e, m) == cold_valuation_ideal(c, e, m)
+                    checked += 1
+    assert checked > 10_000
+
+
+def test_valuation_ideal_at_large_degree_is_fast():
+    # the cold unloading takes over a minute here
+    c = satellite_chain(60)
+    w = valuation.fingen_ideal(c, 59)
+    assert w[59] == 63
+    start = time.perf_counter()
+    assert valuation.valuation_ideal(c, 59, 63 * 10**4) == tuple(10**4 * v for v in w)
+    assert time.perf_counter() - start < 1
 
 
 def test_proximity_model_against_dense_oracles():
@@ -166,7 +192,7 @@ def test_rees_singleton_along_multiples():
         for e in range(c.curve_count()):
             m0 = valuation.fingen_degree(c, e)
             for mult in range(1, 5):
-                d = valuation.valuation_ideal(c, e, mult * m0)
+                d = cold_valuation_ideal(c, e, mult * m0)
                 assert valuation.rees_valuations(c, d) == frozenset({e})
 
 
