@@ -215,6 +215,9 @@ def cmd_analyze(args) -> int:
     e = _pick_curve(args, c)
     report = thresholds.asymptotic_lct(c, e)
     cl = thresholds.classify(c, e)
+    # a curve computing an lct is witnessed by its valuation ideal of degree
+    # m0, which unloading from the stored column m0·dstar returns unchanged
+    witness = valuation.valuation_ideal(c, e, valuation.fingen_degree(c, e)) if cl.gap == 0 else None
     doc = {
         "base": "smooth" if c.base.is_smooth else c.base.dynkin,
         "curve": e,
@@ -229,9 +232,7 @@ def cmd_analyze(args) -> int:
         "plt_over_model_divisors": thresholds.plt_check(c, e),
         "verdict": cl.verdict,
         "witness": cl.witness,
-        "witness_ideal": [str(v) for v in thresholds.lct_witness_ideal(c, e).coeffs]
-        if cl.gap == 0
-        else None,
+        "witness_ideal": None if witness is None else [str(v) for v in witness],
     }
     emit(doc, args)
     return 0

@@ -419,7 +419,8 @@ class _Case:
     kp1: list[int]
     ideals: list[tuple[tuple[int, ...], Fraction | None]]  # (divisor, lct); None for the trivial ideal
     # per curve, its valuation ideals of degree 1..4 and m0..4m0, keyed by
-    # degree; degree m0 is unloaded from m0·E alone, not from the column
+    # degree; the multiples of m0 are unloaded from m·E alone, not from the
+    # column, so the suites reading them check the column independently
     graded: list[dict[int, tuple[int, ...]]]
     gaps: list[tuple[int, int]]  # per curve, the gap as (numerator, denominator)
     lct_flags: list[bool]
@@ -455,8 +456,8 @@ def _case(b: EnumBudget, enum_index: int, c: germ.Cluster) -> _Case:
     return _Case(
         c, b, rows, reports, k, kp1, ideals,
         graded=[
-            {m: valuation.valuation_ideal(c, e, m) for m in {*range(1, 5), *range(2 * m0, 5 * m0, m0)} - {m0}}
-            | {m0: valuation.unload(c, [m0 * (j == e) for j in range(n)])}
+            {m: valuation.valuation_ideal(c, e, m) for m in range(1, 5) if m % m0}
+            | {m: valuation.unload(c, [m * (j == e) for j in range(n)]) for m in range(m0, 5 * m0, m0)}
             for e, m0 in enumerate(r.fingen_degree for r in rows)
         ],
         gaps=[(r.gap.numerator, r.gap.denominator) for r in rows],

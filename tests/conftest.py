@@ -193,8 +193,9 @@ def check_proximity_model(c: germ.Cluster, curves) -> None:
     """M = P·D·Pᵀ, M passes Sylvester's criterion, and on the given curves
     dstar is the dense-inverse column, the stored column m0·dstar is
     primitive with m0 the lcm of dstar's denominators and agrees with the
-    cold unloading of m0·E, and ``lct_witness_ideal`` returns or raises as
-    ``computes_lct`` and that unloading say."""
+    cold unloading of m0·E, the warm-started valuation ideals of degree 1,
+    m0 - 1 and m0 + 1 agree with cold unloading, and ``lct_witness_ideal``
+    returns or raises as ``computes_lct`` and that unloading say."""
     m = [list(row) for row in germ.intersection_matrix(c)]
     p, d = proximity_factors(c)
     assert m == _mat_mul(_mat_mul(p, d), [list(col) for col in zip(*p)])
@@ -207,6 +208,8 @@ def check_proximity_model(c: germ.Cluster, curves) -> None:
         assert gcd(*w) == 1 and valuation.fingen_degree(c, e) == m0
         cold = cold_valuation_ideal(c, e, m0)
         assert w == tuple(m0 * v for v in dense[e]) == cold
+        for m in {1, m0 - 1, m0 + 1} - {0}:
+            assert valuation.valuation_ideal(c, e, m) == cold_valuation_ideal(c, e, m)
         if thresholds.computes_lct(c, e):
             assert thresholds.lct_witness_ideal(c, e) == thresholds.CompleteIdeal(cold)
         else:
