@@ -1,0 +1,97 @@
+"""Golden outputs: SHA-256 digests of the report JSON, the atlas and
+extremal CSVs, the CLI JSON and the DOT text on fixed inputs.
+
+The digests were taken once and are never regenerated: a refactor that
+changes any byte of these outputs fails here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from germval import germ
+from germval.cli import main, satellite_chain
+
+ENUMERATIONS = {
+    "smooth-4": ["--max-steps", "4", "--bases", "smooth"],
+    "A2-D4-E6-2": ["--max-steps", "2", "--bases", "A2,D4,E6"],
+}
+
+CLUSTERS = {
+    "satellite-chain-5": satellite_chain(5),
+    # a satellite at the meeting point of two minimal-resolution curves,
+    # a free point on its curve, then the satellite of those two
+    "D4-satellite": germ.build(
+        germ.du_val("D4"), (germ.Satellite((1, 3)), germ.Free(4), germ.Satellite((3, 4)))
+    ),
+}
+
+GOLDEN = {
+    "A2-D4-E6-2/atlas": "1781bb27fcd9f5b66bcac85893a1e2e3cabcbbb9f4106d0a154ac9b73c74bf29",
+    "A2-D4-E6-2/extremal": "9ebaf34589e20fd025ced048209a2b434d80489ebf05eb89449885b5caefca29",
+    "A2-D4-E6-2/report": "afb91e145ef9936b05efbbf77e04864ceab0dc94566154be8f04994b83b712c0",
+    "A2-D4-E6-2/stdout": "3a8ec701e53a9f9c9157cf75719d009dbde0d9089837a2be82b381e2484f274e",
+    "D4-satellite/analyze": "54627604ebc30a7b6b42a9c2ad4912f04bcdb761c731e2223e167bf87b50adc4",
+    "D4-satellite/dot": "b64305f713bfc8afa55ee2d4f5c54d0be1a4fc128ff4c8d9693996a9baa84240",
+    "D4-satellite/fingen": "771416545d0c478ca4a8f8404fb76cd022ea9c9732df65a7e08a6372864bfa55",
+    "D4-satellite/ideal": "d4368076a881118f4f48c598d943dc2c1a5487506c66eb0dec65728397a29494",
+    "satellite-chain-5/analyze": "8da85eee908958838fe30fb9dce640df20a172f16dc4ec1da6baf569605a1b44",
+    "satellite-chain-5/dot": "78b498ac14082ec8cdf0d99443fd9758542cfea3efb89f80c8371fbe9828d16f",
+    "satellite-chain-5/fingen": "4da641fceefc5f5ae7f0b6aeeba8565e729ecf1e568cc515830e47fafe3d7a11",
+    "satellite-chain-5/ideal": "8b62d46d90a736c2ecc5adf14cac9ba2e92dc71049a73d8f76f6a686bd1926a2",
+    "smooth-4/atlas": "fdbdd5871104da0763f7eb5a678584bfaa773d6052fa969ede7ffd8ec223cb9d",
+    "smooth-4/extremal": "44f4e1d9d18464934d7b0da450fbce53d7c7da50068330d1e0313aabfea48e8b",
+    "smooth-4/report": "9194d4ef61cda8fadfcc372ba2bbf0081e9eb3f45e280aadc2394f097a0328da",
+    "smooth-4/stdout": "738d6195a93607083091bf3280d18ec5fe396bc2a9bb705144e15a579f17bd38",
+}
+
+
+def _golden(name: str) -> dict:
+    return {key: v for key, v in GOLDEN.items() if key.startswith(f"{name}/")}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _run(capsys, argv) -> str:
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    return out.out
+
+
+def enumerate_outputs(capsys, tmp_path, name):
+    paths = {part: tmp_path / f"{name}.{part}" for part in ("atlas", "extremal", "report")}
+    argv = ["enumerate", *ENUMERATIONS[name], "--extension-depth", "1", "-f", "json"]
+    for part, path in paths.items():
+        argv += [f"--{part}", str(path)]
+    stdout = _run(capsys, argv)
+    outputs = {part: path.read_text(encoding="utf-8") for part, path in paths.items()}
+    return {"stdout": stdout, **outputs}
+
+
+def cluster_outputs(capsys, tmp_path, name):
+    c = CLUSTERS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(germ.cluster_to_json(c)))
+    outputs = {"dot": _run(capsys, ["dot", str(path)])}
+    selections = [["--last"]] + [["--divisor", str(e)] for e in range(c.curve_count())]
+    for command, extra in (("analyze", []), ("fingen", []), ("ideal", ["--degree", "7"])):
+        outputs[command] = "".join(
+            _run(capsys, [command, str(path), *sel, *extra, "-f", "json"]) for sel in selections
+        )
+    return outputs
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATIONS))
+def test_enumerate_outputs_match_golden_digests(capsys, tmp_path, name):
+    got = {f"{name}/{part}": _sha(text) for part, text in enumerate_outputs(capsys, tmp_path, name).items()}
+    assert got == _golden(name)
+
+
+@pytest.mark.parametrize("name", sorted(CLUSTERS))
+def test_cluster_outputs_match_golden_digests(capsys, tmp_path, name):
+    got = {f"{name}/{part}": _sha(text) for part, text in cluster_outputs(capsys, tmp_path, name).items()}
+    assert got == _golden(name)
