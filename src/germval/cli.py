@@ -229,7 +229,7 @@ def cmd_analyze(args) -> int:
         "gap": format_rational(cl.gap),
         "prime_blowup_lct": format_rational(report.prime_blowup_lct),
         "computes_lct": cl.gap == 0,
-        "plt_over_model_divisors": thresholds.plt_check(c, e),
+        "plt_over_model_divisors": report.argmin == {e},  # E's own ratio is k+1
         "verdict": cl.verdict,
         "witness": cl.witness,
         "witness_ideal": None if witness is None else [str(v) for v in witness],

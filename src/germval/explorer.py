@@ -230,14 +230,9 @@ def extension_forms(c: germ.Cluster, depth: int) -> list[tuple[int, tuple[int, .
     for any divisorial ideal d on the model."""
     if depth <= 0:
         return []
-    m = germ.intersection_matrix(c)
-    n = len(m)
-    nodes = [
-        (0, tuple(1 if i == j else 0 for i in range(n))) for j in range(n)
-    ]
-    adj = frozenset(
-        (i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] == 1
-    )
+    n = c.curve_count()
+    nodes = [(0, tuple(1 if i == j else 0 for i in range(n))) for j in range(n)]
+    adj = frozenset(germ.dual_graph(c).edges)
     forms: set[tuple[int, tuple[int, ...]]] = set()
 
     def explore(nodes, adj, remaining):

@@ -30,8 +30,10 @@ point) followed by -1 on every step curve: the pulled-back base curves and
 the total transforms of the step curves are pairwise orthogonal.  D is
 negative definite and P is invertible, so M is negative definite by
 construction, and its off-diagonal entries are 0 or 1 because each step
-only sets entries to those values.  A cluster computes M and k once, when
-it is constructed.
+only sets entries to those values.  The curves form a tree (Lipman 1969),
+so a cluster stores M as its dual graph, built once in linear time;
+:func:`intersect` is the one product with M, and
+:func:`intersection_matrix` builds a dense copy on each call.
 """
 
 from __future__ import annotations
@@ -99,15 +101,6 @@ def _parse_dynkin(label: str) -> tuple[str, int]:
     return letter, rank
 
 
-def _dynkin_matrix(label: str) -> list[list[int]]:
-    """Intersection matrix of the minimal resolution of a du Val germ."""
-    rank = _parse_dynkin(label)[1]
-    m = [[-2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    for i, j in _dynkin_edges(label):
-        m[i][j] = m[j][i] = 1
-    return m
-
-
 def _dynkin_edges(label: str) -> list[tuple[int, int]]:
     letter, rank = _parse_dynkin(label)
     if letter == "A":
@@ -148,7 +141,9 @@ class Cluster:
     """A base germ and its blowup steps.
 
     Construction validates the steps (raising InvalidStep) and computes
-    the intersection matrix and the canonical vector once.  ``_dstar``
+    the dual graph and the canonical vector once: ``_self`` holds each
+    curve's self-intersection, the diagonal of M, and ``_nbrs`` the sorted
+    ids of the curves it meets, the off-diagonal 1-entries.  ``_dstar``
     holds m0·dstar, as integers, of each curve asked about so far (see
     :mod:`germval.valuation`).  The derived fields take no part
     in equality, hashing or repr, and are freed with the cluster.
@@ -156,13 +151,15 @@ class Cluster:
 
     base: BaseGerm
     steps: tuple[BlowupStep, ...]
-    _matrix: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    _self: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _nbrs: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     _k: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _dstar: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        m, k = _simulate(self.base, self.steps)
-        object.__setattr__(self, "_matrix", tuple(tuple(row) for row in m))
+        self_int, nbrs, k = _simulate(self.base, self.steps)
+        object.__setattr__(self, "_self", tuple(self_int))
+        object.__setattr__(self, "_nbrs", tuple(tuple(sorted(nb)) for nb in nbrs))
         object.__setattr__(self, "_k", tuple(k))
 
     def __reduce__(self):  # pickle (for worker processes) without the derived fields
@@ -179,14 +176,18 @@ def _step_refs(step: BlowupStep) -> tuple[int, ...]:
 
 
 def _simulate(base: BaseGerm, steps: tuple[BlowupStep, ...]):
-    """Validate steps and return (matrix rows as lists, k list)."""
+    """Validate steps and return (self-intersections, neighbour sets, k)."""
     if base.is_smooth and not steps:
         raise InvalidStep(0, "a smooth base needs at least one blowup")
-    m = [] if base.dynkin is None else _dynkin_matrix(base.dynkin)
-    k: list[int] = [0] * len(m)
+    self_int = [-2] * base.rank()
+    nbrs: list[set[int]] = [set() for _ in self_int]
+    for i, j in [] if base.is_smooth else _dynkin_edges(base.dynkin):
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    k: list[int] = [0] * len(self_int)
 
     for idx, step in enumerate(steps):
-        n = len(m)
+        n = len(self_int)
         refs = _step_refs(step)
         if isinstance(step, Free) and step.on is None:
             if not base.is_smooth:
@@ -202,21 +203,18 @@ def _simulate(base: BaseGerm, steps: tuple[BlowupStep, ...]):
             raise InvalidStep(idx, "the first step over a smooth base blows up the base point")
         if isinstance(step, Satellite):
             i, j = step.on
-            if m[i][j] != 1:
+            if j not in nbrs[i]:
                 raise InvalidStep(idx, f"curves {i} and {j} do not meet at this step")
+            nbrs[i].remove(j)
+            nbrs[j].remove(i)
 
-        for row in m:
-            row.append(0)
-        m.append([0] * (n + 1))
-        m[n][n] = -1
+        self_int.append(-1)
+        nbrs.append(set(refs))
         for r in refs:
-            m[n][r] = m[r][n] = 1
-            m[r][r] -= 1
-        if isinstance(step, Satellite):
-            i, j = step.on
-            m[i][j] = m[j][i] = 0
+            nbrs[r].add(n)
+            self_int[r] -= 1
         k.append(1 + sum(k[r] for r in refs))
-    return m, k
+    return self_int, nbrs, k
 
 
 def build(base: BaseGerm, steps) -> Cluster:
@@ -230,8 +228,24 @@ def build(base: BaseGerm, steps) -> Cluster:
 
 def intersection_matrix(c: Cluster) -> tuple[tuple[int, ...], ...]:
     """Symmetric, integer, negative definite matrix of the exceptional
-    curves on the top model."""
-    return c._matrix
+    curves on the top model, built from the dual graph on each call."""
+    rows = [[0] * len(c._self) for _ in c._self]
+    for i, nb in enumerate(c._nbrs):
+        rows[i][i] = c._self[i]
+        for j in nb:
+            rows[i][j] = 1
+    return tuple(map(tuple, rows))
+
+
+def intersect(c: Cluster, d) -> list[int]:
+    """M·d for a divisor d given by its coefficient on each curve: entry j
+    is E_j.d, read off the dual graph in time linear in its size."""
+    prod = [s * v for s, v in zip(c._self, d)]
+    for v, nb in zip(d, c._nbrs):
+        if v:
+            for j in nb:
+                prod[j] += v
+    return prod
 
 
 def canonical_vector(c: Cluster) -> tuple[int, ...]:
@@ -252,14 +266,9 @@ class DualGraph:
 
 def dual_graph(c: Cluster) -> DualGraph:
     """Vertices are curves labeled with E.E and k; edges join meeting
-    curves (intersection number 1)."""
-    m = intersection_matrix(c)
-    k = canonical_vector(c)
-    n = len(m)
-    vertices = tuple((i, m[i][i], k[i]) for i in range(n))
-    edges = tuple(
-        (i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] == 1
-    )
+    curves (intersection number 1), sorted."""
+    vertices = tuple(zip(range(c.curve_count()), c._self, c._k))
+    edges = tuple((i, j) for i, nb in enumerate(c._nbrs) for j in nb if i < j)
     return DualGraph(vertices, edges)
 
 
@@ -277,14 +286,8 @@ def to_dot(c: Cluster) -> str:
 def legal_steps(c: Cluster) -> list[BlowupStep]:
     """All single blowup steps that may extend the cluster, in a fixed
     deterministic order (free steps by curve, then satellites by pair)."""
-    m = intersection_matrix(c)
-    n = len(m)
-    out: list[BlowupStep] = [Free(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j] == 1:
-                out.append(Satellite((i, j)))
-    return out
+    free: list[BlowupStep] = [Free(i) for i in range(c.curve_count())]
+    return free + [Satellite(edge) for edge in dual_graph(c).edges]
 
 
 def extend(c: Cluster, step: BlowupStep) -> Cluster:

@@ -57,10 +57,8 @@ def complete_ideal(c: germ.Cluster, coeffs) -> CompleteIdeal:
     """Validate coefficients against the cluster: integral, >= 0 and
     antinef (nonpositive against every curve)."""
     d = valuation._int_vector(c, coeffs)
-    m = germ.intersection_matrix(c)
-    n = len(d)
-    for j in range(n):
-        if sum(m[j][i] * d[i] for i in range(n)) > 0:
+    for j, p in enumerate(germ.intersect(c, d)):
+        if p > 0:
             raise NotAntinef(f"ideal divisor meets curve {j} positively")
     return CompleteIdeal(tuple(d))
 
@@ -179,10 +177,10 @@ def lct_witness_ideal(c: germ.Cluster, e: int) -> CompleteIdeal:
 
 def plt_check(c: germ.Cluster, e: int) -> bool:
     """Strict inequality k[e]+1 < (k[f]+1)/multiplicity for every other
-    model curve.  Certified over model divisors only: curves appearing on
-    further blowups are not quantified here."""
-    ke1 = germ.canonical_vector(c)[e] + 1
-    return all(r > ke1 for r, _, f in _ratios(c, e, range(c.curve_count())) if f != e)
+    model curve: E's own ratio is k[e]+1, so this says E alone attains its
+    asymptotic lct.  Certified over model divisors only: curves appearing
+    on further blowups are not quantified here."""
+    return _lowest(_ratios(c, e, range(c.curve_count())))[1] == {e}
 
 
 def unique_lc_place(c: germ.Cluster, a: CompleteIdeal) -> int | None:

@@ -13,7 +13,9 @@ w comes from the proximity factorisation M = P·D·Pᵀ of :mod:`germval.germ`,
 as M⁻¹e = P⁻ᵀ·D⁻¹·P⁻¹e: two integer triangular passes over the step
 references around the Dynkin inverse, in O(n + Σ|refs|) after the
 per-label inverse.  Unloading m0·E from scratch computes w independently
-and is its oracle in the test harness and the theorem sweep.
+and is its oracle in the test harness and the theorem sweep.  Products
+with M read its tree-shaped dual graph (:func:`germval.germ.intersect`);
+``germ.intersection_matrix`` is only a dense view, built per call.
 """
 
 from __future__ import annotations
@@ -51,10 +53,15 @@ def _int_vector(c: germ.Cluster, z) -> list[int]:
 
 @cache
 def _dynkin_inverse(label: str) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Inverse of the Dynkin block of a du Val base as integer numerators
-    over one positive common denominator.  Cached per label, so bounded
-    by the labels in use."""
-    inv = invert_symmetric(germ._dynkin_matrix(label))
+    """Inverse of the Dynkin block of a du Val base (-2 on the diagonal, 1
+    on each edge of the diagram) as integer numerators over one positive
+    common denominator.  Cached per label, so bounded by the labels in use;
+    built from the edges, so that no query builds a cluster."""
+    rank = germ.du_val(label).rank()
+    block = [[-2 * (i == j) for j in range(rank)] for i in range(rank)]
+    for i, j in germ._dynkin_edges(label):
+        block[i][j] = block[j][i] = 1
+    inv = invert_symmetric(block)
     den = lcm(*(v.denominator for row in inv for v in row))
     return tuple(tuple(int(v * den) for v in row) for row in inv), den
 
@@ -81,7 +88,7 @@ def _column(c: germ.Cluster, e: int) -> tuple[int, ...]:
         for r in refs[j - rank]:
             x[j] += x[r]
     assert all(v < 0 for v in x), "asymptotic multiplicities must be positive"
-    assert sum(a * b for a, b in zip(c._matrix[e], x)) > 0
+    assert germ.intersect(c, x)[e] > 0
     g = gcd(*x)
     return tuple(-v // g for v in x)
 
@@ -111,29 +118,25 @@ def unload(c: germ.Cluster, z) -> tuple[int, ...]:
 
     While some curve meets the divisor positively, the divisor is bumped
     by the smallest multiple of that curve that makes the product
-    nonpositive; negative definiteness guarantees termination.
+    nonpositive; negative definiteness guarantees termination.  Each bump
+    stays below the least antinef divisor >= Z, so their order does not
+    matter.  A bump raises only its neighbours' products, and only a bump
+    lowers one, so a worklist lists each positive curve once.
     """
-    m = germ.intersection_matrix(c)
     d = _int_vector(c, z)
-    n = len(d)
-    prod = [0] * n
-    for i in range(n):
-        di = d[i]
-        if di:
-            row = m[i]
-            for j in range(n):
-                prod[j] += di * row[j]
-    while True:
-        for j in range(n):
-            if prod[j] > 0:
-                t = -(-prod[j] // -m[j][j])  # ceil(prod[j] / -m[j][j])
-                d[j] += t
-                row = m[j]
-                for i in range(n):
-                    prod[i] += t * row[i]
-                break
-        else:
-            return tuple(d)
+    prod = germ.intersect(c, d)
+    self_int, nbrs = c._self, c._nbrs
+    todo = [j for j, p in enumerate(prod) if p > 0]
+    while todo:
+        j = todo.pop()
+        t = -(-prod[j] // -self_int[j])  # ceil(prod[j] / -E_j.E_j)
+        d[j] += t
+        prod[j] += t * self_int[j]
+        for i in nbrs[j]:
+            prod[i] += t
+            if 0 < prod[i] <= t:  # positive since this bump
+                todo.append(i)
+    return tuple(d)
 
 
 def valuation_ideal(c: germ.Cluster, e: int, m: int) -> tuple[int, ...]:
@@ -161,13 +164,11 @@ def fingen_degree(c: germ.Cluster, e: int) -> int:
 def rees_valuations(c: germ.Cluster, d) -> frozenset[int]:
     """Curves not contracted on the blowup of the ideal of the antinef
     divisor d: exactly those meeting d strictly negatively."""
-    m = germ.intersection_matrix(c)
     dv = _int_vector(c, d)
     if all(v == 0 for v in dv):
         raise ValueError("zero divisor has no Rees valuations")
-    n = len(dv)
-    prod = [sum(m[j][i] * dv[i] for i in range(n)) for j in range(n)]
-    bad = [j for j in range(n) if prod[j] > 0]
+    prod = germ.intersect(c, dv)
+    bad = [j for j, p in enumerate(prod) if p > 0]
     if bad:
         raise NotAntinef(f"divisor meets curve {bad[0]} positively")
-    return frozenset(j for j in range(n) if prod[j] < 0)
+    return frozenset(j for j, p in enumerate(prod) if p < 0)

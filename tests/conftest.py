@@ -26,6 +26,23 @@ def cold_valuation_ideal(c: germ.Cluster, e: int, m: int) -> tuple[int, ...]:
     return valuation.unload(c, tuple(m if j == e else 0 for j in range(c.curve_count())))
 
 
+def unload_dense(c: germ.Cluster, z) -> tuple[int, ...]:
+    """Unloading over the dense matrix: while some curve meets the divisor
+    positively, bump the first such curve by the least multiple that
+    makes its product nonpositive, and rescan.  The oracle for the
+    worklist over the dual graph in ``valuation.unload``."""
+    m = germ.intersection_matrix(c)
+    d = list(z)
+    n = len(d)
+    while True:
+        prods = [sum(m[j][i] * d[i] for i in range(n)) for j in range(n)]
+        bad = [j for j in range(n) if prods[j] > 0]
+        if not bad:
+            return tuple(d)
+        j = bad[0]
+        d[j] += -(-prods[j] // -m[j][j])
+
+
 def oracle_lct_unloading(c: germ.Cluster, e: int, mmax: int = 2000, start: int = 1) -> Fraction:
     """Threshold of the graded sequence of E computed through unloading
     alone: find the first degree from ``start`` on where the valuation
@@ -190,16 +207,21 @@ def oracle_dstar_dense(c: germ.Cluster) -> list[tuple[Fraction, ...]]:
 
 
 def check_proximity_model(c: germ.Cluster, curves) -> None:
-    """M = P·D·Pᵀ, M passes Sylvester's criterion, and on the given curves
-    dstar is the dense-inverse column, the stored column m0·dstar is
-    primitive with m0 the lcm of dstar's denominators and agrees with the
-    cold unloading of m0·E, the warm-started valuation ideals of degree 1,
+    """M = P·D·Pᵀ, M passes Sylvester's criterion, the dual graph's edges
+    are M's off-diagonal 1-entries and ``germ.intersect`` is the dense
+    product with M on every unit vector and every stored column, and on
+    the given curves dstar is the dense-inverse column, the stored column
+    m0·dstar is primitive with m0 the lcm of dstar's denominators and
+    agrees with the cold unloading of m0·E, done by the worklist and by
+    the dense rescan, the warm-started valuation ideals of degree 1,
     m0 - 1 and m0 + 1 agree with cold unloading, and ``lct_witness_ideal``
     returns or raises as ``computes_lct`` and that unloading say."""
     m = [list(row) for row in germ.intersection_matrix(c)]
     p, d = proximity_factors(c)
     assert m == _mat_mul(_mat_mul(p, d), [list(col) for col in zip(*p)])
     assert is_negative_definite(m)
+    n = len(m)
+    assert germ.dual_graph(c).edges == tuple((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] == 1)
     dense = oracle_dstar_dense(c)
     for e in curves:
         assert valuation.asymptotic_multiplicities(c, e) == dense[e]
@@ -207,14 +229,16 @@ def check_proximity_model(c: germ.Cluster, curves) -> None:
         w = valuation.fingen_ideal(c, e)
         assert gcd(*w) == 1 and valuation.fingen_degree(c, e) == m0
         cold = cold_valuation_ideal(c, e, m0)
-        assert w == tuple(m0 * v for v in dense[e]) == cold
-        for m in {1, m0 - 1, m0 + 1} - {0}:
-            assert valuation.valuation_ideal(c, e, m) == cold_valuation_ideal(c, e, m)
+        assert w == tuple(m0 * v for v in dense[e]) == cold == unload_dense(c, [m0 * (j == e) for j in range(n)])
+        for deg in {1, m0 - 1, m0 + 1} - {0}:
+            assert valuation.valuation_ideal(c, e, deg) == cold_valuation_ideal(c, e, deg)
         if thresholds.computes_lct(c, e):
             assert thresholds.lct_witness_ideal(c, e) == thresholds.CompleteIdeal(cold)
         else:
             with pytest.raises(NotAnLctComputer):
                 thresholds.lct_witness_ideal(c, e)
+    for v in [[int(i == j) for i in range(n)] for j in range(n)] + list(c._dstar.values()):
+        assert germ.intersect(c, v) == [sum(a * b for a, b in zip(row, v)) for row in m]
 
 
 def _mat_mul(a, b):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from germval import germ, valuation
+from germval import explorer, germ, thresholds, valuation
 from germval.cli import main, paper_examples, satellite_chain
 
 from conftest import single_blowup
@@ -328,3 +328,42 @@ def test_exit_code_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_analyze_builds_the_ratio_list_twice(capsys, monkeypatch, r3_file):
+    # asymptotic_lct over every curve and classify over the ancestors;
+    # plt is read off the report's argmin
+    calls = 0
+    ratios = thresholds._ratios
+
+    def counting_ratios(*args):
+        nonlocal calls
+        calls += 1
+        return ratios(*args)
+
+    monkeypatch.setattr(thresholds, "_ratios", counting_ratios)
+    code, out, _ = run(capsys, ["analyze", r3_file, "--last", "--format", "json"])
+    assert code == 0 and json.loads(out)["plt_over_model_divisors"] is True
+    assert calls == 2
+
+
+def test_queries_never_build_the_dense_matrix(capsys, monkeypatch, tmp_path):
+    calls = 0
+    dense = germ.intersection_matrix
+
+    def counting_dense(c):
+        nonlocal calls
+        calls += 1
+        return dense(c)
+
+    monkeypatch.setattr(germ, "intersection_matrix", counting_dense)
+    c = germ.build(germ.du_val("D4"), (germ.Satellite((1, 3)), germ.Free(4)))
+    path = tmp_path / "d4.json"
+    path.write_text(json.dumps(germ.cluster_to_json(c)))
+    for argv in (["analyze", "--last"], ["ideal", "--last", "--degree", "5"], ["dot"]):
+        assert run(capsys, [argv[0], str(path), *argv[1:]])[0] == 0
+    budget = explorer.EnumBudget(
+        max_steps=2, bases=(germ.SMOOTH, germ.du_val("A2")), ideal_coeff_bound=1, extension_depth=1
+    )
+    assert explorer.verify_theorems(budget).counterexample_total() == 0
+    assert calls == 0

@@ -147,6 +147,13 @@ def test_dual_graph_matches_chain_figure():
     assert all(v[1] == -2 and v[2] == 0 for v in ga3.vertices)
 
 
+def test_intersect_reads_the_dual_graph():
+    c = satellite_chain(3)  # M = ((-3, 0, 1), (0, -2, 1), (1, 1, -1))
+    assert germ.intersect(c, (2, 3, 6)) == [0, 0, -1]
+    assert germ.intersect(c, (1, 0, 0)) == [-3, 0, 1]
+    assert germ.intersect(germ.build(germ.du_val("D4"), ()), (1, 2, 1, 1)) == [0, -1, 0, 0]
+
+
 def test_dot_output():
     assert germ.to_dot(single_blowup()) == (
         "graph cluster {\n"

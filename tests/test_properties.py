@@ -13,6 +13,7 @@ from conftest import (
     check_classify_against_pruned,
     check_proximity_model,
     cold_valuation_ideal,
+    unload_dense,
 )
 
 BASES = [
@@ -118,3 +119,11 @@ def test_random_antinef_ideal_threshold_laws(c, data):
     assert doubled.value == rep.value / 2
     pair = thresholds.PairSpec(ideal, rep.value)
     assert thresholds.mld_at_origin(c, pair) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(clusters(max_extra_steps=7), st.data())
+def test_unload_worklist_matches_dense_rescan(c, data):
+    n = c.curve_count()
+    vec = tuple(data.draw(st.integers(min_value=0, max_value=6)) for _ in range(n))
+    assert valuation.unload(c, vec) == unload_dense(c, vec)
