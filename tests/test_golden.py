@@ -1,5 +1,6 @@
 """Golden outputs: SHA-256 digests of the report JSON, the atlas and
-extremal CSVs, the CLI JSON and the DOT text on fixed inputs.
+extremal CSVs, the CLI JSON, the reference fixtures and the DOT text on
+fixed inputs.
 
 The digests were taken once and are never regenerated: a refactor that
 changes any byte of these outputs fails here.
@@ -21,7 +22,8 @@ ENUMERATIONS = {
 CLUSTERS = {
     "satellite-chain-5": satellite_chain(5),
     # a satellite at the meeting point of two minimal-resolution curves,
-    # a free point on its curve, then the satellite of those two
+    # a free point on its curve, then the satellite of those two; at curve
+    # 3 the non-ancestors 4 and 6 tie the ancestors' threshold
     "D4-satellite": germ.build(
         germ.du_val("D4"), (germ.Satellite((1, 3)), germ.Free(4), germ.Satellite((3, 4)))
     ),
@@ -33,10 +35,13 @@ GOLDEN = {
     "A2-D4-E6-2/report": "afb91e145ef9936b05efbbf77e04864ceab0dc94566154be8f04994b83b712c0",
     "A2-D4-E6-2/stdout": "3a8ec701e53a9f9c9157cf75719d009dbde0d9089837a2be82b381e2484f274e",
     "D4-satellite/analyze": "54627604ebc30a7b6b42a9c2ad4912f04bcdb761c731e2223e167bf87b50adc4",
+    "D4-satellite/classify": "3fdcb2116961cb44cfd6f8de4b125c0dcb6f7bbc068df2231c588d5fbc6e2e88",
     "D4-satellite/dot": "b64305f713bfc8afa55ee2d4f5c54d0be1a4fc128ff4c8d9693996a9baa84240",
     "D4-satellite/fingen": "771416545d0c478ca4a8f8404fb76cd022ea9c9732df65a7e08a6372864bfa55",
     "D4-satellite/ideal": "d4368076a881118f4f48c598d943dc2c1a5487506c66eb0dec65728397a29494",
+    "paper-examples/stdout": "d7465c2f7ceedf897fb61ad5817f90933315d43437a0eb3647a3dffdecdd8907",
     "satellite-chain-5/analyze": "8da85eee908958838fe30fb9dce640df20a172f16dc4ec1da6baf569605a1b44",
+    "satellite-chain-5/classify": "02062d463925201fd467bdc031aad650b04599c314e3cb9f97aab0f38964e851",
     "satellite-chain-5/dot": "78b498ac14082ec8cdf0d99443fd9758542cfea3efb89f80c8371fbe9828d16f",
     "satellite-chain-5/fingen": "4da641fceefc5f5ae7f0b6aeeba8565e729ecf1e568cc515830e47fafe3d7a11",
     "satellite-chain-5/ideal": "8b62d46d90a736c2ecc5adf14cac9ba2e92dc71049a73d8f76f6a686bd1926a2",
@@ -78,7 +83,7 @@ def cluster_outputs(capsys, tmp_path, name):
     path.write_text(json.dumps(germ.cluster_to_json(c)))
     outputs = {"dot": _run(capsys, ["dot", str(path)])}
     selections = [["--last"]] + [["--divisor", str(e)] for e in range(c.curve_count())]
-    for command, extra in (("analyze", []), ("fingen", []), ("ideal", ["--degree", "7"])):
+    for command, extra in (("analyze", []), ("classify", []), ("fingen", []), ("ideal", ["--degree", "7"])):
         outputs[command] = "".join(
             _run(capsys, [command, str(path), *sel, *extra, "-f", "json"]) for sel in selections
         )
@@ -95,3 +100,8 @@ def test_enumerate_outputs_match_golden_digests(capsys, tmp_path, name):
 def test_cluster_outputs_match_golden_digests(capsys, tmp_path, name):
     got = {f"{name}/{part}": _sha(text) for part, text in cluster_outputs(capsys, tmp_path, name).items()}
     assert got == _golden(name)
+
+
+def test_paper_examples_match_golden_digest(capsys):
+    got = _sha(_run(capsys, ["paper-examples", "-f", "json"]))
+    assert {"paper-examples/stdout": got} == _golden("paper-examples")
