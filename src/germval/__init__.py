@@ -6,7 +6,6 @@ from .errors import (
     GermvalError,
     InvalidStep,
     MldMinusInfinity,
-    NotAnLctComputer,
     NotAntinef,
     SingularMatrix,
 )
@@ -50,16 +49,11 @@ from .thresholds import (
     asymptotic_lct,
     classify,
     complete_ideal,
-    computes_lct,
     computes_mld,
-    lct_gap,
     lct_ideal,
-    lct_witness_ideal,
     log_discrepancy,
     mld_at_origin,
-    mld_obstruction,
     pair_spec,
-    plt_check,
     unique_lc_place,
 )
 from .explorer import (

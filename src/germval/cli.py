@@ -50,9 +50,10 @@ def paper_examples() -> list[dict]:
 
     c = single_blowup()
     trivial = thresholds.PairSpec(thresholds.CompleteIdeal((0,)), Fraction(1))
+    cl = thresholds.classify(c, 0)
     got = {
-        "lct": format_value(thresholds.asymptotic_lct(c, 0).value),
-        "verdict": thresholds.classify(c, 0).verdict,
+        "lct": format_value(cl.lct),
+        "verdict": cl.verdict,
         "mld_trivial_pair": format_value(thresholds.mld_at_origin(c, trivial)),
     }
     expected = {"lct": "2", "verdict": "ComputesLct", "mld_trivial_pair": "2"}
@@ -69,7 +70,6 @@ def paper_examples() -> list[dict]:
     for r in range(3, 9):
         c = satellite_chain(r)
         e = r - 1
-        value = thresholds.asymptotic_lct(c, e).value
         cl = thresholds.classify(c, e)
         closed_form = Fraction(6 * (r + 2), r + 3)
         got = {
@@ -85,10 +85,10 @@ def paper_examples() -> list[dict]:
             "witness": None if r == 3 else 2,
         }
         note = ""
-        if value != closed_form:
+        if cl.lct != closed_form:
             note = (
                 f"closed-form value {format_rational(closed_form)} recorded for "
-                f"comparison; computed threshold is {format_value(value)}"
+                f"comparison; computed threshold is {format_value(cl.lct)}"
             )
         rows.append(
             {
@@ -96,7 +96,7 @@ def paper_examples() -> list[dict]:
                 "expected": expected,
                 "got": got,
                 "pass": got == expected,
-                "lct": format_value(value),
+                "lct": format_value(cl.lct),
                 "closed_form": format_rational(closed_form),
                 "note": note,
             }
@@ -106,7 +106,7 @@ def paper_examples() -> list[dict]:
     trivial = thresholds.PairSpec(thresholds.CompleteIdeal((0,) * 7), Fraction(1))
     mld = thresholds.mld_at_origin(c, trivial)
     computers = [e for e in range(7) if thresholds.computes_mld(c, e, trivial)]
-    lct_subset = [e for e in range(7) if thresholds.computes_lct(c, e)]
+    lct_subset = [e for e in range(7) if thresholds.classify(c, e).gap == 0]
     got = {
         "mld_trivial_pair": format_value(mld),
         "mld_computers": computers,
@@ -198,9 +198,7 @@ def _parse_ideal(args, c: germ.Cluster) -> thresholds.CompleteIdeal:
 
 def _parse_pair(args, c: germ.Cluster) -> thresholds.PairSpec:
     if getattr(args, "pair", None):
-        with open(args.pair, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return thresholds.pair_from_json(c, doc)
+        return thresholds.pair_from_json(c, germ.read_json(args.pair))
     if args.ideal is None or args.lam is None:
         raise ValueError("provide --ideal and --lambda, or a --pair file")
     coeffs = [parse_rational(v) for v in args.ideal.split(",")]
@@ -213,23 +211,23 @@ def _parse_pair(args, c: germ.Cluster) -> thresholds.PairSpec:
 def cmd_analyze(args) -> int:
     c = germ.cluster_from_file(args.cluster)
     e = _pick_curve(args, c)
-    report = thresholds.asymptotic_lct(c, e)
     cl = thresholds.classify(c, e)
+    k = germ.canonical_vector(c)[e]
     # a curve computing an lct is witnessed by its valuation ideal of degree
     # m0, which unloading from the stored column m0·dstar returns unchanged
     witness = valuation.valuation_ideal(c, e, valuation.fingen_degree(c, e)) if cl.gap == 0 else None
     doc = {
         "base": "smooth" if c.base.is_smooth else c.base.dynkin,
         "curve": e,
-        "k": germ.canonical_vector(c)[e],
+        "k": k,
         "dstar": [format_rational(v) for v in valuation.asymptotic_multiplicities(c, e)],
         "fingen_degree": valuation.fingen_degree(c, e),
-        "lct": format_value(report.value),
-        "argmin": sorted(report.argmin),
+        "lct": format_value(cl.lct),
+        "argmin": sorted(cl.argmin),
         "gap": format_rational(cl.gap),
-        "prime_blowup_lct": format_rational(report.prime_blowup_lct),
+        "prime_blowup_lct": format_rational(cl.lct - k),  # the one-divisor model's threshold
         "computes_lct": cl.gap == 0,
-        "plt_over_model_divisors": report.argmin == {e},  # E's own ratio is k+1
+        "plt_over_model_divisors": cl.argmin == {e},  # E's own ratio is k+1
         "verdict": cl.verdict,
         "witness": cl.witness,
         "witness_ideal": None if witness is None else [str(v) for v in witness],
@@ -294,7 +292,8 @@ def cmd_classify(args) -> int:
         "witness": cl.witness,
         "lct": format_value(cl.lct),
         "gap": format_rational(cl.gap),
-        "argmin": sorted(cl.argmin),
+        # the threshold is attained at an ancestor; only ancestors are listed
+        "argmin": sorted(cl.argmin & germ.ancestor_curves(c, e)),
     }
     emit(doc, args)
     return 0
@@ -464,7 +463,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GermvalError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (GermvalError, ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

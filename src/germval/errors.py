@@ -38,11 +38,6 @@ class NotAntinef(GermvalError):
     some exceptional curve."""
 
 
-class NotAnLctComputer(GermvalError):
-    """Asked for an lct witness ideal of a divisor whose asymptotic log
-    canonical threshold falls strictly below k+1."""
-
-
 class MldMinusInfinity(GermvalError):
     """The pair is not log canonical at the germ point, so no divisor
     computes its minimal log discrepancy."""

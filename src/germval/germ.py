@@ -373,10 +373,17 @@ def cluster_from_json(doc) -> Cluster:
     return build(base, steps)
 
 
-def cluster_from_file(path: str) -> Cluster:
+def read_json(path: str):
+    """The JSON document in the file; malformed or too deeply nested
+    input is a ValueError naming the file."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON ({exc})") from exc
-    return cluster_from_json(doc)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def cluster_from_file(path: str) -> Cluster:
+    return cluster_from_json(read_json(path))

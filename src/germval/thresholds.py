@@ -1,7 +1,9 @@
 """Log discrepancies, log canonical thresholds and minimal log
-discrepancies of complete-ideal pairs on a cluster, together with the
-classification of a divisor as computing an lct or being obstructed from
-computing an mld.
+discrepancies of complete-ideal pairs on a cluster, and the one per-curve
+computation, ``classify``: E's ratios (k+1)/multiplicity over the model
+curves, built once, give its asymptotic lct and every verdict read from
+it (computes an lct, gap, plt over the model divisors, mld-obstruction
+witness).
 
 Complete (integrally closed) ideals cosupported at the germ point are
 represented by their antinef divisors on the top model.  All values are
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import germ, valuation
-from .errors import MldMinusInfinity, NotAnLctComputer, NotAntinef
+from .errors import MldMinusInfinity, NotAntinef
 from .exact import format_rational, parse_rational
 
 
@@ -78,18 +80,17 @@ def pair_spec(c: germ.Cluster, coeffs, lam) -> PairSpec:
 
 @dataclass(frozen=True)
 class LctReport:
-    """Threshold value with the set of curves attaining it.
-
-    ``prime_blowup_lct`` is filled for asymptotic reports only: it is the
-    threshold seen from the one-divisor model, value - k."""
+    """Threshold value with the set of curves attaining it."""
 
     value: Fraction | _Infinity
     argmin: frozenset[int]
-    prime_blowup_lct: Fraction | None = None
 
 
 @dataclass(frozen=True)
 class Classification:
+    """The per-curve record of ``classify``; ``argmin`` lists every model
+    curve attaining ``lct``."""
+
     curve: int
     verdict: str  # "ComputesLct" | "MldObstructed" | "Indeterminate"
     witness: int | None
@@ -118,69 +119,22 @@ def lct_ideal(c: germ.Cluster, a: CompleteIdeal) -> LctReport:
     return LctReport(value, frozenset(j for j, r in ratios.items() if r == value))
 
 
-def _ratios(c: germ.Cluster, e: int, curves) -> list[tuple[Fraction, int, int]]:
-    """(ratio, k, id) of each given curve, where ratio = (k+1)/dstar is
+def _ratios(c: germ.Cluster, e: int) -> list[tuple[Fraction, int, int]]:
+    """(ratio, k, id) of every model curve, where ratio = (k+1)/dstar is
     the threshold E's graded sequence sees at that curve, read from the
     integer column m0·dstar as (k+1)·m0/(m0·dstar).  The tuples order by
     the witness tie-break: smallest ratio, then k, then id."""
     w = valuation.fingen_ideal(c, e)
     k = germ.canonical_vector(c)
-    return [(Fraction((k[j] + 1) * w[e], w[j]), k[j], j) for j in curves]
-
-
-def _lowest(ratios) -> tuple[Fraction, frozenset[int]]:
-    """The minimal ratio and the curves attaining it."""
-    value = min(ratios)[0]
-    return value, frozenset(j for r, _, j in ratios if r == value)
-
-
-def _obstruction(ratios, e: int, ke: int) -> int | None:
-    """The least (ratio, k, id) over curves F != E with k[F] <= k[E] and
-    ratio below k[E] + 1, or None."""
-    found = [t for t in ratios if t[2] != e and t[1] <= ke and t[0] < ke + 1]
-    return min(found)[2] if found else None
+    return [(Fraction((k[j] + 1) * w[e], w[j]), k[j], j) for j in range(len(k))]
 
 
 def asymptotic_lct(c: germ.Cluster, e: int) -> LctReport:
     """Asymptotic log canonical threshold of the graded sequence of E:
     the minimum of (k+1)/multiplicity over the model curves.  Always at
     most k[e] + 1, since the multiplicity at E itself is 1."""
-    value, argmin = _lowest(_ratios(c, e, range(c.curve_count())))
-    ke = germ.canonical_vector(c)[e]
-    assert value <= ke + 1
-    return LctReport(value, argmin, prime_blowup_lct=value - ke)
-
-
-def computes_lct(c: germ.Cluster, e: int) -> bool:
-    k = germ.canonical_vector(c)
-    return asymptotic_lct(c, e).value == k[e] + 1
-
-
-def lct_gap(c: germ.Cluster, e: int) -> Fraction:
-    """k + 1 minus the asymptotic threshold; zero exactly when the curve
-    computes a log canonical threshold."""
-    k = germ.canonical_vector(c)
-    gap = Fraction(k[e] + 1) - asymptotic_lct(c, e).value
-    assert gap >= 0
-    return gap
-
-
-def lct_witness_ideal(c: germ.Cluster, e: int) -> CompleteIdeal:
-    """The valuation ideal at the finite-generation degree, m0·dstar.  E
-    computes an lct exactly when it attains this ideal's threshold, which
-    is then (k+1)/m0."""
-    ideal = CompleteIdeal(valuation.fingen_ideal(c, e))
-    if e not in lct_ideal(c, ideal).argmin:
-        raise NotAnLctComputer(f"curve {e} does not compute an lct")
-    return ideal
-
-
-def plt_check(c: germ.Cluster, e: int) -> bool:
-    """Strict inequality k[e]+1 < (k[f]+1)/multiplicity for every other
-    model curve: E's own ratio is k[e]+1, so this says E alone attains its
-    asymptotic lct.  Certified over model divisors only: curves appearing
-    on further blowups are not quantified here."""
-    return _lowest(_ratios(c, e, range(c.curve_count())))[1] == {e}
+    cl = classify(c, e)
+    return LctReport(cl.lct, cl.argmin)
 
 
 def unique_lc_place(c: germ.Cluster, a: CompleteIdeal) -> int | None:
@@ -218,43 +172,41 @@ def computes_mld(c: germ.Cluster, e: int, p: PairSpec) -> bool:
     return log_discrepancy(c, p, e) == mld
 
 
-def mld_obstruction(c: germ.Cluster, e: int) -> int | None:
-    """A model curve F != E with k[F] <= k[E] whose ratio
-    (k[F]+1)/multiplicity falls below k[E]+1; along every log canonical
-    pair with nonzero ideal and positive exponent such an F keeps a
-    strictly smaller log discrepancy than E.
-
-    Ties are broken by smallest ratio, then smallest k, then smallest id.
-    """
-    ratios = _ratios(c, e, range(c.curve_count()))
-    return _obstruction(ratios, e, germ.canonical_vector(c)[e])
-
-
 def classify(c: germ.Cluster, e: int) -> Classification:
-    """Classify the curve over its ancestors: E, the curves through its
-    center, recursively, and the minimal-resolution curves.
+    """Everything read off E's ratios (k+1)/multiplicity over the model
+    curves, built once: the asymptotic lct, its ``argmin``, the gap
+    k[e] + 1 - lct, and the verdict.
 
-    E's multiplicities on its ancestors do not depend on the other
-    blowups.  On any other curve E's multiplicity is the sum of those on
-    the curves through its center, so its ratio (k+1)/multiplicity is at
-    least one of theirs (a free point raises the ratio, a satellite takes
-    the mediant of two).  The threshold over the ancestors is therefore
-    the threshold over the whole model, and no pruned cluster is built.
-    Every ancestor has k at most k[e], so when the curve fails to compute
-    an lct the threshold's argmin is itself an obstructing witness and the
-    verdict is never Indeterminate over smooth or du Val bases.
-    ``argmin`` lists ancestors only.
+    The curve computes an lct when the gap is 0, and is then plt over the
+    model divisors exactly when ``argmin == {e}``; its witness ideal is
+    ``valuation.fingen_ideal(c, e)``.  Otherwise the witness is the least
+    (ratio, k, id) over curves F != E with k[F] <= k[E] and ratio below
+    k[E] + 1: along every log canonical pair with nonzero ideal and
+    positive exponent it keeps a strictly smaller log discrepancy than E.
+
+    Such a witness always exists over smooth or du Val bases, so the
+    verdict is never Indeterminate.  E's multiplicities on its ancestors
+    (E, the curves through its center, recursively, and the
+    minimal-resolution curves) do not depend on the other blowups.  On
+    any other curve E's multiplicity is the sum of those on the curves
+    through its center, so its ratio is at least one of theirs (a free
+    point raises the ratio, a satellite takes the mediant of two) and its
+    k exceeds theirs.  The threshold is therefore attained at an
+    ancestor, every ancestor has k at most k[e], and the least attaining
+    ancestor is an obstructing witness.
     """
     valuation._check_curve(c, e)
-    ratios = _ratios(c, e, germ.ancestor_curves(c, e))
-    value, argmin = _lowest(ratios)
+    ratios = _ratios(c, e)
+    value = min(ratios)[0]
+    argmin = frozenset(j for r, _, j in ratios if r == value)
     ke = germ.canonical_vector(c)[e]
     gap = ke + 1 - value
+    assert gap >= 0
     if gap == 0:
         return Classification(e, "ComputesLct", None, value, gap, argmin)
-    w = _obstruction(ratios, e, ke)
-    if w is not None:
-        return Classification(e, "MldObstructed", w, value, gap, argmin)
+    found = [t for t in ratios if t[2] != e and t[1] <= ke and t[0] < ke + 1]
+    if found:
+        return Classification(e, "MldObstructed", min(found)[2], value, gap, argmin)
     return Classification(e, "Indeterminate", None, value, gap, argmin)
 
 

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -7,7 +8,6 @@ import pytest
 
 from germval import exact, germ, thresholds, valuation
 from germval.cli import satellite_chain, single_blowup
-from germval.errors import NotAnLctComputer
 from germval.explorer import EnumBudget, verify_theorems
 
 __all__ = ["satellite_chain", "single_blowup"]
@@ -99,27 +99,31 @@ def prune_to_ancestors(c: germ.Cluster, curve: int) -> tuple[germ.Cluster, dict[
 
 
 def classify_pruned(c: germ.Cluster, e: int) -> thresholds.Classification:
-    """The classification read on the cluster pruned to E's ancestors,
-    with ids mapped back: what ``thresholds.classify`` must give without
-    building the pruned cluster."""
+    """The classification read from E's Fraction multiplicities on the
+    cluster pruned to E's ancestors, with ids mapped back: what
+    ``thresholds.classify`` must give, its ``argmin`` cut to the
+    ancestors, without building the pruned cluster."""
     pruned, old_to_new = prune_to_ancestors(c, e)
-    new_to_old = {v: o for o, v in old_to_new.items()}
+    new_to_old = {v: o for o, v in old_to_new.items()}  # keeps the order of ids
     pe = old_to_new[e]
-    report = thresholds.asymptotic_lct(pruned, pe)
     k = germ.canonical_vector(pruned)
-    gap = Fraction(k[pe] + 1) - report.value
-    argmin = frozenset(new_to_old[j] for j in report.argmin)
+    x = valuation.asymptotic_multiplicities(pruned, pe)
+    ratios = sorted(((k[j] + 1) / x[j], k[j], new_to_old[j]) for j in range(len(k)))
+    value = ratios[0][0]
+    gap = k[pe] + 1 - value
+    argmin = frozenset(j for r, _, j in ratios if r == value)
     if gap == 0:
-        return thresholds.Classification(e, "ComputesLct", None, report.value, gap, argmin)
-    w = thresholds.mld_obstruction(pruned, pe)
-    if w is not None:
-        return thresholds.Classification(e, "MldObstructed", new_to_old[w], report.value, gap, argmin)
-    return thresholds.Classification(e, "Indeterminate", None, report.value, gap, argmin)
+        return thresholds.Classification(e, "ComputesLct", None, value, gap, argmin)
+    found = [j for r, kj, j in ratios if j != e and kj <= k[pe] and r < k[pe] + 1]
+    if found:
+        return thresholds.Classification(e, "MldObstructed", found[0], value, gap, argmin)
+    return thresholds.Classification(e, "Indeterminate", None, value, gap, argmin)
 
 
 def check_classify_against_pruned(clusters) -> None:
-    """``thresholds.classify`` builds no cluster and equals
-    ``classify_pruned`` on every curve of the given clusters."""
+    """``thresholds.classify`` builds no cluster and, its argmin cut to
+    the ancestors, equals ``classify_pruned`` on every curve of the given
+    clusters."""
     clusters = list(clusters)
     post_init = germ.Cluster.__post_init__
     built = 0
@@ -136,7 +140,8 @@ def check_classify_against_pruned(clusters) -> None:
         germ.Cluster.__post_init__ = post_init
     assert built == 0
     for c, cls in zip(clusters, got):
-        assert cls == [classify_pruned(c, e) for e in range(c.curve_count())], c
+        cut = [replace(cl, argmin=cl.argmin & germ.ancestor_curves(c, cl.curve)) for cl in cls]
+        assert cut == [classify_pruned(c, e) for e in range(c.curve_count())], c
 
 
 def leading_principal_minors(m) -> tuple[Fraction, ...]:
@@ -198,6 +203,20 @@ def proximity_factors(c: germ.Cluster):
     return p, d
 
 
+def count_ratio_lists(monkeypatch) -> dict:
+    """Counts, under the key "calls", the ratio lists built from here on:
+    the calls of ``thresholds._ratios``."""
+    count = {"calls": 0}
+    ratios = thresholds._ratios
+
+    def counting_ratios(*args):
+        count["calls"] += 1
+        return ratios(*args)
+
+    monkeypatch.setattr(thresholds, "_ratios", counting_ratios)
+    return count
+
+
 def oracle_dstar_dense(c: germ.Cluster) -> list[tuple[Fraction, ...]]:
     """Every curve's column of the dense exact inverse of M, normalized at
     that curve."""
@@ -214,8 +233,9 @@ def check_proximity_model(c: germ.Cluster, curves) -> None:
     m0·dstar is primitive with m0 the lcm of dstar's denominators and
     agrees with the cold unloading of m0·E, done by the worklist and by
     the dense rescan, the warm-started valuation ideals of degree 1,
-    m0 - 1 and m0 + 1 agree with cold unloading, and ``lct_witness_ideal``
-    returns or raises as ``computes_lct`` and that unloading say."""
+    m0 - 1 and m0 + 1 agree with cold unloading, ``classify``'s lct and
+    argmin are m0 times the threshold of that ideal and its argmin, and E
+    attains that threshold exactly when the gap is 0."""
     m = [list(row) for row in germ.intersection_matrix(c)]
     p, d = proximity_factors(c)
     assert m == _mat_mul(_mat_mul(p, d), [list(col) for col in zip(*p)])
@@ -232,11 +252,10 @@ def check_proximity_model(c: germ.Cluster, curves) -> None:
         assert w == tuple(m0 * v for v in dense[e]) == cold == unload_dense(c, [m0 * (j == e) for j in range(n)])
         for deg in {1, m0 - 1, m0 + 1} - {0}:
             assert valuation.valuation_ideal(c, e, deg) == cold_valuation_ideal(c, e, deg)
-        if thresholds.computes_lct(c, e):
-            assert thresholds.lct_witness_ideal(c, e) == thresholds.CompleteIdeal(cold)
-        else:
-            with pytest.raises(NotAnLctComputer):
-                thresholds.lct_witness_ideal(c, e)
+        cl = thresholds.classify(c, e)
+        report = thresholds.lct_ideal(c, thresholds.CompleteIdeal(cold))
+        assert (report.value * m0, report.argmin) == (cl.lct, cl.argmin)
+        assert (e in report.argmin) == (cl.gap == 0)
     for v in [[int(i == j) for i in range(n)] for j in range(n)] + list(c._dstar.values()):
         assert germ.intersect(c, v) == [sum(a * b for a, b in zip(row, v)) for row in m]
 

@@ -81,7 +81,7 @@ def test_criterion_04_du_val_e7():
     trivial = thresholds.PairSpec(thresholds.CompleteIdeal((0,) * 7), Fraction(1))
     mld = thresholds.mld_at_origin(c, trivial)
     mld_all = all(thresholds.computes_mld(c, e, trivial) for e in range(7))
-    subset = {e for e in range(7) if thresholds.computes_lct(c, e)}
+    subset = {e for e in range(7) if thresholds.classify(c, e).gap == 0}
     elapsed = time.perf_counter() - start
     ok = (
         mld == 1

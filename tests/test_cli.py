@@ -1,12 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from germval import explorer, germ, thresholds, valuation
+import germval
+from germval import explorer, germ, valuation
 from germval.cli import main, paper_examples, satellite_chain
 
-from conftest import single_blowup
+from conftest import count_ratio_lists, single_blowup
 
 
 @pytest.fixture()
@@ -309,6 +313,24 @@ def test_exit_code_validation_error(capsys, tmp_path):
     assert code == 1 and "InvalidStep" in err
 
 
+@pytest.mark.parametrize("where", ["cluster", "pair"])
+def test_deeply_nested_json_is_a_validation_error(tmp_path, r3_file, where):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    if where == "cluster":
+        argv = ["analyze", str(deep), "--last"]
+    else:
+        argv = ["mld", r3_file, "--pair", str(deep)]
+    src = os.path.dirname(os.path.dirname(germval.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "germval", *argv], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [f"ValueError: {deep}: JSON nested too deeply"]
+
+
 def test_exit_code_module_errors_surface(capsys, r3_file, sb_file):
     # asking for a witness curve that does not exist
     code, _, err = run(capsys, ["analyze", r3_file, "--divisor", "7"])
@@ -330,21 +352,12 @@ def test_exit_code_usage_error():
     assert exc.value.code == 2
 
 
-def test_analyze_builds_the_ratio_list_twice(capsys, monkeypatch, r3_file):
-    # asymptotic_lct over every curve and classify over the ancestors;
-    # plt is read off the report's argmin
-    calls = 0
-    ratios = thresholds._ratios
-
-    def counting_ratios(*args):
-        nonlocal calls
-        calls += 1
-        return ratios(*args)
-
-    monkeypatch.setattr(thresholds, "_ratios", counting_ratios)
+def test_analyze_builds_the_ratio_list_once(capsys, monkeypatch, r3_file):
+    # one classify record: lct, argmin, gap, plt and verdict are read off it
+    count = count_ratio_lists(monkeypatch)
     code, out, _ = run(capsys, ["analyze", r3_file, "--last", "--format", "json"])
     assert code == 0 and json.loads(out)["plt_over_model_divisors"] is True
-    assert calls == 2
+    assert count["calls"] == 1
 
 
 def test_queries_never_build_the_dense_matrix(capsys, monkeypatch, tmp_path):

@@ -25,7 +25,7 @@ from germval.explorer import (
     write_atlas_csv,
 )
 
-from conftest import antinef_ideals_bruteforce, chain2, satellite_chain, single_blowup
+from conftest import antinef_ideals_bruteforce, chain2, count_ratio_lists, satellite_chain, single_blowup
 
 
 def smooth_budget(max_steps, **kw):
@@ -271,20 +271,18 @@ def test_counterexamples_keep_one_check_per_pair(monkeypatch):
 
 
 def test_sweep_reuses_row_lct_reports(monkeypatch):
-    # an atlas row asks once, for its own report (classify reads the
-    # ancestors' ratios itself); no suite recomputes the report
-    calls = 0
-    asymptotic_lct = thresholds.asymptotic_lct
-
-    def counting_lct(c, e):
-        nonlocal calls
-        calls += 1
-        return asymptotic_lct(c, e)
-
-    monkeypatch.setattr(thresholds, "asymptotic_lct", counting_lct)
+    # each atlas row and each spot check builds its curve's ratio list
+    # once, in classify; no suite builds it again
+    count = count_ratio_lists(monkeypatch)
     report = verify_theorems(smooth_budget(3, ideal_coeff_bound=1))
     rows = report.counts["curves"] + report.suite("atlas_spot_check").checked
-    assert calls <= rows
+    assert count["calls"] == rows
+
+
+def test_atlas_rows_build_one_ratio_list_per_row(monkeypatch):
+    count = count_ratio_lists(monkeypatch)
+    rows = atlas_rows(EnumBudget(max_steps=2, bases=(germ.SMOOTH, germ.du_val("A2"))))
+    assert count["calls"] == len(rows) > 0
 
 
 def test_sweep_unloads_each_valuation_ideal_once(monkeypatch):
@@ -313,9 +311,10 @@ def test_verify_theorems_du_val_dichotomy():
 
 
 def test_counterexamples_are_reported_not_raised(monkeypatch):
-    # break an implication on purpose: with plt reporting always-false,
-    # every unique lc place becomes a recorded counterexample
-    monkeypatch.setattr(thresholds, "plt_check", lambda c, e: False)
+    # break an implication on purpose: with every argmin empty, no curve
+    # is plt and every unique lc place becomes a recorded counterexample
+    classify = thresholds.classify
+    monkeypatch.setattr(thresholds, "classify", lambda c, e: replace(classify(c, e), argmin=frozenset()))
     report = verify_theorems(smooth_budget(2, ideal_coeff_bound=1))
     suite = report.suite("unique_place_plt")
     assert suite.counterexamples

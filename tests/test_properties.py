@@ -68,11 +68,11 @@ def test_proximity_model_against_dense_oracles(c, data):
 def test_threshold_invariants(cc):
     c, e = cc
     k = germ.canonical_vector(c)
-    rep = thresholds.asymptotic_lct(c, e)
-    gap = thresholds.lct_gap(c, e)
-    assert 0 <= gap and rep.value <= k[e] + 1
-    assert (gap == 0) == thresholds.computes_lct(c, e)
-    assert thresholds.classify(c, e).verdict != "Indeterminate"
+    cl = thresholds.classify(c, e)
+    assert 0 <= cl.gap == k[e] + 1 - cl.lct
+    assert (cl.gap == 0) == (cl.verdict == "ComputesLct") == (e in cl.argmin)
+    assert cl.verdict != "Indeterminate"
+    assert thresholds.asymptotic_lct(c, e) == thresholds.LctReport(cl.lct, cl.argmin)
 
 
 @settings(max_examples=40, deadline=None)

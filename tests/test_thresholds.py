@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from germval import germ, thresholds, valuation
-from germval.errors import MldMinusInfinity, NotAnLctComputer, NotAntinef
+from germval.errors import MldMinusInfinity, NotAntinef
 from germval.explorer import EnumBudget, antinef_ideals, enumerate_clusters
 from germval.thresholds import MINUS_INFINITY, PLUS_INFINITY
 
@@ -62,7 +62,6 @@ def test_lct_ideal_examples():
 def test_asymptotic_lct_examples():
     rep = thresholds.asymptotic_lct(single_blowup(), 0)
     assert rep.value == 2 and rep.argmin == frozenset({0})
-    assert rep.prime_blowup_lct == 1
 
     rep3 = thresholds.asymptotic_lct(satellite_chain(3), 2)
     assert rep3.value == 5 and rep3.argmin == frozenset({2})
@@ -100,44 +99,62 @@ def test_cluster_freed_after_queries():
     thresholds.classify(c, e)
     valuation.asymptotic_multiplicities(c, e)
     valuation.fingen_degree(c, e)
-    thresholds.lct_witness_ideal(c, e)
+    valuation.fingen_ideal(c, e)
     ref = weakref.ref(c)
     del c
     gc.collect()
     assert ref() is None
 
 
+def computes_lct(c, e):
+    return thresholds.classify(c, e).gap == 0
+
+
+def witness_ideal(c, e):
+    """m0·dstar, the lct witness of a curve computing an lct."""
+    return thresholds.CompleteIdeal(valuation.fingen_ideal(c, e))
+
+
+def plt(c, e):
+    """E alone attains its asymptotic lct over the model curves."""
+    return thresholds.classify(c, e).argmin == {e}
+
+
 def test_computes_lct_examples():
-    assert thresholds.computes_lct(single_blowup(), 0)
-    assert thresholds.computes_lct(satellite_chain(3), 2)
+    assert computes_lct(single_blowup(), 0)
+    assert computes_lct(satellite_chain(3), 2)
     for r in range(4, 9):
-        assert not thresholds.computes_lct(satellite_chain(r), r - 1)
-    assert thresholds.computes_lct(germ.build(germ.du_val("A2"), ()), 0)
+        assert not computes_lct(satellite_chain(r), r - 1)
+    assert computes_lct(germ.build(germ.du_val("A2"), ()), 0)
 
 
 def test_lct_witness_ideal_examples():
-    assert thresholds.lct_witness_ideal(single_blowup(), 0).coeffs == (1,)
+    assert witness_ideal(single_blowup(), 0).coeffs == (1,)
 
     r3 = satellite_chain(3)
-    w = thresholds.lct_witness_ideal(r3, 2)
+    assert computes_lct(r3, 2)
+    w = witness_ideal(r3, 2)
     assert w.coeffs == (2, 3, 6)
     rep = thresholds.lct_ideal(r3, w)
     assert rep.value == Fraction(5, 6) and 2 in rep.argmin
 
-    w2 = thresholds.lct_witness_ideal(chain2(), 1)
+    assert computes_lct(chain2(), 1)
+    w2 = witness_ideal(chain2(), 1)
     assert w2.coeffs == (1, 2)
     rep2 = thresholds.lct_ideal(chain2(), w2)
     assert rep2.value == Fraction(3, 2) and rep2.argmin == frozenset({1})
 
-    with pytest.raises(NotAnLctComputer):
-        thresholds.lct_witness_ideal(satellite_chain(4), 3)
+    # a curve with a positive gap does not attain the threshold of m0·dstar
+    r4 = satellite_chain(4)
+    assert not computes_lct(r4, 3)
+    assert 3 not in thresholds.lct_ideal(r4, witness_ideal(r4, 3)).argmin
 
 
 def test_plt_check_examples():
-    assert thresholds.plt_check(single_blowup(), 0)  # vacuous
+    assert plt(single_blowup(), 0)  # vacuous
     # both other ratios equal 6 > 5, strict for every model curve
-    assert thresholds.plt_check(satellite_chain(3), 2)
-    assert not thresholds.plt_check(satellite_chain(4), 3)
+    assert plt(satellite_chain(3), 2)
+    assert not plt(satellite_chain(4), 3)
 
 
 def test_unique_lc_place_examples():
@@ -167,7 +184,7 @@ def test_unique_lc_place_implies_plt():
                 continue
             place = thresholds.unique_lc_place(c, thresholds.CompleteIdeal(coeffs))
             if place is not None:
-                assert thresholds.plt_check(c, place)
+                assert plt(c, place)
 
 
 def test_mld_at_origin_examples():
@@ -199,9 +216,9 @@ def test_computes_mld_examples():
 
 def test_mld_obstruction_examples():
     for r in range(4, 9):
-        assert thresholds.mld_obstruction(satellite_chain(r), r - 1) == 2
-    assert thresholds.mld_obstruction(single_blowup(), 0) is None
-    assert thresholds.mld_obstruction(satellite_chain(3), 2) is None
+        assert thresholds.classify(satellite_chain(r), r - 1).witness == 2
+    assert thresholds.classify(single_blowup(), 0).witness is None
+    assert thresholds.classify(satellite_chain(3), 2).witness is None
 
 
 def test_classify_examples():
@@ -234,6 +251,16 @@ def test_classify_prunes_siblings():
     assert pruned == c
 
 
+def test_classify_argmin_spans_every_model_curve():
+    # the satellite at the meeting point of curves 0 and 1 ties their
+    # threshold for curve 0 without being one of its ancestors
+    c = germ.build(germ.du_val("D4"), (germ.Satellite((0, 1)),))
+    cl = thresholds.classify(c, 0)
+    assert cl.argmin == {0, 1, 4}
+    assert cl.argmin & germ.ancestor_curves(c, 0) == {0, 1}
+    assert thresholds.asymptotic_lct(c, 0) == thresholds.LctReport(cl.lct, cl.argmin)
+
+
 DU_VAL_LABELS = ("A1", "A2", "A3", "A4", "D4", "D5", "E6", "E7", "E8")
 
 
@@ -249,13 +276,13 @@ def test_classify_matches_pruned_cluster_oracle(budget):
 
 
 def test_lct_gap_examples():
-    assert thresholds.lct_gap(single_blowup(), 0) == 0
-    assert thresholds.lct_gap(satellite_chain(3), 2) == 0
+    assert thresholds.classify(single_blowup(), 0).gap == 0
+    assert thresholds.classify(satellite_chain(3), 2).gap == 0
     # k+1 = 6 at the last curve of the r=4 chain; value is 35/6
-    assert thresholds.lct_gap(satellite_chain(4), 3) == Fraction(1, 6)
+    assert thresholds.classify(satellite_chain(4), 3).gap == Fraction(1, 6)
     # the gap grows linearly along the family
     for r in range(3, 9):
-        assert thresholds.lct_gap(satellite_chain(r), r - 1) == Fraction(r - 3, 6)
+        assert thresholds.classify(satellite_chain(r), r - 1).gap == Fraction(r - 3, 6)
 
 
 def test_scaling_and_containment():
@@ -279,18 +306,19 @@ def test_upper_bound_and_prime_blowup():
     for c in (satellite_chain(5), germ.build(germ.du_val("D4"), (germ.Free(0),))):
         k = germ.canonical_vector(c)
         for e in range(c.curve_count()):
-            rep = thresholds.asymptotic_lct(c, e)
-            gap = thresholds.lct_gap(c, e)
-            assert rep.value <= k[e] + 1
-            assert (rep.value == k[e] + 1) == thresholds.computes_lct(c, e)
-            assert rep.prime_blowup_lct == rep.value - k[e]
-            assert (gap < 1) == (rep.prime_blowup_lct > 0)
+            cl = thresholds.classify(c, e)
+            assert thresholds.asymptotic_lct(c, e) == thresholds.LctReport(cl.lct, cl.argmin)
+            assert cl.lct <= k[e] + 1 and cl.gap == k[e] + 1 - cl.lct
+            assert (cl.gap == 0) == (cl.verdict == "ComputesLct")
+            # the one-divisor model's threshold lct - k
+            assert (cl.gap < 1) == (cl.lct - k[e] > 0)
 
 
 def test_gap_identity_attainment():
     # when the gap vanishes, the witness pair attains log discrepancy 0
     for c, e in ((single_blowup(), 0), (satellite_chain(3), 2), (chain2(), 1)):
-        w = thresholds.lct_witness_ideal(c, e)
+        assert computes_lct(c, e)
+        w = witness_ideal(c, e)
         lam = thresholds.lct_ideal(c, w).value
         p = thresholds.PairSpec(w, lam)
         assert thresholds.log_discrepancy(c, p, e) == 0
@@ -299,7 +327,7 @@ def test_gap_identity_attainment():
 
 def test_gap_lower_bounds_log_discrepancy():
     r4 = satellite_chain(4)
-    gap = thresholds.lct_gap(r4, 3)
+    gap = thresholds.classify(r4, 3).gap
     for coeffs in antinef_ideals(r4, 2):
         if not any(coeffs):
             continue
