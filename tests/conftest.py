@@ -233,9 +233,9 @@ def check_proximity_model(c: germ.Cluster, curves) -> None:
     m0·dstar is primitive with m0 the lcm of dstar's denominators and
     agrees with the cold unloading of m0·E, done by the worklist and by
     the dense rescan, the warm-started valuation ideals of degree 1,
-    m0 - 1 and m0 + 1 agree with cold unloading, ``classify``'s lct and
-    argmin are m0 times the threshold of that ideal and its argmin, and E
-    attains that threshold exactly when the gap is 0."""
+    m0 - 1 and m0 + 1 agree with cold unloading, ``classify``'s lct is
+    m0 times that ideal's threshold with the same argmin, and E attains
+    that threshold exactly when the gap is 0."""
     m = [list(row) for row in germ.intersection_matrix(c)]
     p, d = proximity_factors(c)
     assert m == _mat_mul(_mat_mul(p, d), [list(col) for col in zip(*p)])
