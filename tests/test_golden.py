@@ -29,7 +29,24 @@ CLUSTERS = {
     ),
 }
 
+# du Val bases beyond the enumerated ranks, queried at the last curve and a
+# few others: a long A chain cut by a satellite, and E8 blown up at the
+# branch point
+LARGE_BASES = {
+    "A40-3": (
+        germ.build(germ.du_val("A40"), (germ.Free(0), germ.Satellite((0, 40)), germ.Free(41))),
+        (0, 13, 39, 40, 41),
+    ),
+    "E8-2": (
+        germ.build(germ.du_val("E8"), (germ.Satellite((2, 7)), germ.Free(8))),
+        (0, 2, 6, 7, 8),
+    ),
+}
+
 GOLDEN = {
+    "A40-3/analyze": "af45a3573ac14683730a56f0efcf7a0f9fb0dfa027ba2766b63d6acf7e5d188e",
+    "A40-3/fingen": "3c60deaed4bcfe686fc1559e9c8d0bdc7869abfcb1c111adadae9fc152f75407",
+    "A40-3/ideal": "1c2e525549133050acd5af23384f1356d9feffc6e6e502730a7b72dae4793a08",
     "A2-D4-E6-2/atlas": "1781bb27fcd9f5b66bcac85893a1e2e3cabcbbb9f4106d0a154ac9b73c74bf29",
     "A2-D4-E6-2/extremal": "9ebaf34589e20fd025ced048209a2b434d80489ebf05eb89449885b5caefca29",
     "A2-D4-E6-2/report": "afb91e145ef9936b05efbbf77e04864ceab0dc94566154be8f04994b83b712c0",
@@ -39,6 +56,9 @@ GOLDEN = {
     "D4-satellite/dot": "b64305f713bfc8afa55ee2d4f5c54d0be1a4fc128ff4c8d9693996a9baa84240",
     "D4-satellite/fingen": "771416545d0c478ca4a8f8404fb76cd022ea9c9732df65a7e08a6372864bfa55",
     "D4-satellite/ideal": "d4368076a881118f4f48c598d943dc2c1a5487506c66eb0dec65728397a29494",
+    "E8-2/analyze": "2b0b55724402d147e0c4b967b6e6c7cc4ef416d79090ffa2ae3529399e83a5fa",
+    "E8-2/fingen": "6ccbf78cd4de4432ed8829a77771e9d10de0379e7b86497838e0547cb445cc5a",
+    "E8-2/ideal": "0bc8221bbd5f2ad88488e2d8a5f87b454acc6bfa53b6084eef542959e0c248ae",
     "paper-examples/stdout": "d7465c2f7ceedf897fb61ad5817f90933315d43437a0eb3647a3dffdecdd8907",
     "satellite-chain-5/analyze": "8da85eee908958838fe30fb9dce640df20a172f16dc4ec1da6baf569605a1b44",
     "satellite-chain-5/classify": "02062d463925201fd467bdc031aad650b04599c314e3cb9f97aab0f38964e851",
@@ -77,17 +97,33 @@ def enumerate_outputs(capsys, tmp_path, name):
     return {"stdout": stdout, **outputs}
 
 
-def cluster_outputs(capsys, tmp_path, name):
-    c = CLUSTERS[name]
+def _write_cluster(tmp_path, name, c):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(germ.cluster_to_json(c)))
-    outputs = {"dot": _run(capsys, ["dot", str(path)])}
-    selections = [["--last"]] + [["--divisor", str(e)] for e in range(c.curve_count())]
-    for command, extra in (("analyze", []), ("classify", []), ("fingen", []), ("ideal", ["--degree", "7"])):
-        outputs[command] = "".join(
-            _run(capsys, [command, str(path), *sel, *extra, "-f", "json"]) for sel in selections
-        )
-    return outputs
+    return path
+
+
+def query_outputs(capsys, path, commands, curves):
+    """Each command's JSON on --last and then on each of the given curves,
+    concatenated per command."""
+    selections = [["--last"]] + [["--divisor", str(e)] for e in curves]
+    return {
+        command: "".join(_run(capsys, [command, str(path), *sel, *extra, "-f", "json"]) for sel in selections)
+        for command, extra in commands
+    }
+
+
+def cluster_outputs(capsys, tmp_path, name):
+    c = CLUSTERS[name]
+    path = _write_cluster(tmp_path, name, c)
+    commands = (("analyze", []), ("classify", []), ("fingen", []), ("ideal", ["--degree", "7"]))
+    return {"dot": _run(capsys, ["dot", str(path)]), **query_outputs(capsys, path, commands, range(c.curve_count()))}
+
+
+def large_base_outputs(capsys, tmp_path, name):
+    c, curves = LARGE_BASES[name]
+    path = _write_cluster(tmp_path, name, c)
+    return query_outputs(capsys, path, (("analyze", []), ("fingen", []), ("ideal", ["--degree", "7"])), curves)
 
 
 @pytest.mark.parametrize("name", sorted(ENUMERATIONS))
@@ -99,6 +135,12 @@ def test_enumerate_outputs_match_golden_digests(capsys, tmp_path, name):
 @pytest.mark.parametrize("name", sorted(CLUSTERS))
 def test_cluster_outputs_match_golden_digests(capsys, tmp_path, name):
     got = {f"{name}/{part}": _sha(text) for part, text in cluster_outputs(capsys, tmp_path, name).items()}
+    assert got == _golden(name)
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_BASES))
+def test_large_base_outputs_match_golden_digests(capsys, tmp_path, name):
+    got = {f"{name}/{part}": _sha(text) for part, text in large_base_outputs(capsys, tmp_path, name).items()}
     assert got == _golden(name)
 
 
