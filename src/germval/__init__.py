@@ -7,7 +7,6 @@ from .errors import (
     InvalidStep,
     MldMinusInfinity,
     NotAntinef,
-    SingularMatrix,
 )
 from .exact import format_rational, parse_rational
 from .germ import (

@@ -1,7 +1,10 @@
 """Exception types raised by the library.
 
 Every error carries enough context for the CLI to print a one-line
-diagnostic naming the error and the offending input.
+diagnostic naming the error and the offending input.  Malformed input
+(a bad label, an out-of-range rank or curve id) is a ValueError.  No
+error reports a singular intersection form: it is negative definite by
+construction, and the column solve asserts it.
 """
 
 from __future__ import annotations
@@ -9,14 +12,6 @@ from __future__ import annotations
 
 class GermvalError(Exception):
     """Base class for all library errors."""
-
-
-class SingularMatrix(GermvalError):
-    """Elimination hit a zero pivot column; the matrix is singular.
-
-    The only call site inverts a Dynkin matrix, which is negative
-    definite, so this signals a caller bug rather than bad user input.
-    """
 
 
 class InvalidStep(GermvalError):

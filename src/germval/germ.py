@@ -9,7 +9,8 @@ locus by construction, so it is a log resolution of everything computed
 from it.
 
 Curve ids are 0-based.  Over a du Val base the minimal-resolution curves
-come first, in a fixed documented order:
+come first, in a fixed documented order (a rank above
+:data:`MAX_DU_VAL_RANK` is refused):
 
 * ``An``: the path 0 - 1 - ... - (n-1);
 * ``Dn``: the path 0 - ... - (n-3), with both fork curves (n-2) and (n-1)
@@ -31,8 +32,9 @@ the total transforms of the step curves are pairwise orthogonal.  D is
 negative definite and P is invertible, so M is negative definite by
 construction, and its off-diagonal entries are 0 or 1 because each step
 only sets entries to those values.  The curves form a tree (Lipman 1969),
-so a cluster stores M as its dual graph, built once in linear time;
-:func:`intersect` is the one product with M, and
+so a cluster stores M as its dual graph, built once in linear time.
+Every computation reads that graph: :func:`intersect` is the one product
+with M, :mod:`germval.valuation` solves for M⁻¹'s columns on it, and
 :func:`intersection_matrix` builds a dense copy on each call.
 """
 
@@ -44,6 +46,11 @@ from dataclasses import dataclass, field
 from .errors import InvalidStep
 
 _DYNKIN_LETTERS = ("A", "D", "E")
+
+# Largest du Val rank a label may name.  Building a base allocates per
+# curve, so an unchecked label like "A100000000" runs without bound; the
+# largest base any sweep or fixture uses is E8.
+MAX_DU_VAL_RANK = 10_000
 
 
 @dataclass(frozen=True)
@@ -92,6 +99,8 @@ def _parse_dynkin(label: str) -> tuple[str, int]:
     if letter not in _DYNKIN_LETTERS or not digits.isdigit():
         raise ValueError(f"not a Dynkin label: {label!r}")
     rank = int(digits)
+    if rank > MAX_DU_VAL_RANK:
+        raise ValueError(f"du Val label {label!r}: rank above {MAX_DU_VAL_RANK}")
     if letter == "A" and rank < 1:
         raise ValueError("type A needs rank >= 1")
     if letter == "D" and rank < 4:

@@ -9,24 +9,25 @@ w = m0·dstar and reads every invariant from it: m0 = w[E], dstar as the
 Fractions w/w[E], and the valuation ideal of degree m, unloaded from
 ⌈m·dstar⌉.
 
-w comes from the proximity factorisation M = P·D·Pᵀ of :mod:`germval.germ`,
-as M⁻¹e = P⁻ᵀ·D⁻¹·P⁻¹e: two integer triangular passes over the step
-references around the Dynkin inverse, in O(n + Σ|refs|) after the
-per-label inverse.  Unloading m0·E from scratch computes w independently
-and is its oracle in the test harness and the theorem sweep.  Products
-with M read its tree-shaped dual graph (:func:`germval.germ.intersect`);
-``germ.intersection_matrix`` is only a dense view, built per call.
+w is solved on M's dual graph, a tree, by one integer elimination rooted
+at E, the same over a smooth and a du Val base: up the tree, the
+determinant of -M on each subtree; down the tree, E's column of adj(-M),
+whose entry at a curve v is det(-M) on the tree less the path from E to
+v (the path-deletion cofactor formula); w is that column over its gcd.
+It takes O(n) integer operations.  Unloading m0·E from scratch computes
+w independently and is its oracle in the test harness and the theorem
+sweep.  Products with M read the same graph
+(:func:`germval.germ.intersect`); ``germ.intersection_matrix`` is only a
+dense view, built per call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from math import gcd, lcm
+from math import gcd
 
 from . import germ
 from .errors import NotAntinef
-from .exact import invert_symmetric
 
 
 def _check_curve(c: germ.Cluster, e: int) -> None:
@@ -51,46 +52,42 @@ def _int_vector(c: germ.Cluster, z) -> list[int]:
     return out
 
 
-@cache
-def _dynkin_inverse(label: str) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Inverse of the Dynkin block of a du Val base (-2 on the diagonal, 1
-    on each edge of the diagram) as integer numerators over one positive
-    common denominator.  Cached per label, so bounded by the labels in use;
-    built from the edges, so that no query builds a cluster."""
-    rank = germ.du_val(label).rank()
-    block = [[-2 * (i == j) for j in range(rank)] for i in range(rank)]
-    for i, j in germ._dynkin_edges(label):
-        block[i][j] = block[j][i] = 1
-    inv = invert_symmetric(block)
-    den = lcm(*(v.denominator for row in inv for v in row))
-    return tuple(tuple(int(v * den) for v in row) for row in inv), den
-
-
 def _column(c: germ.Cluster, e: int) -> tuple[int, ...]:
-    rank, n = c.base.rank(), c.curve_count()
-    refs = [germ._step_refs(s) for s in c.steps]
-    # y = P⁻¹·e_e by back substitution: y_r = [r = e] + sum of y_j over
-    # the steps j whose center lies on curve r.
-    y = [0] * n
-    y[e] = 1
-    for j in range(e, rank - 1, -1):
-        if y[j]:
-            for r in refs[j - rank]:
-                y[r] += y[j]
-    # x = den·D⁻¹·y, which stays integral: D⁻¹ is -1 on the step curves.
-    if rank:
-        num, den = _dynkin_inverse(c.base.dynkin)
-        x = [sum(a * b for a, b in zip(row, y)) for row in num] + [-den * v for v in y[rank:]]
-    else:
-        x = [-v for v in y]
-    # x = P⁻ᵀ·x by forward substitution; now x = den·M⁻¹·e_e.
-    for j in range(rank, n):
-        for r in refs[j - rank]:
-            x[j] += x[r]
-    assert all(v < 0 for v in x), "asymptotic multiplicities must be positive"
-    assert germ.intersect(c, x)[e] > 0
+    self_int, nbrs = c._self, c._nbrs
+    n = len(self_int)
+    # Root the dual graph, a tree, at E; each curve comes after its parent.
+    parent = [-1] * n
+    parent[e] = e
+    order = [e]
+    for v in order:
+        for u in nbrs[v]:
+            if parent[u] < 0:
+                parent[u] = v
+                order.append(u)
+    assert len(order) == n, "the dual graph must be connected"
+    # Up the tree: det[v] is det(-M) on v's subtree and kids[v] the product
+    # of det over v's children; expanding along v gives
+    # det[v] = -self[v]·kids[v] - cross[v], where cross[v] is the sum of
+    # kids[u]·kids[v]/det[u] over the children u, gathered child by child.
+    det, kids, cross = [0] * n, [1] * n, [0] * n
+    for v in reversed(order):
+        d = det[v] = -self_int[v] * kids[v] - cross[v]
+        assert d > 0, "-M must be positive definite"
+        if v != e:
+            p = parent[v]
+            cross[p] = cross[p] * d + kids[v] * kids[p]
+            kids[p] *= d
+    # Down the tree: x = adj(-M)·e_E.  x[v] is det(-M) on the tree less the
+    # path from E to v, the product of det over the subtrees hanging off it.
+    x = [0] * n
+    x[e] = kids[e]
+    for v in order[1:]:
+        x[v] = x[parent[v]] // det[v] * kids[v]
     g = gcd(*x)
-    return tuple(-v // g for v in x)
+    w = tuple(v // g for v in x)
+    prod = germ.intersect(c, w)
+    assert prod[e] < 0 and not any(prod[:e] + prod[e + 1 :]), "w must be E's column of M⁻¹"
+    return w
 
 
 def fingen_ideal(c: germ.Cluster, e: int) -> tuple[int, ...]:

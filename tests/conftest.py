@@ -6,7 +6,7 @@ from math import gcd, lcm
 
 import pytest
 
-from germval import exact, germ, thresholds, valuation
+from germval import germ, thresholds, valuation
 from germval.cli import satellite_chain, single_blowup
 from germval.explorer import EnumBudget, verify_theorems
 
@@ -217,10 +217,56 @@ def count_ratio_lists(monkeypatch) -> dict:
     return count
 
 
+def invert_symmetric(m) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse of a nonsingular symmetric integer matrix, raising
+    ValueError on a singular one.
+
+    Fraction-free Gauss-Jordan elimination of the augmented block
+    [M | I]: integer arithmetic throughout, with rationals assembled only
+    at the end from the adjugate-like right block over the final pivot.
+    The dense oracle for the columns ``valuation`` solves on the dual
+    graph.
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix not square")
+    if any(type(v) is not int for row in m for v in row):
+        raise ValueError("matrix entries must be int")
+    if n == 0:
+        return ()
+    a = [list(row) + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(m)]
+
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    break
+            else:
+                raise ValueError(f"singular matrix: zero pivot column at {k}")
+        pk = a[k][k]
+        for i in range(n):
+            if i == k:
+                continue
+            row_i, row_k = a[i], a[k]
+            aik = row_i[k]
+            for j in range(2 * n):
+                if j != k:
+                    row_i[j] = (pk * row_i[j] - aik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pk
+
+    det = a[n - 1][n - 1]  # all diagonal entries equal det of the matrix
+    return tuple(
+        tuple(Fraction(a[i][n + j], det) for j in range(n)) for i in range(n)
+    )
+
+
 def oracle_dstar_dense(c: germ.Cluster) -> list[tuple[Fraction, ...]]:
     """Every curve's column of the dense exact inverse of M, normalized at
     that curve."""
-    inv = exact.invert_symmetric(germ.intersection_matrix(c))
+    inv = invert_symmetric(germ.intersection_matrix(c))
     n = c.curve_count()
     return [tuple(inv[j][e] / inv[e][e] for j in range(n)) for e in range(n)]
 

@@ -27,6 +27,13 @@ def sb_file(tmp_path):
     return str(path)
 
 
+def run_module(argv):
+    """``python -m germval`` with the given arguments, in a fresh process."""
+    src = os.path.dirname(os.path.dirname(germval.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "germval", *argv], capture_output=True, text=True, timeout=60, env=env)
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
@@ -321,14 +328,26 @@ def test_deeply_nested_json_is_a_validation_error(tmp_path, r3_file, where):
         argv = ["analyze", str(deep), "--last"]
     else:
         argv = ["mld", r3_file, "--pair", str(deep)]
-    src = os.path.dirname(os.path.dirname(germval.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "germval", *argv], capture_output=True, text=True, timeout=60, env=env
-    )
+    proc = run_module(argv)
     assert proc.returncode == 1 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == [f"ValueError: {deep}: JSON nested too deeply"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "enumerate"])
+def test_du_val_rank_above_the_bound_is_a_validation_error(tmp_path, command):
+    # a 40-byte file naming 10^8 curves must fail before anything is allocated per curve
+    label = "A100000000"
+    if command == "analyze":
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"base": {"du_val": label}, "steps": []}))
+        argv = ["analyze", str(path), "--last"]
+    else:
+        argv = ["enumerate", "--bases", label, "--max-steps", "1"]
+    proc = run_module(argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [f"ValueError: du Val label '{label}': rank above {germ.MAX_DU_VAL_RANK}"]
 
 
 def test_exit_code_module_errors_surface(capsys, r3_file, sb_file):

@@ -1,15 +1,14 @@
-"""Rational parsing and formatting, the exact symmetric inverse, and the
-Sylvester oracle that the tests check intersection matrices with."""
+"""Rational parsing and formatting, and the exact symmetric inverse and
+Sylvester oracles that the tests check intersection matrices with."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from germval.errors import SingularMatrix
-from germval.exact import format_rational, invert_symmetric, parse_rational
+from germval.exact import format_rational, parse_rational
 
-from conftest import is_negative_definite, leading_principal_minors
+from conftest import invert_symmetric, is_negative_definite, leading_principal_minors
 
 
 def det_cofactor(m):
@@ -97,12 +96,12 @@ def test_inverse_satellite_matrix_column():
 
 
 def test_inverse_singular_raises():
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(ValueError, match="singular"):
         invert_symmetric(((1, 1), (1, 1)))
 
 
 def test_inverse_non_square_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not square"):
         invert_symmetric(((1, 0),))
 
 

@@ -108,7 +108,9 @@ def test_base_rank_stays_out_of_identity():
 
 
 def test_dynkin_label_validation():
-    for bad in ("A0", "D3", "E5", "E9", "B3", "smooth"):
+    top = germ.MAX_DU_VAL_RANK
+    assert germ.du_val(f"A{top}").rank() == germ.du_val(f"D{top}").rank() == top
+    for bad in ("A0", "D3", "E5", "E9", "B3", "smooth", f"A{top + 1}", f"D{top + 1}"):
         with pytest.raises(ValueError):
             germ.du_val(bad)
 

@@ -20,8 +20,12 @@ BASES = [
     germ.SMOOTH,
     germ.du_val("A1"),
     germ.du_val("A3"),
+    germ.du_val("A12"),
     germ.du_val("D4"),
+    germ.du_val("D6"),
     germ.du_val("E6"),
+    germ.du_val("E7"),
+    germ.du_val("E8"),
 ]
 
 
@@ -58,7 +62,7 @@ def test_multiplicities_and_degree_invariants(cc):
 @settings(max_examples=40, deadline=None)
 @given(clusters(max_extra_steps=34), st.data())
 def test_proximity_model_against_dense_oracles(c, data):
-    # up to 40 curves: 34 steps over E6, 35 over a smooth point
+    # up to 46 curves: 34 steps over A12, 35 over a smooth point
     e = data.draw(st.integers(min_value=0, max_value=c.curve_count() - 1))
     check_proximity_model(c, (e,))
 

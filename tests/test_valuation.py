@@ -1,6 +1,7 @@
 import time
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -172,6 +173,16 @@ def test_proximity_model_against_dense_oracles():
             check_proximity_model(c, range(c.curve_count()))
             count += 1
     assert count > 100
+
+
+@pytest.mark.parametrize("e", [0, 2000 // 3, 1999])
+def test_long_a_chain_column_closed_form(e):
+    # the inverse of the A_n Cartan matrix is min(a,b)·(n+1-max(a,b))/(n+1),
+    # 1-indexed; no dense inverse is needed, which is cubic in n
+    n, b = 2000, e + 1
+    col = [min(a, b) * (n + 1 - max(a, b)) for a in range(1, n + 1)]
+    g = gcd(*col)
+    assert valuation.fingen_ideal(germ.build(germ.du_val(f"A{n}"), ()), e) == tuple(v // g for v in col)
 
 
 def test_rees_valuations_examples():
