@@ -14,9 +14,18 @@ import pytest
 from germval import germ
 from germval.cli import main, satellite_chain
 
+# each enumeration's arguments, the files it writes and how they are read
+# back: the sweep digests were taken through universal newlines, which turn
+# the CSVs' \r\n into \n, the atlas-only ones (newline="") over the bytes
+# written.  Without --report the atlas is computed on its own, without the
+# sweep; smooth-7 is the largest enumeration pinned.
+SWEEP = ["--extension-depth", "1"], ("atlas", "extremal", "report"), None
+ATLAS = [], ("atlas", "extremal"), ""
 ENUMERATIONS = {
-    "smooth-4": ["--max-steps", "4", "--bases", "smooth"],
-    "A2-D4-E6-2": ["--max-steps", "2", "--bases", "A2,D4,E6"],
+    "smooth-4": (["--max-steps", "4", "--bases", "smooth"], SWEEP),
+    "A2-D4-E6-2": (["--max-steps", "2", "--bases", "A2,D4,E6"], SWEEP),
+    "smooth-7": (["--max-steps", "7", "--bases", "smooth"], ATLAS),
+    "A3-D4-4": (["--max-steps", "4", "--bases", "A3,D4"], ATLAS),
 }
 
 CLUSTERS = {
@@ -47,6 +56,9 @@ GOLDEN = {
     "A40-3/analyze": "af45a3573ac14683730a56f0efcf7a0f9fb0dfa027ba2766b63d6acf7e5d188e",
     "A40-3/fingen": "3c60deaed4bcfe686fc1559e9c8d0bdc7869abfcb1c111adadae9fc152f75407",
     "A40-3/ideal": "1c2e525549133050acd5af23384f1356d9feffc6e6e502730a7b72dae4793a08",
+    "A3-D4-4/atlas": "f26751962a82bbcfa998d341fca2184f35e254b9eee3a6195c2d6d485bac6b62",
+    "A3-D4-4/extremal": "dce6b0f56154fce1c9c9acb5d02530b2e80748ca48928a9d79dc43276f9db609",
+    "A3-D4-4/stdout": "b323cda06784cf30d04d5fb2f20236c28458e6ff0dd74ff93c584a8c1196d3fc",
     "A2-D4-E6-2/atlas": "1781bb27fcd9f5b66bcac85893a1e2e3cabcbbb9f4106d0a154ac9b73c74bf29",
     "A2-D4-E6-2/extremal": "9ebaf34589e20fd025ced048209a2b434d80489ebf05eb89449885b5caefca29",
     "A2-D4-E6-2/report": "afb91e145ef9936b05efbbf77e04864ceab0dc94566154be8f04994b83b712c0",
@@ -65,6 +77,9 @@ GOLDEN = {
     "satellite-chain-5/dot": "78b498ac14082ec8cdf0d99443fd9758542cfea3efb89f80c8371fbe9828d16f",
     "satellite-chain-5/fingen": "4da641fceefc5f5ae7f0b6aeeba8565e729ecf1e568cc515830e47fafe3d7a11",
     "satellite-chain-5/ideal": "8b62d46d90a736c2ecc5adf14cac9ba2e92dc71049a73d8f76f6a686bd1926a2",
+    "smooth-7/atlas": "639f3e56a523225d70157a964bcb6d3f56587b9e2875919c50a2cd8664ca112b",
+    "smooth-7/extremal": "d45ec388e359dc249154b800d65ba345b27fc0c7939c2d291b043651d7e924e7",
+    "smooth-7/stdout": "d9e62a52904d26aa7739b0db1f559c5b56ff51a50c1abc262238c6aa03329179",
     "smooth-4/atlas": "fdbdd5871104da0763f7eb5a678584bfaa773d6052fa969ede7ffd8ec223cb9d",
     "smooth-4/extremal": "44f4e1d9d18464934d7b0da450fbce53d7c7da50068330d1e0313aabfea48e8b",
     "smooth-4/report": "9194d4ef61cda8fadfcc372ba2bbf0081e9eb3f45e280aadc2394f097a0328da",
@@ -88,12 +103,13 @@ def _run(capsys, argv) -> str:
 
 
 def enumerate_outputs(capsys, tmp_path, name):
-    paths = {part: tmp_path / f"{name}.{part}" for part in ("atlas", "extremal", "report")}
-    argv = ["enumerate", *ENUMERATIONS[name], "--extension-depth", "1", "-f", "json"]
+    args, (extra, parts, newline) = ENUMERATIONS[name]
+    paths = {part: tmp_path / f"{name}.{part}" for part in parts}
+    argv = ["enumerate", *args, *extra, "-f", "json"]
     for part, path in paths.items():
         argv += [f"--{part}", str(path)]
     stdout = _run(capsys, argv)
-    outputs = {part: path.read_text(encoding="utf-8") for part, path in paths.items()}
+    outputs = {part: path.open(encoding="utf-8", newline=newline).read() for part, path in paths.items()}
     return {"stdout": stdout, **outputs}
 
 
