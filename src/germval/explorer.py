@@ -5,8 +5,9 @@ Clusters are enumerated up to the canonical identification in which free
 blowups on the same curve are interchangeable (together with the induced
 relabeling of their descendants); minimal-resolution curves are never
 permuted.  Each class is represented by the lexicographically smallest
-step encoding, found by brute force over valid relabelings, which is
-cheap at desk scale.
+step encoding, found by a search that builds it one position at a time
+and branches only over tied free siblings, once per isomorphism class of
+their subtrees (see :func:`cluster_signature`).
 
 Counterexamples found by the sweeps become report entries, never aborts:
 the harness doubles as a probe for where the claims might fail
@@ -22,7 +23,6 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
 from operator import mul
 
 from . import germ, thresholds, valuation
@@ -83,33 +83,94 @@ def cluster_signature(c: germ.Cluster) -> tuple:
     """Lexicographically smallest step encoding over all relabelings of
     the step curves that keep parents before children.  Two clusters get
     the same signature exactly when they differ by permuting
-    interchangeable free blowups."""
+    interchangeable free blowups.
+
+    The encoding is built one position at a time.  A step is ready once
+    its parent curves are placed, and its token, the sorted new ids of
+    those curves, is then fixed, so each position takes the smallest
+    ready token.  Ready steps tie only when they have the same parents,
+    that is, when they are free blowups on one curve, and the search
+    branches over those: once per isomorphism class of the subtrees
+    hanging from them, and never past a prefix above the best encoding
+    found so far.
+    """
     rank = c.base.rank()
     parents = germ.step_parents(c)
     t = len(parents)
     label = _base_label(c.base)
     if t == 0:
         return (label,)
+    key = _subtree_keys(rank, parents)
+    children: list[list[int]] = [[] for _ in parents]
+    waiting = [0] * t  # parents of each step not yet placed
+    for i, ps in enumerate(parents):
+        for p in ps:
+            if p >= rank:
+                children[p - rank].append(i)
+                waiting[i] += 1
+    new_id = list(range(rank)) + [0] * t
+    tokens: list[tuple[int, ...]] = []
     best: tuple | None = None
-    for perm in permutations(range(t)):
-        tokens: list[tuple[int, ...] | None] = [None] * t
-        ok = True
-        for i, ps in enumerate(parents):
-            for p in ps:
-                if p >= rank and perm[p - rank] >= perm[i]:
-                    ok = False
-                    break
-            if not ok:
-                break
-            tokens[perm[i]] = tuple(
-                sorted(p if p < rank else rank + perm[p - rank] for p in ps)
-            )
-        if ok:
-            cand = tuple(tokens)
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
+
+    def search(ready: list[int], tight: bool) -> None:
+        # tight: the tokens so far are a prefix of best
+        nonlocal best
+        depth = len(tokens)
+        if depth == t:
+            if not tight:
+                best = tuple(tokens)
+            return
+        toks = [tuple(sorted(new_id[p] for p in parents[i])) for i in ready]
+        low = min(toks)
+        if tight and low > best[depth]:
+            return
+        tight = tight and low == best[depth]
+        tokens.append(low)
+        tied = {key[i]: i for i, tok in zip(ready, toks) if tok == low}
+        for i in tied.values():
+            new_id[rank + i] = rank + depth
+            rest = [j for j in ready if j != i]
+            for j in children[i]:
+                waiting[j] -= 1
+                if waiting[j] == 0:
+                    rest.append(j)
+            search(rest, tight)
+            for j in children[i]:
+                waiting[j] += 1
+            tight = True  # the first branch ends at a leaf, which best now extends
+        tokens.pop()
+
+    search([i for i in range(t) if waiting[i] == 0], False)
     return (label,) + best
+
+
+def _subtree_keys(rank: int, parents) -> list[int]:
+    """For each step, an id of the isomorphism class of the subtree it
+    roots in the Enriques tree (Aho-Hopcroft-Ullman): a step's tree parent
+    is the later of its parent curves, and the other parent of a
+    satellite lies above that one, so the subtree holds every step blown
+    up on it, directly or not.  A satellite is labeled by the height of
+    its other curve above its tree parent (at least 1), or by -1 - id if
+    that curve is the base curve id; a free step by 0.  Steps with the
+    same parents and the same key can be swapped, with their subtrees,
+    without changing the cluster."""
+    height = [0] * len(parents)  # depth below the base in the Enriques tree
+    labels = [0] * len(parents)
+    below: list[list[int]] = [[] for _ in parents]
+    for i, ps in enumerate(parents):
+        if ps and ps[-1] >= rank:
+            top = ps[-1] - rank
+            height[i] = height[top] + 1
+            below[top].append(i)
+        if len(ps) == 2:
+            other = ps[0]
+            labels[i] = -1 - other if other < rank else height[i] - 1 - height[other - rank]
+    ids: dict[tuple, int] = {}
+    key = [0] * len(parents)
+    for i in reversed(range(len(parents))):
+        form = (labels[i], tuple(sorted(key[j] for j in below[i])))
+        key[i] = ids.setdefault(form, len(ids))
+    return key
 
 
 def cluster_from_signature(sig: tuple) -> germ.Cluster:

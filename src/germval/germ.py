@@ -96,7 +96,8 @@ def du_val(label: str) -> BaseGerm:
 
 def _parse_dynkin(label: str) -> tuple[str, int]:
     letter, digits = label[:1].upper(), label[1:]
-    if letter not in _DYNKIN_LETTERS or not digits.isdigit():
+    # str.isdigit alone passes "３" and "²"; int() reads the first as 3
+    if letter not in _DYNKIN_LETTERS or not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a Dynkin label: {label!r}")
     rank = int(digits)
     if rank > MAX_DU_VAL_RANK:

@@ -1,14 +1,15 @@
+import random
 import time
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import gcd, lcm
 
 import pytest
 
 from germval import germ, thresholds, valuation
 from germval.cli import satellite_chain, single_blowup
-from germval.explorer import EnumBudget, verify_theorems
+from germval.explorer import EnumBudget, _base_label, verify_theorems
 
 __all__ = ["satellite_chain", "single_blowup"]
 
@@ -16,6 +17,59 @@ __all__ = ["satellite_chain", "single_blowup"]
 def chain2() -> germ.Cluster:
     """Two blowups: a free point, then a free point on its curve."""
     return germ.build(germ.SMOOTH, (germ.Free(None), germ.Free(0)))
+
+
+def cluster_signature_permutations(c: germ.Cluster) -> tuple:
+    """Lexicographically smallest step encoding, found by trying all t!
+    orders of the t steps and keeping those that place every curve after
+    its parents: the oracle for the search in
+    ``explorer.cluster_signature``."""
+    rank = c.base.rank()
+    parents = germ.step_parents(c)
+    t = len(parents)
+    best: tuple | None = None
+    for perm in permutations(range(t)):
+        if any(p >= rank and perm[p - rank] >= perm[i] for i, ps in enumerate(parents) for p in ps):
+            continue
+        tokens: list = [None] * t
+        for i, ps in enumerate(parents):
+            tokens[perm[i]] = tuple(sorted(p if p < rank else rank + perm[p - rank] for p in ps))
+        if best is None or tuple(tokens) < best:
+            best = tuple(tokens)
+    return (_base_label(c.base),) + best
+
+
+def renumber(c: germ.Cluster, rng: random.Random) -> germ.Cluster:
+    """The same cluster with its steps in a random order that keeps every
+    curve after the curves it is blown up on.  A satellite stays legal,
+    since only its own step ends the meeting of its two curves."""
+    rank = c.base.rank()
+    parents = germ.step_parents(c)
+    waiting = [sum(p >= rank for p in ps) for ps in parents]  # parents not yet placed
+    users: list[list[int]] = [[] for _ in parents]
+    for i, ps in enumerate(parents):
+        for p in ps:
+            if p >= rank:
+                users[p - rank].append(i)
+    new_id = list(range(rank)) + [0] * len(parents)
+    order: list[int] = []
+    ready = [i for i, w in enumerate(waiting) if w == 0]
+    while ready:
+        i = ready.pop(rng.randrange(len(ready)))
+        new_id[rank + i] = rank + len(order)
+        order.append(i)
+        for j in users[i]:
+            waiting[j] -= 1
+            if waiting[j] == 0:
+                ready.append(j)
+    steps: list[germ.BlowupStep] = []
+    for i in order:
+        s = c.steps[i]
+        if isinstance(s, germ.Free):
+            steps.append(germ.Free(None if s.on is None else new_id[s.on]))
+        else:
+            steps.append(germ.Satellite((new_id[s.on[0]], new_id[s.on[1]])))
+    return germ.build(c.base, steps)
 
 
 def cold_valuation_ideal(c: germ.Cluster, e: int, m: int) -> tuple[int, ...]:

@@ -350,6 +350,21 @@ def test_du_val_rank_above_the_bound_is_a_validation_error(tmp_path, command):
     assert proc.stderr.splitlines() == [f"ValueError: du Val label '{label}': rank above {germ.MAX_DU_VAL_RANK}"]
 
 
+@pytest.mark.parametrize("label", ["A\uff13", "A\u00b2"])
+@pytest.mark.parametrize("command", ["analyze", "enumerate"])
+def test_du_val_rank_with_non_ascii_digits_is_a_validation_error(tmp_path, command, label):
+    if command == "analyze":
+        path = tmp_path / "unicode.json"
+        path.write_text(json.dumps({"base": {"du_val": label}, "steps": [{"kind": "free", "on": 0}]}))
+        argv = ["analyze", str(path), "--last"]
+    else:
+        argv = ["enumerate", "--bases", label, "--max-steps", "1"]
+    proc = run_module(argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [f"ValueError: not a Dynkin label: {label!r}"]
+
+
 def test_exit_code_module_errors_surface(capsys, r3_file, sb_file):
     # asking for a witness curve that does not exist
     code, _, err = run(capsys, ["analyze", r3_file, "--divisor", "7"])

@@ -1,5 +1,7 @@
 import io
 import json
+import random
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -25,7 +27,15 @@ from germval.explorer import (
     write_atlas_csv,
 )
 
-from conftest import antinef_ideals_bruteforce, chain2, count_ratio_lists, satellite_chain, single_blowup
+from conftest import (
+    antinef_ideals_bruteforce,
+    chain2,
+    cluster_signature_permutations,
+    count_ratio_lists,
+    renumber,
+    satellite_chain,
+    single_blowup,
+)
 
 
 def smooth_budget(max_steps, **kw):
@@ -36,18 +46,20 @@ def test_enumeration_counts_small():
     # hand-derived class counts over a smooth base (cumulative):
     # 1 step: the blowup of the point; 2 steps: one chain; 3 steps: two
     # free points / chain of three / one satellite; 15 at four steps.
-    for max_steps, expected in ((1, 1), (2, 2), (3, 5), (4, 15)):
+    # 56 to 1095 at five to seven steps were counted by the permutation
+    # search.
+    for max_steps, expected in ((1, 1), (2, 2), (3, 5), (4, 15), (5, 56), (6, 236), (7, 1095)):
         assert len(list(enumerate_clusters(smooth_budget(max_steps)))) == expected
 
 
 def brute_force_class_count(max_steps):
     """Independent oracle: DFS over all legal step sequences, grouping by
-    signature."""
+    the permutation signature."""
     seen = set()
     stack = [germ.build(germ.SMOOTH, (germ.Free(None),))]
     while stack:
         c = stack.pop()
-        seen.add(cluster_signature(c))
+        seen.add(cluster_signature_permutations(c))
         if len(c.steps) < max_steps:
             stack.extend(germ.extend(c, s) for s in germ.legal_steps(c))
     return len(seen)
@@ -113,6 +125,34 @@ JOIN_ORACLE_BUDGETS = [
     pytest.param(du_val_budget(("A2",), 3), 2, id="A2x3-B2"),
     pytest.param(du_val_budget(("A2",), 2), 3, id="A2x2-B3"),
 ]
+
+
+@pytest.mark.parametrize(
+    "budget", [smooth_budget(5), du_val_budget(("A3", "D4"), 3)], ids=["smooth5", "A3-D4x3"]
+)
+def test_signature_matches_permutation_oracle(budget):
+    # every enumerated cluster and every one-step extension of it
+    for c in enumerate_clusters(budget):
+        for cand in [c, *(germ.extend(c, step) for step in germ.legal_steps(c))]:
+            assert cluster_signature(cand) == cluster_signature_permutations(cand), cand
+
+
+@pytest.mark.parametrize("label,expected", [("A3", 785), ("D4", 1605), ("E6", 4736)])
+def test_du_val_class_counts(label, expected):
+    # counted at up to 4 steps by the permutation search
+    assert len(list(enumerate_clusters(du_val_budget((label,), 4)))) == expected
+
+
+def test_wide_fan_signs_without_trying_step_orders():
+    # 20 free children of the first curve, each with one free child: the
+    # permutation search would try 41! orders
+    steps = [germ.Free(None)] + [germ.Free(0)] * 20 + [germ.Free(i) for i in range(1, 21)]
+    c = germ.build(germ.SMOOTH, steps)
+    start = time.perf_counter()
+    sig = cluster_signature(c)
+    assert time.perf_counter() - start < 1.0
+    assert sig == ("smooth", ()) + ((0,),) * 20 + tuple((i,) for i in range(1, 21))
+    assert cluster_signature(renumber(c, random.Random(0))) == sig
 
 
 @pytest.mark.parametrize("budget,bound", JOIN_ORACLE_BUDGETS)

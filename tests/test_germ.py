@@ -115,6 +115,13 @@ def test_dynkin_label_validation():
             germ.du_val(bad)
 
 
+@pytest.mark.parametrize("label", ["A\uff13", "A\u00b2"])
+def test_dynkin_rank_takes_ascii_digits_only(label):
+    # a fullwidth 3 and a superscript 2 are Unicode digits, not ranks
+    with pytest.raises(ValueError, match=f"not a Dynkin label: {label!r}"):
+        germ.du_val(label)
+
+
 def test_invariants_on_enumerated_clusters():
     from germval.explorer import EnumBudget, enumerate_clusters
 

@@ -6,13 +6,14 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from germval import germ, thresholds, valuation
-from germval.explorer import antinef_ideals
+from germval.explorer import antinef_ideals, cluster_signature
 
 from conftest import (
     antinef_ideals_bruteforce,
     check_classify_against_pruned,
     check_proximity_model,
     cold_valuation_ideal,
+    renumber,
     unload_dense,
 )
 
@@ -131,3 +132,11 @@ def test_unload_worklist_matches_dense_rescan(c, data):
     n = c.curve_count()
     vec = tuple(data.draw(st.integers(min_value=0, max_value=6)) for _ in range(n))
     assert valuation.unload(c, vec) == unload_dense(c, vec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(clusters(max_extra_steps=12), st.randoms(use_true_random=False))
+def test_signature_invariant_under_renumbering(c, rng):
+    # up to 13 steps: every curve stays after its parents, so the
+    # renumbered cluster is the same cluster
+    assert cluster_signature(renumber(c, rng)) == cluster_signature(c)
