@@ -150,8 +150,8 @@ def _subtree_keys(rank: int, parents) -> list[int]:
     is the later of its parent curves, and the other parent of a
     satellite lies above that one, so the subtree holds every step blown
     up on it, directly or not.  A satellite is labeled by the height of
-    its other curve above its tree parent (at least 1), or by -1 - id if
-    that curve is the base curve id; a free step by 0.  Steps with the
+    its other curve above its tree parent (at least 1), or by -1 - i if
+    that curve is base curve i; a free step by 0.  Steps with the
     same parents and the same key can be swapped, with their subtrees,
     without changing the cluster."""
     height = [0] * len(parents)  # depth below the base in the Enriques tree

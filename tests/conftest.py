@@ -9,7 +9,7 @@ import pytest
 
 from germval import germ, thresholds, valuation
 from germval.cli import satellite_chain, single_blowup
-from germval.explorer import EnumBudget, _base_label, verify_theorems
+from germval.explorer import EnumBudget, verify_theorems
 
 __all__ = ["satellite_chain", "single_blowup"]
 
@@ -36,7 +36,7 @@ def cluster_signature_permutations(c: germ.Cluster) -> tuple:
             tokens[perm[i]] = tuple(sorted(p if p < rank else rank + perm[p - rank] for p in ps))
         if best is None or tuple(tokens) < best:
             best = tuple(tokens)
-    return (_base_label(c.base),) + best
+    return ("smooth" if c.base.is_smooth else c.base.dynkin,) + best
 
 
 def renumber(c: germ.Cluster, rng: random.Random) -> germ.Cluster:
