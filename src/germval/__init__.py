@@ -62,7 +62,7 @@ from .explorer import (
     atlas_rows,
     enumerate_clusters,
     enumerate_pairs,
-    extremal_gaps,
+    rank_by_gap,
     verify_theorems,
     write_atlas_csv,
 )

@@ -337,7 +337,7 @@ def _parse_bases(arg: str) -> tuple[germ.BaseGerm, ...]:
 
 
 def cmd_enumerate(args) -> int:
-    if args.jobs < 1:  # checked here too, since the sweep does not reach atlas_rows
+    if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
     budget = explorer.EnumBudget(
         max_steps=args.max_steps,
@@ -347,9 +347,9 @@ def cmd_enumerate(args) -> int:
         extension_depth=args.extension_depth,
     )
     # The sweep builds every atlas row itself; only without it is the
-    # atlas computed on its own, over --jobs workers.
+    # atlas computed on its own.
     report = explorer.verify_theorems(budget) if args.report else None
-    rows = report.rows if report is not None else explorer.atlas_rows(budget, jobs=args.jobs)
+    rows = report.rows if report is not None else explorer.atlas_rows(budget)
     if args.atlas:
         with open(args.atlas, "w", newline="", encoding="utf-8") as fh:
             explorer.write_atlas_csv(rows, fh)
@@ -451,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atlas", default=None, help="atlas CSV path")
     p.add_argument("--extremal", default=None, help="gap-ranked CSV path")
     p.add_argument("--report", default=None, help="verification report JSON path")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility (N >= 1); has no effect")
     p.set_defaults(func=cmd_enumerate)
     p = sub.add_parser("paper-examples", parents=[fmt],
                        help="run the built-in reference fixtures")

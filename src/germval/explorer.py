@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -79,11 +77,13 @@ class EnumBudget:
 # -- canonical form ------------------------------------------------------
 
 
-def cluster_signature(c: germ.Cluster) -> tuple:
+def cluster_signature(c: germ.Cluster, step: germ.BlowupStep | None = None) -> tuple:
     """Lexicographically smallest step encoding over all relabelings of
     the step curves that keep parents before children.  Two clusters get
     the same signature exactly when they differ by permuting
-    interchangeable free blowups.
+    interchangeable free blowups.  With ``step``, a legal step on ``c``,
+    this is the signature of ``c`` extended by it, read from the step
+    parents alone without building the extension.
 
     The encoding is built one position at a time.  A step is ready once
     its parent curves are placed, and its token, the sorted new ids of
@@ -92,10 +92,13 @@ def cluster_signature(c: germ.Cluster) -> tuple:
     that is, when they are free blowups on one curve, and the search
     branches over those: once per isomorphism class of the subtrees
     hanging from them, and never past a prefix above the best encoding
-    found so far.
+    found so far.  Only a branch point recurses, so a long chain of
+    forced positions costs no stack depth.
     """
     rank = c.base.rank()
     parents = germ.step_parents(c)
+    if step is not None:
+        parents += (tuple(sorted(germ._step_refs(step))),)
     t = len(parents)
     label = _base_label(c.base)
     if t == 0:
@@ -112,33 +115,49 @@ def cluster_signature(c: germ.Cluster) -> tuple:
     tokens: list[tuple[int, ...]] = []
     best: tuple | None = None
 
+    def place(i: int, depth: int, ready: list[int]) -> list[int]:
+        new_id[rank + i] = rank + depth
+        rest = [j for j in ready if j != i]
+        for j in children[i]:
+            waiting[j] -= 1
+            if waiting[j] == 0:
+                rest.append(j)
+        return rest
+
+    def unplace(i: int) -> None:
+        for j in children[i]:
+            waiting[j] += 1
+
     def search(ready: list[int], tight: bool) -> None:
         # tight: the tokens so far are a prefix of best
         nonlocal best
-        depth = len(tokens)
-        if depth == t:
-            if not tight:
-                best = tuple(tokens)
-            return
-        toks = [tuple(sorted(new_id[p] for p in parents[i])) for i in ready]
-        low = min(toks)
-        if tight and low > best[depth]:
-            return
-        tight = tight and low == best[depth]
-        tokens.append(low)
-        tied = {key[i]: i for i, tok in zip(ready, toks) if tok == low}
-        for i in tied.values():
-            new_id[rank + i] = rank + depth
-            rest = [j for j in ready if j != i]
-            for j in children[i]:
-                waiting[j] -= 1
-                if waiting[j] == 0:
-                    rest.append(j)
-            search(rest, tight)
-            for j in children[i]:
-                waiting[j] += 1
-            tight = True  # the first branch ends at a leaf, which best now extends
-        tokens.pop()
+        forced: list[int] = []  # steps this call placed without a choice
+        while True:
+            depth = len(tokens)
+            if depth == t:
+                if not tight:
+                    best = tuple(tokens)
+                break
+            toks = [tuple(sorted(new_id[p] for p in parents[i])) for i in ready]
+            low = min(toks)
+            if tight and low > best[depth]:
+                break
+            tight = tight and low == best[depth]
+            tokens.append(low)
+            tied = list({key[i]: i for i, tok in zip(ready, toks) if tok == low}.values())
+            if len(tied) == 1:
+                forced.append(tied[0])
+                ready = place(tied[0], depth, ready)
+                continue
+            for i in tied:
+                search(place(i, depth, ready), tight)
+                unplace(i)
+                tight = True  # the first branch ends at a leaf, which best now extends
+            tokens.pop()
+            break
+        for i in reversed(forced):
+            unplace(i)
+            tokens.pop()
 
     search([i for i in range(t) if waiting[i] == 0], False)
     return (label,) + best
@@ -203,7 +222,7 @@ def enumerate_clusters(b: EnumBudget):
             fresh: dict[tuple, germ.Cluster] = {}
             for c in wave:
                 for step in germ.legal_steps(c):
-                    sig = cluster_signature(germ.extend(c, step))
+                    sig = cluster_signature(c, step)
                     if sig not in seen:
                         seen.add(sig)
                         fresh[sig] = cluster_from_signature(sig)
@@ -351,25 +370,13 @@ def _row(c: germ.Cluster, cl: thresholds.Classification, enum_index: int) -> Atl
     )
 
 
-def _rows_for_cluster(task: tuple[int, germ.Cluster]) -> list[AtlasRow]:
-    enum_index, c = task
-    return [_row(c, thresholds.classify(c, e), enum_index) for e in range(c.curve_count())]
-
-
-def atlas_rows(b: EnumBudget, jobs: int = 1) -> list[AtlasRow]:
-    """One row per (cluster, curve); deterministic regardless of the
-    worker count (results are merged in enumeration order).  The pool
-    starts at most one worker per task and per CPU."""
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    tasks = list(enumerate(enumerate_clusters(b)))
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_rows_for_cluster, tasks))
-    else:
-        chunks = [_rows_for_cluster(t) for t in tasks]
-    return [row for chunk in chunks for row in chunk]
+def atlas_rows(b: EnumBudget) -> list[AtlasRow]:
+    """One row per (cluster, curve), in enumeration order."""
+    return [
+        _row(c, thresholds.classify(c, e), enum_index)
+        for enum_index, c in enumerate(enumerate_clusters(b))
+        for e in range(c.curve_count())
+    ]
 
 
 def rank_by_gap(rows) -> list[AtlasRow]:
@@ -379,10 +386,6 @@ def rank_by_gap(rows) -> list[AtlasRow]:
         rows,
         key=lambda r: (-r.gap, r.cluster.curve_count(), r.enum_index, r.curve),
     )
-
-
-def extremal_gaps(b: EnumBudget, jobs: int = 1) -> list[AtlasRow]:
-    return rank_by_gap(atlas_rows(b, jobs=jobs))
 
 
 def _steps_json(c: germ.Cluster) -> str:

@@ -59,7 +59,7 @@ class BaseGerm:
 
     ``dynkin`` is None for a smooth point, else a label like "A3" or "E7".
     The rank is parsed from it once, on construction; it takes no part in
-    equality, hashing, repr or pickling.
+    equality, hashing or repr.
     """
 
     dynkin: str | None = None
@@ -70,13 +70,6 @@ class BaseGerm:
             letter, rank = _parse_dynkin(self.dynkin)
             object.__setattr__(self, "dynkin", f"{letter}{rank}")
             object.__setattr__(self, "_rank", rank)
-
-    def __getstate__(self):  # pickles carry only the label; loading parses the rank again
-        return {"dynkin": self.dynkin}
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "dynkin", state["dynkin"])
-        self.__post_init__()
 
     @property
     def is_smooth(self) -> bool:
@@ -171,9 +164,6 @@ class Cluster:
         object.__setattr__(self, "_self", tuple(self_int))
         object.__setattr__(self, "_nbrs", tuple(tuple(sorted(nb)) for nb in nbrs))
         object.__setattr__(self, "_k", tuple(k))
-
-    def __reduce__(self):  # pickle (for worker processes) without the derived fields
-        return Cluster, (self.base, self.steps)
 
     def curve_count(self) -> int:
         return self.base.rank() + len(self.steps)

@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing.process
 import os
 import subprocess
 import sys
@@ -239,9 +240,14 @@ def test_enumerate_rejects_nonpositive_jobs(capsys, tmp_path, jobs, report):
     assert not (tmp_path / "report.json").exists()
 
 
-def test_enumerate_jobs_output_identical(capsys, tmp_path):
+def test_enumerate_jobs_output_identical(capsys, tmp_path, monkeypatch):
+    # enumeration runs in one process whatever --jobs says
+    def no_process(self):
+        raise AssertionError("enumerate started a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
     paths = []
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "4"):
         for report in ([], ["--report", str(tmp_path / "report.json")]):
             atlas = tmp_path / f"atlas{jobs}{len(report)}.csv"
             code, _, _ = run(

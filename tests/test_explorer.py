@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from germval import explorer, germ, thresholds, valuation
+from germval import germ, thresholds, valuation
 from germval.explorer import (
     ATLAS_COLUMNS,
     SUITE_NAMES,
@@ -21,8 +21,8 @@ from germval.explorer import (
     enumerate_clusters,
     enumerate_pairs,
     extension_forms,
-    extremal_gaps,
     lambda_grid,
+    rank_by_gap,
     verify_theorems,
     write_atlas_csv,
 )
@@ -153,6 +153,33 @@ def test_wide_fan_signs_without_trying_step_orders():
     assert time.perf_counter() - start < 1.0
     assert sig == ("smooth", ()) + ((0,),) * 20 + tuple((i,) for i in range(1, 21))
     assert cluster_signature(renumber(c, random.Random(0))) == sig
+
+
+def test_long_chain_signs_without_deep_recursion():
+    # one step per position and no ties: the search places them in a loop
+    steps = [germ.Free(None)] + [germ.Free(i) for i in range(1499)]
+    sig = cluster_signature(germ.build(germ.SMOOTH, steps))
+    assert sig == ("smooth", ()) + tuple((i,) for i in range(1499))
+
+
+def test_signature_of_extension_reads_step_parents():
+    for c in enumerate_clusters(EnumBudget(max_steps=4, bases=(germ.SMOOTH, germ.du_val("D4")))):
+        for step in germ.legal_steps(c):
+            assert cluster_signature(c, step) == cluster_signature(germ.extend(c, step))
+
+
+@pytest.mark.parametrize("budget,classes", [(smooth_budget(6), 236), (du_val_budget(("E6",), 4), 4736)])
+def test_enumeration_builds_each_class_once(monkeypatch, budget, classes):
+    builds = []
+    build = germ.build
+
+    def counting_build(base, steps):
+        builds.append(steps)
+        return build(base, steps)
+
+    monkeypatch.setattr(germ, "build", counting_build)
+    assert sum(1 for _ in enumerate_clusters(budget)) == classes
+    assert len(builds) == classes
 
 
 @pytest.mark.parametrize("budget,bound", JOIN_ORACLE_BUDGETS)
@@ -373,53 +400,9 @@ def test_atlas_rows_reproducible_and_deterministic():
         assert row.fingen_degree == valuation.fingen_degree(row.cluster, row.curve)
 
 
-def test_atlas_rows_parallel_matches_serial():
-    b = smooth_budget(3)
-    assert atlas_rows(b, jobs=2) == atlas_rows(b, jobs=1)
-
-
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records the worker count and
-    maps in process."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
-
-
-@pytest.mark.parametrize(
-    "cpus,jobs,workers", [(4, 5000, 4), (4, 3, 3), (64, 5000, 5), (None, 5000, None), (4, 1, None)]
-)
-def test_atlas_rows_pool_size_is_bounded(monkeypatch, cpus, jobs, workers):
-    # the pool is never started: smooth_budget(3) has 5 clusters, and a
-    # single worker (os.cpu_count() may be None) runs in process
-    monkeypatch.setattr(explorer, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(explorer.os, "cpu_count", lambda: cpus)
-    _SerialPool.sizes = []
-    b = smooth_budget(3)
-    assert atlas_rows(b, jobs=jobs) == atlas_rows(b)
-    assert _SerialPool.sizes == ([] if workers is None else [workers])
-
-
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_atlas_rows_rejects_nonpositive_jobs(jobs):
-    with pytest.raises(ValueError):
-        atlas_rows(smooth_budget(1), jobs=jobs)
-
-
 def test_extremal_gaps_ordering():
     b = smooth_budget(4, ideal_coeff_bound=0)
-    rows = extremal_gaps(b)
+    rows = rank_by_gap(atlas_rows(b))
     gaps = [r.gap for r in rows]
     assert gaps == sorted(gaps, reverse=True)
     assert rows[-1].gap == 0
@@ -433,11 +416,11 @@ def test_extremal_gaps_ordering():
 
 
 def test_extremal_gaps_single_and_du_val_only():
-    rows = extremal_gaps(smooth_budget(1))
+    rows = rank_by_gap(atlas_rows(smooth_budget(1)))
     assert len(rows) == 1 and rows[0].gap == 0 and rows[0].verdict == "ComputesLct"
 
     duval_only = EnumBudget(max_steps=1, bases=(germ.du_val("A2"), germ.du_val("D4")))
-    rows = extremal_gaps(duval_only)
+    rows = rank_by_gap(atlas_rows(duval_only))
     assert rows and all(not r.cluster.base.is_smooth for r in rows)
 
 
