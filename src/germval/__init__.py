@@ -45,7 +45,6 @@ from .thresholds import (
     CompleteIdeal,
     LctReport,
     PairSpec,
-    asymptotic_lct,
     classify,
     complete_ideal,
     computes_mld,
@@ -61,7 +60,6 @@ from .explorer import (
     VerificationReport,
     atlas_rows,
     enumerate_clusters,
-    enumerate_pairs,
     rank_by_gap,
     verify_theorems,
     write_atlas_csv,

@@ -267,16 +267,15 @@ def antinef_ideals(c: germ.Cluster, bound: int) -> list[tuple[int, ...]]:
     return sorted(seen)
 
 
-def lambda_grid(c: germ.Cluster, coeffs, qmax: int) -> list[Fraction]:
-    """Exponents to sweep for one ideal: every p/q in (0, lct] with
-    q <= qmax, plus the crossing values where two curves' log
-    discrepancies agree.  The trivial ideal gets the single exponent 1
-    (its log discrepancies do not depend on the exponent)."""
-    k = germ.canonical_vector(c)
-    support = [j for j, d in enumerate(coeffs) if d > 0]
-    if not support:
+def lambda_grid(c: germ.Cluster, coeffs, lct, qmax: int) -> list[Fraction]:
+    """Exponents to sweep for one ideal of threshold ``lct``: every p/q in
+    (0, lct] with q <= qmax, plus the crossing values where two curves'
+    log discrepancies agree.  The trivial ideal, of threshold
+    ``PLUS_INFINITY``, gets the single exponent 1 (its log discrepancies
+    do not depend on the exponent)."""
+    if lct is thresholds.PLUS_INFINITY:
         return [Fraction(1)]
-    lct = min(Fraction(k[j] + 1, coeffs[j]) for j in support)
+    k = germ.canonical_vector(c)
     vals: set[Fraction] = set()
     for q in range(1, qmax + 1):
         pmax = (lct.numerator * q) // lct.denominator
@@ -290,14 +289,6 @@ def lambda_grid(c: germ.Cluster, coeffs, qmax: int) -> list[Fraction]:
                 if 0 < lam <= lct:
                     vals.add(lam)
     return sorted(vals)
-
-
-def enumerate_pairs(c: germ.Cluster, b: EnumBudget):
-    """Yield PairSpec values for every enumerated ideal and exponent."""
-    for coeffs in antinef_ideals(c, b.ideal_coeff_bound):
-        ideal = thresholds.CompleteIdeal(coeffs)
-        for lam in lambda_grid(c, coeffs, b.lambda_denominator_bound):
-            yield thresholds.PairSpec(ideal, lam)
 
 
 # -- depth-bounded model extensions --------------------------------------
@@ -474,20 +465,17 @@ class _Case:
     rows: list[AtlasRow]
     classes: list[thresholds.Classification]  # per curve, the record its row was read from
     k: tuple[int, ...]
-    kp1: list[int]
-    ideals: list[tuple[tuple[int, ...], Fraction | None]]  # (divisor, lct); None for the trivial ideal
+    # (divisor, lct) of every enumerated ideal; PLUS_INFINITY for the trivial one
+    ideals: list[tuple[tuple[int, ...], Fraction | thresholds._Infinity]]
     # per curve, its valuation ideals of degree 1..4 and m0..4m0, keyed by
     # degree; the multiples of m0 are unloaded from m·E alone, not from the
     # column, so the suites reading them check the column independently
     graded: list[dict[int, tuple[int, ...]]]
-    gaps: list[tuple[int, int]]  # per curve, the gap as (numerator, denominator)
-    lct_flags: list[bool]
-    obstructions: list[tuple[int, int]]  # (curve, witness) of every MldObstructed row
     extensions: list[germ.BlowupStep]  # sampled one-blowup extensions
     # (divisor, lambda, q·(log discrepancy per curve), minimum) of every
-    # log canonical pair; lambda = p/q in lowest terms.
+    # pair; lambda = p/q in lowest terms.  No grid exponent exceeds its
+    # ideal's lct, so every pair is log canonical.
     pairs: list[tuple[tuple[int, ...], Fraction, list[int], int]]
-    lambda_checks: int
 
 
 def _case(b: EnumBudget, enum_index: int, c: germ.Cluster) -> _Case:
@@ -495,35 +483,27 @@ def _case(b: EnumBudget, enum_index: int, c: germ.Cluster) -> _Case:
     classes = [thresholds.classify(c, e) for e in range(n)]
     rows = [_row(c, cl, enum_index) for cl in classes]
     k = germ.canonical_vector(c)
-    kp1 = [v + 1 for v in k]
-    ideals = []
-    for coeffs in antinef_ideals(c, b.ideal_coeff_bound):
-        support = [j for j in range(n) if coeffs[j] > 0]
-        ideals.append((coeffs, min(Fraction(kp1[j], coeffs[j]) for j in support) if support else None))
+    ideals = [
+        (coeffs, thresholds.lct_ideal(c, thresholds.CompleteIdeal(coeffs)).value)
+        for coeffs in antinef_ideals(c, b.ideal_coeff_bound)
+    ]
     pairs = []
-    lambda_checks = 0
-    for coeffs, _ in ideals:
-        for lam in lambda_grid(c, coeffs, b.lambda_denominator_bound):
-            lambda_checks += 1
+    for coeffs, lct in ideals:
+        for lam in lambda_grid(c, coeffs, lct, b.lambda_denominator_bound):
             p, q = lam.numerator, lam.denominator
-            vs = [q * kp1[j] - p * coeffs[j] for j in range(n)]
-            mn = min(vs)
-            if mn >= 0:
-                pairs.append((coeffs, lam, vs, mn))
+            vs = [q * (kj + 1) - p * dj for kj, dj in zip(k, coeffs)]
+            pairs.append((coeffs, lam, vs, min(vs)))
     steps = germ.legal_steps(c)
     return _Case(
-        c, b, rows, classes, k, kp1, ideals,
+        c, b, rows, classes, k, ideals,
         graded=[
             {m: valuation.valuation_ideal(c, e, m) for m in range(1, 5) if m % m0}
             | {m: valuation.unload(c, [m * (j == e) for j in range(n)]) for m in range(m0, 5 * m0, m0)}
             for e, m0 in enumerate(r.fingen_degree for r in rows)
         ],
-        gaps=[(r.gap.numerator, r.gap.denominator) for r in rows],
-        lct_flags=[r.gap == 0 for r in rows],
-        obstructions=[(r.curve, r.witness) for r in rows if r.verdict == "MldObstructed"],
         # sampled deterministically when there are many
         extensions=steps[:: max(1, -(-len(steps) // _STABILITY_CAP))],
-        pairs=pairs, lambda_checks=lambda_checks,
+        pairs=pairs,
     )
 
 
@@ -594,7 +574,7 @@ def _pullback_stability(case: _Case):
         refs, label = germ._step_refs(step), repr(step)
         new_k = 1 + sum(case.k[r] for r in refs)
         for coeffs, old in case.ideals:
-            if old is not None:
+            if any(coeffs):
                 new_d = sum(coeffs[r] for r in refs)
                 lowered = new_d > 0 and Fraction(new_k + 1, new_d) < old
                 yield _found(lowered, ideal=list(coeffs), step=label)
@@ -603,7 +583,7 @@ def _pullback_stability(case: _Case):
 def _lct_scaling(case: _Case):
     """lct(a^m) = lct(a)/m for m = 2, 3."""
     for coeffs, old in case.ideals:
-        if old is not None:
+        if any(coeffs):
             powers = ((mm, thresholds.CompleteIdeal(tuple(mm * v for v in coeffs))) for mm in (2, 3))
             wrong = any(thresholds.lct_ideal(case.c, a).value != old / mm for mm, a in powers)
             yield _found(wrong, ideal=list(coeffs))
@@ -619,26 +599,30 @@ def _lct_containment(case: _Case):
             if dominates or all(a <= b for a, b in zip(da, db)):
                 # The bigger divisor cuts the deeper ideal.
                 big, small = (va, vb) if dominates else (vb, va)
-                failed = big is not None and small is not None and big > small
+                failed = thresholds.PLUS_INFINITY not in (big, small) and big > small
                 yield _found(failed, a=list(da), b=list(db))
 
 
 def _lct_upper_bound(case: _Case):
     """E's asymptotic lct is at most k + 1."""
     for row in case.rows:
-        yield _found(not row.lct <= case.kp1[row.curve], curve=row.curve)
+        yield _found(not row.lct <= row.k + 1, curve=row.curve)
 
 
 def _prime_blowup_positive(case: _Case):
-    """The one-divisor model's threshold lct - k is positive exactly when the gap is below 1."""
+    """The one-divisor model's threshold lct - k is positive exactly when the gap is below 1.
+    The gap is classify's; lct > k is read off the ideal d unloaded from m0·E,
+    as (k_j + 1)·m0 > k·d_j at every curve j."""
     for row in case.rows:
-        yield _found((row.gap < 1) != (row.lct - row.k > 0), curve=row.curve)
+        e, m0 = row.curve, row.fingen_degree
+        positive = all((kj + 1) * m0 > row.k * dj for kj, dj in zip(case.k, case.graded[e][m0]))
+        yield _found((row.gap < 1) != positive, curve=e)
 
 
 def _unique_place_plt(case: _Case):
     """The unique lc place of a nonzero ideal, when there is one, is plt over the model."""
-    for coeffs, old in case.ideals:
-        if old is not None:
+    for coeffs, _ in case.ideals:
+        if any(coeffs):
             place = thresholds.unique_lc_place(case.c, thresholds.CompleteIdeal(coeffs))
             # the place is plt over the model divisors when it alone attains its asymptotic lct
             yield _found(place is not None and case.classes[place].argmin != {place}, ideal=list(coeffs))
@@ -646,11 +630,12 @@ def _unique_place_plt(case: _Case):
 
 def _gap_inequality(case: _Case):
     """Along every lc pair, each curve's log discrepancy is at least its gap."""
+    gaps = [(r.gap.numerator, r.gap.denominator) for r in case.rows]
     for coeffs, lam, vs, _ in case.pairs:
         q = lam.denominator
         yield [
             _pair_details(coeffs, lam, curve=e)
-            for e, (gn, gd) in enumerate(case.gaps)
+            for e, (gn, gd) in enumerate(gaps)
             if vs[e] * gd < q * gn
         ]
 
@@ -668,11 +653,12 @@ def _gap_attainment(case: _Case):
 
 def _witness_strictness(case: _Case):
     """A witness keeps a strictly smaller log discrepancy than its curve along nonzero lc pairs."""
+    obstructions = [(r.curve, r.witness) for r in case.rows if r.verdict == "MldObstructed"]
     for coeffs, lam, vs, _ in case.pairs:
         if any(coeffs):
             yield [
                 _pair_details(coeffs, lam, curve=e, witness=f)
-                for e, f in case.obstructions
+                for e, f in obstructions
                 if not vs[f] < vs[e]
             ]
 
@@ -684,7 +670,7 @@ def _mld_implies_lct(case: _Case):
             yield [
                 _pair_details(coeffs, lam, curve=j)
                 for j, v in enumerate(vs)
-                if v == mn and not case.lct_flags[j]
+                if v == mn and case.rows[j].gap != 0
             ]
 
 
@@ -764,7 +750,7 @@ def verify_theorems(b: EnumBudget) -> VerificationReport:
         counts["curves"] += len(case.rows)
         counts["ideals"] += len(case.ideals)
         counts["lc_pairs"] += len(case.pairs)
-        counts["lambda_checks"] += case.lambda_checks
+        counts["lambda_checks"] += len(case.pairs)
         rows.extend(case.rows)
         ctx = _context(c)
         for name, suite in _SUITES.items():

@@ -196,11 +196,11 @@ def _simulate(base: BaseGerm, steps: tuple[BlowupStep, ...]):
                 raise InvalidStep(idx, "blowup of the base point is only legal first")
         elif isinstance(step, Satellite) and step.on[0] == step.on[1]:
             raise InvalidStep(idx, "satellite needs two distinct curves")
+        if base.is_smooth and idx == 0 and not (isinstance(step, Free) and step.on is None):
+            raise InvalidStep(idx, "the first step over a smooth base blows up the base point")
         for r in refs:
             if not 0 <= r < n:
                 raise InvalidStep(idx, f"curve {r} does not exist yet")
-        if base.is_smooth and idx == 0 and not (isinstance(step, Free) and step.on is None):
-            raise InvalidStep(idx, "the first step over a smooth base blows up the base point")
         if isinstance(step, Satellite):
             i, j = step.on
             if j not in nbrs[i]:

@@ -129,14 +129,6 @@ def _ratios(c: germ.Cluster, e: int) -> list[tuple[Fraction, int, int]]:
     return [(Fraction((k[j] + 1) * w[e], w[j]), k[j], j) for j in range(len(k))]
 
 
-def asymptotic_lct(c: germ.Cluster, e: int) -> LctReport:
-    """Asymptotic log canonical threshold of the graded sequence of E:
-    the minimum of (k+1)/multiplicity over the model curves.  Always at
-    most k[e] + 1, since the multiplicity at E itself is 1."""
-    cl = classify(c, e)
-    return LctReport(cl.lct, cl.argmin)
-
-
 def unique_lc_place(c: germ.Cluster, a: CompleteIdeal) -> int | None:
     """The unique curve attaining the ideal's threshold, if there is one."""
     if a.is_zero():
@@ -156,8 +148,6 @@ def mld_at_origin(c: germ.Cluster, p: PairSpec) -> Fraction | _Infinity:
     only raise the minimum while it is nonnegative; the enumeration
     harness re-checks this to bounded depth.
     """
-    if c.curve_count() == 0:
-        raise ValueError("cluster has no exceptional curves")
     k = germ.canonical_vector(c)
     values = [Fraction(k[j] + 1) - p.lam * p.ideal.coeffs[j] for j in range(len(k))]
     low = min(values)

@@ -23,9 +23,9 @@ def test_criterion_01_single_blowup_threshold():
     satellite_chain(3)  # warm code paths; timing covers the fresh cluster below
     start = time.perf_counter()
     c = single_blowup()
-    value = thresholds.asymptotic_lct(c, 0).value
+    cl = thresholds.classify(c, 0)
+    value, verdict = cl.lct, cl.verdict
     k = germ.canonical_vector(c)[0]
-    verdict = thresholds.classify(c, 0).verdict
     elapsed = time.perf_counter() - start
     ok = value == 2 == k + 1 and verdict == "ComputesLct" and elapsed < 0.001
     _report(1, ok, f"single blowup: lct={value}, verdict={verdict} ({elapsed*1e3:.2f} ms)")
@@ -36,8 +36,8 @@ def test_criterion_02_satellite_chain_three():
     c = satellite_chain(3)
     ideal = valuation.valuation_ideal(c, 2, 6)
     degree = valuation.fingen_degree(c, 2)
-    value = thresholds.asymptotic_lct(c, 2).value
-    verdict = thresholds.classify(c, 2).verdict
+    cl = thresholds.classify(c, 2)
+    value, verdict = cl.lct, cl.verdict
     elapsed = time.perf_counter() - start
     ok = (
         ideal == (2, 3, 6)
@@ -60,7 +60,7 @@ def test_criterion_03_satellite_chain_family():
         expected_ideal = tuple([2, 3] + [i + 4 for i in range(2, r)])
         degree = valuation.fingen_degree(c, e)
         cl = thresholds.classify(c, e)
-        value = thresholds.asymptotic_lct(c, e).value
+        value = cl.lct
         oracle = oracle_lct_unloading(c, e)
         closed_form = Fraction(6 * (r + 2), r + 3)  # recorded, not asserted
         ok = ok and (

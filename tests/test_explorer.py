@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from germval import germ, thresholds, valuation
+from germval import explorer, germ, thresholds, valuation
 from germval.explorer import (
     ATLAS_COLUMNS,
     SUITE_NAMES,
@@ -19,7 +19,6 @@ from germval.explorer import (
     cluster_from_signature,
     cluster_signature,
     enumerate_clusters,
-    enumerate_pairs,
     extension_forms,
     lambda_grid,
     rank_by_gap,
@@ -209,8 +208,8 @@ def test_antinef_ideals_unload_count(monkeypatch):
 
 def test_lambda_grid_contents():
     c = chain2()
-    grid = lambda_grid(c, (1, 2), 4)
     lct = Fraction(3, 2)
+    grid = lambda_grid(c, (1, 2), lct, 4)
     assert max(grid) == lct
     assert all(0 < lam <= lct for lam in grid)
     assert Fraction(1, 4) in grid and Fraction(5, 4) in grid
@@ -222,25 +221,14 @@ def test_lambda_grid_contents():
 def test_lambda_grid_includes_off_grid_crossings():
     r4 = satellite_chain(4)
     coeffs = (2, 3, 6, 7)
-    grid = lambda_grid(r4, coeffs, 2)
+    grid = lambda_grid(r4, coeffs, Fraction(5, 6), 2)  # lct at curve 2: 5/6
     # crossings finer than the q<=2 grid: e.g. curves 0 and 2 at
     # (1-4)/(2-6) = 3/4, curves 0 and 3 at 4/5, curves 1 and 2 at 2/3
     assert grid == [Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(4, 5)]
 
 
 def test_lambda_grid_trivial_ideal():
-    assert lambda_grid(chain2(), (0, 0), 6) == [Fraction(1)]
-
-
-def test_enumerate_pairs_stream():
-    pairs = list(enumerate_pairs(single_blowup(), smooth_budget(1, ideal_coeff_bound=2)))
-    ideals = sorted({p.ideal.coeffs for p in pairs})
-    assert ideals == [(0,), (1,), (2,)]
-    for p in pairs:
-        if p.ideal.coeffs == (2,):
-            assert 0 < p.lam <= 1
-    again = list(enumerate_pairs(single_blowup(), smooth_budget(1, ideal_coeff_bound=2)))
-    assert again == pairs
+    assert lambda_grid(chain2(), (0, 0), thresholds.PLUS_INFINITY, 6) == [Fraction(1)]
 
 
 def test_extension_forms_small():
@@ -352,6 +340,50 @@ def test_atlas_rows_build_one_ratio_list_per_row(monkeypatch):
     assert count["calls"] == len(rows) > 0
 
 
+def test_sweep_computes_each_ideal_threshold_once(monkeypatch):
+    # _case takes each ideal's threshold once; lct_scaling (two powers)
+    # and unique_place_plt ask again for each nonzero ideal, and
+    # gap_attainment once per curve computing an lct
+    calls = {"all": 0, "in_grid": 0}
+    inside_grid = [False]
+    lct_ideal, grid = thresholds.lct_ideal, explorer.lambda_grid
+
+    def counting_lct_ideal(c, a):
+        calls["all"] += 1
+        calls["in_grid"] += inside_grid[0]
+        return lct_ideal(c, a)
+
+    def flagged_grid(*args):
+        inside_grid[0] = True
+        try:
+            return grid(*args)
+        finally:
+            inside_grid[0] = False
+
+    monkeypatch.setattr(thresholds, "lct_ideal", counting_lct_ideal)
+    monkeypatch.setattr(explorer, "lambda_grid", flagged_grid)
+    report = verify_theorems(EnumBudget(max_steps=3, bases=(germ.SMOOTH, germ.du_val("A2")), ideal_coeff_bound=1))
+    counts = report.counts
+    nonzero = counts["ideals"] - counts["clusters"]  # one trivial ideal per cluster
+    assert nonzero > 0 and calls["in_grid"] == 0
+    assert calls["all"] == counts["ideals"] + 3 * nonzero + report.suite("gap_attainment").checked
+
+
+def test_prime_blowup_positive_reads_lct_off_the_unloaded_ideal(monkeypatch):
+    # a classify that claims gap 0 and lct k + 1 on every curve agrees with
+    # itself, so only a threshold read elsewhere can catch it
+    classify = thresholds.classify
+
+    def claims_lct_computed(c, e):
+        cl = classify(c, e)
+        return replace(cl, lct=cl.lct + cl.gap, gap=Fraction(0))
+
+    monkeypatch.setattr(thresholds, "classify", claims_lct_computed)
+    b = EnumBudget(max_steps=1, bases=(germ.du_val("E6"),), ideal_coeff_bound=1, lambda_denominator_bound=2)
+    suite = verify_theorems(b).suite("prime_blowup_positive")
+    assert suite.checked > 0 and suite.counterexamples
+
+
 def test_sweep_unloads_each_valuation_ideal_once(monkeypatch):
     requests = Counter()
     valuation_ideal = valuation.valuation_ideal
@@ -396,7 +428,7 @@ def test_atlas_rows_reproducible_and_deterministic():
     rows2 = atlas_rows(b)
     assert rows1 == rows2
     for row in rows1[:8]:
-        assert row.lct == thresholds.asymptotic_lct(row.cluster, row.curve).value
+        assert row.lct == thresholds.classify(row.cluster, row.curve).lct
         assert row.fingen_degree == valuation.fingen_degree(row.cluster, row.curve)
 
 

@@ -27,23 +27,34 @@ def test_build_rejects_satellite_on_equal_curves():
         germ.build(germ.SMOOTH, (germ.Free(None), germ.Satellite((0, 0))))
 
 
+ILLEGAL_STEPS = [
+    (germ.SMOOTH, (germ.Free(None), germ.Free(5)), "step 1: curve 5 does not exist yet"),
+    (germ.SMOOTH, (germ.Free(0),), "step 0: the first step over a smooth base blows up the base point"),
+    (germ.SMOOTH, (germ.Free(None), germ.Free(None)), "step 1: blowup of the base point is only legal first"),
+    (germ.SMOOTH, (), "step 0: a smooth base needs at least one blowup"),
+    # centers lie over the singularity
+    (germ.du_val("A2"), (germ.Free(None),), "step 0: blowup of the base point needs a smooth base"),
+    (germ.du_val("A2"), (germ.Satellite((0, 2)),), "step 0: curve 2 does not exist yet"),
+    # the satellite consumes the intersection point; it cannot be reused
+    (
+        germ.SMOOTH,
+        (germ.Free(None), germ.Free(0), germ.Satellite((0, 1)), germ.Satellite((0, 1))),
+        "step 3: curves 0 and 1 do not meet at this step",
+    ),
+    # two free curves on one curve never meet each other
+    (
+        germ.SMOOTH,
+        (germ.Free(None), germ.Free(0), germ.Free(0), germ.Satellite((1, 2))),
+        "step 3: curves 1 and 2 do not meet at this step",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "base,steps",
-    [
-        (germ.SMOOTH, (germ.Free(None), germ.Free(5))),  # dangling reference
-        (germ.SMOOTH, (germ.Free(0),)),  # first step must blow up the point
-        (germ.SMOOTH, (germ.Free(None), germ.Free(None))),  # base point gone
-        (germ.SMOOTH, ()),  # no curves at all
-        (germ.du_val("A2"), (germ.Free(None),)),  # centers lie over the singularity
-        (germ.du_val("A2"), (germ.Satellite((0, 2)),)),  # dangling over du Val
-        # the satellite consumes the intersection point; it cannot be reused
-        (germ.SMOOTH, (germ.Free(None), germ.Free(0), germ.Satellite((0, 1)), germ.Satellite((0, 1)))),
-        # two free curves on one curve never meet each other
-        (germ.SMOOTH, (germ.Free(None), germ.Free(0), germ.Free(0), germ.Satellite((1, 2)))),
-    ],
+    "base,steps,reason", ILLEGAL_STEPS, ids=[f"base{i}-steps{i}" for i in range(len(ILLEGAL_STEPS))]
 )
-def test_build_rejects_illegal_steps(base, steps):
-    with pytest.raises(InvalidStep):
+def test_build_rejects_illegal_steps(base, steps, reason):
+    with pytest.raises(InvalidStep, match=f"^{reason}$"):
         germ.build(base, steps)
 
 

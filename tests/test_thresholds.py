@@ -60,22 +60,22 @@ def test_lct_ideal_examples():
 
 
 def test_asymptotic_lct_examples():
-    rep = thresholds.asymptotic_lct(single_blowup(), 0)
-    assert rep.value == 2 and rep.argmin == frozenset({0})
+    cl = thresholds.classify(single_blowup(), 0)
+    assert cl.lct == 2 and cl.argmin == frozenset({0})
 
-    rep3 = thresholds.asymptotic_lct(satellite_chain(3), 2)
-    assert rep3.value == 5 and rep3.argmin == frozenset({2})
+    cl3 = thresholds.classify(satellite_chain(3), 2)
+    assert cl3.lct == 5 and cl3.argmin == frozenset({2})
 
-    rep4 = thresholds.asymptotic_lct(satellite_chain(4), 3)
-    assert rep4.value == Fraction(35, 6) and rep4.argmin == frozenset({2})
-    assert rep4.value < 6  # strictly below k+1 = 6
+    cl4 = thresholds.classify(satellite_chain(4), 3)
+    assert cl4.lct == Fraction(35, 6) and cl4.argmin == frozenset({2})
+    assert cl4.lct < 6  # strictly below k+1 = 6
 
 
 def test_asymptotic_lct_against_unloading_oracle():
     cases = [(satellite_chain(r), r - 1) for r in range(3, 7)]
     cases += [(chain2(), 0), (chain2(), 1), (germ.build(germ.du_val("A2"), ()), 1)]
     for c, e in cases:
-        assert thresholds.asymptotic_lct(c, e).value == oracle_lct_unloading(c, e)
+        assert thresholds.classify(c, e).lct == oracle_lct_unloading(c, e)
 
 
 def test_satellite_chain_law():
@@ -87,10 +87,10 @@ def test_satellite_chain_law():
     # that the ideal is numerically trivial off the last curve.
     for r in range(3, 61):
         c = satellite_chain(r)
-        rep = thresholds.asymptotic_lct(c, r - 1)
-        assert rep.value == Fraction(5 * (r + 3), 6) and rep.argmin == frozenset({2})
-        assert rep.value == oracle_lct_unloading(c, r - 1, start=1 if r <= 30 else r + 3)
-        assert (rep.value == Fraction(6 * (r + 2), r + 3)) == (r == 3)
+        cl = thresholds.classify(c, r - 1)
+        assert cl.lct == Fraction(5 * (r + 3), 6) and cl.argmin == frozenset({2})
+        assert cl.lct == oracle_lct_unloading(c, r - 1, start=1 if r <= 30 else r + 3)
+        assert (cl.lct == Fraction(6 * (r + 2), r + 3)) == (r == 3)
 
 
 def test_cluster_freed_after_queries():
@@ -258,7 +258,6 @@ def test_classify_argmin_spans_every_model_curve():
     cl = thresholds.classify(c, 0)
     assert cl.argmin == {0, 1, 4}
     assert cl.argmin & germ.ancestor_curves(c, 0) == {0, 1}
-    assert thresholds.asymptotic_lct(c, 0) == thresholds.LctReport(cl.lct, cl.argmin)
 
 
 DU_VAL_LABELS = ("A1", "A2", "A3", "A4", "D4", "D5", "E6", "E7", "E8")
@@ -307,7 +306,6 @@ def test_upper_bound_and_prime_blowup():
         k = germ.canonical_vector(c)
         for e in range(c.curve_count()):
             cl = thresholds.classify(c, e)
-            assert thresholds.asymptotic_lct(c, e) == thresholds.LctReport(cl.lct, cl.argmin)
             assert cl.lct <= k[e] + 1 and cl.gap == k[e] + 1 - cl.lct
             assert (cl.gap == 0) == (cl.verdict == "ComputesLct")
             # the one-divisor model's threshold lct - k
