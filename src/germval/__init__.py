@@ -52,7 +52,6 @@ from .thresholds import (
     log_discrepancy,
     mld_at_origin,
     pair_spec,
-    unique_lc_place,
 )
 from .explorer import (
     AtlasRow,

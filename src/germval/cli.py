@@ -244,7 +244,7 @@ def cmd_lct(args) -> int:
         "ideal": [str(v) for v in ideal.coeffs],
         "value": format_value(report.value),
         "argmin": sorted(report.argmin),
-        "unique_lc_place": None if ideal.is_zero() else thresholds.unique_lc_place(c, ideal),
+        "unique_lc_place": min(report.argmin) if len(report.argmin) == 1 else None,
     }
     emit(doc, args)
     return 0

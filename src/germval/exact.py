@@ -9,7 +9,10 @@ with the intersection form runs on its dual graph (see
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def format_rational(x: Fraction | int) -> str:
@@ -21,8 +24,14 @@ def format_rational(x: Fraction | int) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    """Parse "p/q" or "p" (inverse of :func:`format_rational`)."""
+    """Parse "p/q" or "p" in ASCII digits, with an optional sign (inverse
+    of :func:`format_rational`).  Decimals, exponents, underscores and
+    other Unicode digits are refused, so no input asks for an unbounded
+    power of ten."""
+    t = s.strip()
     try:
-        return Fraction(s.strip())
+        if not _RATIONAL.fullmatch(t):
+            raise ValueError
+        return Fraction(t)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {s!r}") from exc

@@ -465,8 +465,9 @@ class _Case:
     rows: list[AtlasRow]
     classes: list[thresholds.Classification]  # per curve, the record its row was read from
     k: tuple[int, ...]
-    # (divisor, lct) of every enumerated ideal; PLUS_INFINITY for the trivial one
-    ideals: list[tuple[tuple[int, ...], Fraction | thresholds._Infinity]]
+    # (divisor, lct_ideal report) of every enumerated ideal; the trivial one
+    # has value PLUS_INFINITY and an empty argmin
+    ideals: list[tuple[tuple[int, ...], thresholds.LctReport]]
     # per curve, its valuation ideals of degree 1..4 and m0..4m0, keyed by
     # degree; the multiples of m0 are unloaded from m·E alone, not from the
     # column, so the suites reading them check the column independently
@@ -484,12 +485,12 @@ def _case(b: EnumBudget, enum_index: int, c: germ.Cluster) -> _Case:
     rows = [_row(c, cl, enum_index) for cl in classes]
     k = germ.canonical_vector(c)
     ideals = [
-        (coeffs, thresholds.lct_ideal(c, thresholds.CompleteIdeal(coeffs)).value)
+        (coeffs, thresholds.lct_ideal(c, thresholds.CompleteIdeal(coeffs)))
         for coeffs in antinef_ideals(c, b.ideal_coeff_bound)
     ]
     pairs = []
-    for coeffs, lct in ideals:
-        for lam in lambda_grid(c, coeffs, lct, b.lambda_denominator_bound):
+    for coeffs, report in ideals:
+        for lam in lambda_grid(c, coeffs, report.value, b.lambda_denominator_bound):
             p, q = lam.numerator, lam.denominator
             vs = [q * (kj + 1) - p * dj for kj, dj in zip(k, coeffs)]
             pairs.append((coeffs, lam, vs, min(vs)))
@@ -516,10 +517,12 @@ def _pair_details(coeffs, lam, **details) -> dict:
 
 
 def _dstar_unit(case: _Case):
-    """dstar is positive at every curve and 1 at E."""
-    for e in range(len(case.rows)):
-        x = valuation.asymptotic_multiplicities(case.c, e)
-        yield _found(x[e] != 1 or any(v <= 0 for v in x), curve=e)
+    """dstar is positive at every curve and 1 at E, read off the ideal d
+    unloaded from m0·E as d[E] = m0 and d > 0."""
+    for row in case.rows:
+        e, m0 = row.curve, row.fingen_degree
+        d = case.graded[e][m0]
+        yield _found(d[e] != m0 or min(d) <= 0, curve=e)
 
 
 def _oracle_equivalence(case: _Case):
@@ -554,18 +557,20 @@ def _rees_singleton(case: _Case):
 
 
 def _model_stability(case: _Case):
-    """One more blowup keeps E's multiplicities on the old curves and its asymptotic lct."""
-    c, n = case.c, len(case.rows)
+    """One more blowup keeps E's multiplicities on the old curves and its asymptotic lct.
+    Certified without a solve: w extended by its sum over the curves through the
+    new centre is E's column on the extension (a nonsingular form) when it meets
+    E negatively and every other curve trivially; then only the new curve's
+    ratio could lower the lct."""
     for step in case.extensions:
-        c2, label = germ.extend(c, step), repr(step)
-        k2 = germ.canonical_vector(c2)
+        c2, label = germ.extend(case.c, step), repr(step)
+        refs, k_new = germ._step_refs(step), germ.canonical_vector(c2)[-1]
         for e, row in enumerate(case.rows):
-            # E keeps its multiplicities on the old curves exactly when w2 extends
-            # w: both are primitive and w2's new entry is a sum of old ones
-            w2 = valuation.fingen_ideal(c2, e)
-            val2 = min(Fraction((k2[j] + 1) * w2[e], w2[j]) for j in range(n + 1))
-            changed = w2[:n] != valuation.fingen_ideal(c, e) or val2 != row.lct
-            yield _found(changed, curve=e, step=label)
+            w = valuation.fingen_ideal(case.c, e)
+            w_new = sum(w[r] for r in refs)
+            prod = germ.intersect(c2, (*w, w_new))
+            lowered = (k_new + 1) * w[e] * row.lct.denominator < row.lct.numerator * w_new
+            yield _found(prod[e] >= 0 or any(prod[:e] + prod[e + 1 :]) or lowered, curve=e, step=label)
 
 
 def _pullback_stability(case: _Case):
@@ -576,7 +581,7 @@ def _pullback_stability(case: _Case):
         for coeffs, old in case.ideals:
             if any(coeffs):
                 new_d = sum(coeffs[r] for r in refs)
-                lowered = new_d > 0 and Fraction(new_k + 1, new_d) < old
+                lowered = new_d > 0 and Fraction(new_k + 1, new_d) < old.value
                 yield _found(lowered, ideal=list(coeffs), step=label)
 
 
@@ -585,14 +590,14 @@ def _lct_scaling(case: _Case):
     for coeffs, old in case.ideals:
         if any(coeffs):
             powers = ((mm, thresholds.CompleteIdeal(tuple(mm * v for v in coeffs))) for mm in (2, 3))
-            wrong = any(thresholds.lct_ideal(case.c, a).value != old / mm for mm, a in powers)
+            wrong = any(thresholds.lct_ideal(case.c, a).value != old.value / mm for mm, a in powers)
             yield _found(wrong, ideal=list(coeffs))
 
 
 def _lct_containment(case: _Case):
     """Of two nested ideals, the deeper one has the smaller lct."""
     stride = max(1, -(-len(case.ideals) // _CONTAINMENT_CAP))
-    sample = case.ideals[::stride]
+    sample = [(d, report.value) for d, report in case.ideals[::stride]]
     for ia, (da, va) in enumerate(sample):
         for db, vb in sample[ia + 1 :]:
             dominates = all(a >= b for a, b in zip(da, db))
@@ -621,9 +626,9 @@ def _prime_blowup_positive(case: _Case):
 
 def _unique_place_plt(case: _Case):
     """The unique lc place of a nonzero ideal, when there is one, is plt over the model."""
-    for coeffs, _ in case.ideals:
+    for coeffs, report in case.ideals:
         if any(coeffs):
-            place = thresholds.unique_lc_place(case.c, thresholds.CompleteIdeal(coeffs))
+            place = min(report.argmin) if len(report.argmin) == 1 else None
             # the place is plt over the model divisors when it alone attains its asymptotic lct
             yield _found(place is not None and case.classes[place].argmin != {place}, ideal=list(coeffs))
 

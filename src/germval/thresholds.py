@@ -1,9 +1,13 @@
 """Log discrepancies, log canonical thresholds and minimal log
 discrepancies of complete-ideal pairs on a cluster, and the one per-curve
-computation, ``classify``: E's ratios (k+1)/multiplicity over the model
-curves, built once, give its asymptotic lct and every verdict read from
-it (computes an lct, gap, plt over the model divisors, mld-obstruction
-witness).
+computation, ``classify``.
+
+``lct_ideal`` is the one minimum of the ratios (k+1)/coefficient.  E's
+graded sequence is generated in degree m0 by the ideal of divisor
+w = m0·dstar, so its asymptotic lct is m0·lct(w) (the limit m·lct(a_m) of
+Jonsson-Mustata), and ``classify`` reads that value with its argmin and
+every verdict from one ``lct_ideal`` report (computes an lct, gap, plt
+over the model divisors, mld-obstruction witness).
 
 Complete (integrally closed) ideals cosupported at the germ point are
 represented by their antinef divisors on the top model.  All values are
@@ -50,9 +54,6 @@ class CompleteIdeal:
     stands for the full structure sheaf."""
 
     coeffs: tuple[int, ...]
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.coeffs)
 
 
 def complete_ideal(c: germ.Cluster, coeffs) -> CompleteIdeal:
@@ -119,26 +120,6 @@ def lct_ideal(c: germ.Cluster, a: CompleteIdeal) -> LctReport:
     return LctReport(value, frozenset(j for j, r in ratios.items() if r == value))
 
 
-def _ratios(c: germ.Cluster, e: int) -> list[tuple[Fraction, int, int]]:
-    """(ratio, k, id) of every model curve, where ratio = (k+1)/dstar is
-    the threshold E's graded sequence sees at that curve, read from the
-    integer column m0·dstar as (k+1)·m0/(m0·dstar).  The tuples order by
-    the witness tie-break: smallest ratio, then k, then id."""
-    w = valuation.fingen_ideal(c, e)
-    k = germ.canonical_vector(c)
-    return [(Fraction((k[j] + 1) * w[e], w[j]), k[j], j) for j in range(len(k))]
-
-
-def unique_lc_place(c: germ.Cluster, a: CompleteIdeal) -> int | None:
-    """The unique curve attaining the ideal's threshold, if there is one."""
-    if a.is_zero():
-        raise ValueError("the structure sheaf has no lc places")
-    report = lct_ideal(c, a)
-    if len(report.argmin) == 1:
-        return next(iter(report.argmin))
-    return None
-
-
 def mld_at_origin(c: germ.Cluster, p: PairSpec) -> Fraction | _Infinity:
     """Minimal log discrepancy of the pair at the germ point: the minimum
     of the model-curve log discrepancies when all are nonnegative, else
@@ -163,16 +144,17 @@ def computes_mld(c: germ.Cluster, e: int, p: PairSpec) -> bool:
 
 
 def classify(c: germ.Cluster, e: int) -> Classification:
-    """Everything read off E's ratios (k+1)/multiplicity over the model
-    curves, built once: the asymptotic lct, its ``argmin``, the gap
-    k[e] + 1 - lct, and the verdict.
+    """Everything read off the threshold of E's ideal of degree m0, with
+    divisor w = m0·dstar: the asymptotic lct m0·lct(w), its ``argmin``
+    (the curves minimizing (k+1)/w), the gap k[e] + 1 - lct, and the
+    verdict.
 
     The curve computes an lct when the gap is 0, and is then plt over the
     model divisors exactly when ``argmin == {e}``; its witness ideal is
-    ``valuation.fingen_ideal(c, e)``.  Otherwise the witness is the least
-    (ratio, k, id) over curves F != E with k[F] <= k[E] and ratio below
-    k[E] + 1: along every log canonical pair with nonzero ideal and
-    positive exponent it keeps a strictly smaller log discrepancy than E.
+    ``valuation.fingen_ideal(c, e)``.  Otherwise the witness is the
+    element of ``argmin`` with the least (k, id), when its k is at most
+    k[e]: along every log canonical pair with nonzero ideal and positive
+    exponent it keeps a strictly smaller log discrepancy than E.
 
     Such a witness always exists over smooth or du Val bases, so the
     verdict is never Indeterminate.  E's multiplicities on its ancestors
@@ -183,20 +165,22 @@ def classify(c: germ.Cluster, e: int) -> Classification:
     point raises the ratio, a satellite takes the mediant of two) and its
     k exceeds theirs.  The threshold is therefore attained at an
     ancestor, every ancestor has k at most k[e], and the least attaining
-    ancestor is an obstructing witness.
+    ancestor is an obstructing witness.  With a positive gap E is not in
+    ``argmin`` (its own ratio is k[e] + 1), so that witness is also the
+    least (ratio, k, id) over the curves F != E with k[F] <= k[E] and
+    ratio below k[E] + 1.
     """
-    valuation._check_curve(c, e)
-    ratios = _ratios(c, e)
-    value = min(ratios)[0]
-    argmin = frozenset(j for r, _, j in ratios if r == value)
-    ke = germ.canonical_vector(c)[e]
-    gap = ke + 1 - value
+    w = valuation.fingen_ideal(c, e)
+    report = lct_ideal(c, CompleteIdeal(w))
+    value, argmin = w[e] * report.value, report.argmin
+    k = germ.canonical_vector(c)
+    gap = k[e] + 1 - value
     assert gap >= 0
     if gap == 0:
         return Classification(e, "ComputesLct", None, value, gap, argmin)
-    found = [t for t in ratios if t[2] != e and t[1] <= ke and t[0] < ke + 1]
-    if found:
-        return Classification(e, "MldObstructed", min(found)[2], value, gap, argmin)
+    f = min(argmin, key=lambda j: (k[j], j))
+    if k[f] <= k[e]:
+        return Classification(e, "MldObstructed", f, value, gap, argmin)
     return Classification(e, "Indeterminate", None, value, gap, argmin)
 
 

@@ -257,17 +257,18 @@ def proximity_factors(c: germ.Cluster):
     return p, d
 
 
-def count_ratio_lists(monkeypatch) -> dict:
-    """Counts, under the key "calls", the ratio lists built from here on:
-    the calls of ``thresholds._ratios``."""
+def count_column_solves(monkeypatch) -> dict:
+    """Counts, under the key "calls", the columns solved from here on: the
+    calls of ``valuation._column``, which ``fingen_ideal`` keeps on the
+    cluster."""
     count = {"calls": 0}
-    ratios = thresholds._ratios
+    column = valuation._column
 
-    def counting_ratios(*args):
+    def counting_column(*args):
         count["calls"] += 1
-        return ratios(*args)
+        return column(*args)
 
-    monkeypatch.setattr(thresholds, "_ratios", counting_ratios)
+    monkeypatch.setattr(valuation, "_column", counting_column)
     return count
 
 

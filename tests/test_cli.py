@@ -4,14 +4,15 @@ import multiprocessing.process
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import germval
-from germval import explorer, germ, valuation
+from germval import explorer, germ, thresholds, valuation
 from germval.cli import main, paper_examples, satellite_chain
 
-from conftest import count_ratio_lists, single_blowup
+from conftest import count_column_solves, single_blowup
 
 
 @pytest.fixture()
@@ -371,6 +372,24 @@ def test_du_val_rank_with_non_ascii_digits_is_a_validation_error(tmp_path, comma
     assert proc.stderr.splitlines() == [f"ValueError: not a Dynkin label: {label!r}"]
 
 
+@pytest.mark.parametrize("text", ["1e100000000", "\uff13", "1_000", "1.25"])
+@pytest.mark.parametrize("where", ["--ideal", "--lambda", "pair"])
+def test_rationals_other_than_p_over_q_are_a_validation_error(capsys, tmp_path, sb_file, where, text):
+    # Fraction reads all four, the first after computing 10**100000000
+    if where == "pair":
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"ideal": ["1"], "lambda": text}))
+        argv = ["mld", sb_file, "--pair", str(path)]
+    else:
+        values = {"--ideal": "1", "--lambda": "1/2", where: text}
+        argv = ["mld", sb_file, *(x for kv in values.items() for x in kv)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"ValueError: not a rational: {text!r}"]
+
+
 def test_exit_code_module_errors_surface(capsys, r3_file, sb_file):
     # asking for a witness curve that does not exist
     code, _, err = run(capsys, ["analyze", r3_file, "--divisor", "7"])
@@ -393,11 +412,19 @@ def test_exit_code_usage_error():
 
 
 def test_analyze_builds_the_ratio_list_once(capsys, monkeypatch, r3_file):
-    # one classify record: lct, argmin, gap, plt and verdict are read off it
-    count = count_ratio_lists(monkeypatch)
+    # one classify record: lct, argmin, gap, plt and verdict are read off
+    # one column and one threshold of the ideal it is the divisor of
+    count = count_column_solves(monkeypatch)
+    lct_ideal, taken = thresholds.lct_ideal, []
+
+    def counting_lct_ideal(c, a):
+        taken.append(a)
+        return lct_ideal(c, a)
+
+    monkeypatch.setattr(thresholds, "lct_ideal", counting_lct_ideal)
     code, out, _ = run(capsys, ["analyze", r3_file, "--last", "--format", "json"])
     assert code == 0 and json.loads(out)["plt_over_model_divisors"] is True
-    assert count["calls"] == 1
+    assert count["calls"] == 1 and len(taken) == 1
 
 
 def test_queries_never_build_the_dense_matrix(capsys, monkeypatch, tmp_path):

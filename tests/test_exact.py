@@ -124,7 +124,7 @@ def test_format_rational():
 
 
 def test_parse_rational_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_rational("2/0")
-    with pytest.raises(ValueError):
-        parse_rational("x")
+    for text in ("2/0", "x", "1e10000000", "\uff13", "1_000", "1.25", "1/-2", "/2", "2/", ""):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+    assert parse_rational(" -3/6 ") == Fraction(-1, 2) and parse_rational("+4") == 4

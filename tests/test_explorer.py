@@ -30,7 +30,7 @@ from conftest import (
     antinef_ideals_bruteforce,
     chain2,
     cluster_signature_permutations,
-    count_ratio_lists,
+    count_column_solves,
     renumber,
     satellite_chain,
     single_blowup,
@@ -326,24 +326,26 @@ def test_counterexamples_keep_one_check_per_pair(monkeypatch):
 
 
 def test_sweep_reuses_row_lct_reports(monkeypatch):
-    # each atlas row and each spot check builds its curve's ratio list
-    # once, in classify; no suite builds it again
-    count = count_ratio_lists(monkeypatch)
+    # each atlas row and each spot check solves its curve's column once, in
+    # classify; no suite solves it again, and model_stability checks E's
+    # column on each extension by a certificate instead of a solve
+    count = count_column_solves(monkeypatch)
     report = verify_theorems(smooth_budget(3, ideal_coeff_bound=1))
     rows = report.counts["curves"] + report.suite("atlas_spot_check").checked
+    assert report.suite("model_stability").checked > 0
     assert count["calls"] == rows
 
 
 def test_atlas_rows_build_one_ratio_list_per_row(monkeypatch):
-    count = count_ratio_lists(monkeypatch)
+    count = count_column_solves(monkeypatch)
     rows = atlas_rows(EnumBudget(max_steps=2, bases=(germ.SMOOTH, germ.du_val("A2"))))
     assert count["calls"] == len(rows) > 0
 
 
 def test_sweep_computes_each_ideal_threshold_once(monkeypatch):
-    # _case takes each ideal's threshold once; lct_scaling (two powers)
-    # and unique_place_plt ask again for each nonzero ideal, and
-    # gap_attainment once per curve computing an lct
+    # classify takes one threshold per row and per spot check, _case one per
+    # ideal; lct_scaling asks again for two powers of each nonzero ideal,
+    # and gap_attainment once per curve computing an lct
     calls = {"all": 0, "in_grid": 0}
     inside_grid = [False]
     lct_ideal, grid = thresholds.lct_ideal, explorer.lambda_grid
@@ -366,7 +368,8 @@ def test_sweep_computes_each_ideal_threshold_once(monkeypatch):
     counts = report.counts
     nonzero = counts["ideals"] - counts["clusters"]  # one trivial ideal per cluster
     assert nonzero > 0 and calls["in_grid"] == 0
-    assert calls["all"] == counts["ideals"] + 3 * nonzero + report.suite("gap_attainment").checked
+    rows = counts["curves"] + report.suite("atlas_spot_check").checked
+    assert calls["all"] == rows + counts["ideals"] + 2 * nonzero + report.suite("gap_attainment").checked
 
 
 def test_prime_blowup_positive_reads_lct_off_the_unloaded_ideal(monkeypatch):
@@ -382,6 +385,30 @@ def test_prime_blowup_positive_reads_lct_off_the_unloaded_ideal(monkeypatch):
     b = EnumBudget(max_steps=1, bases=(germ.du_val("E6"),), ideal_coeff_bound=1, lambda_denominator_bound=2)
     suite = verify_theorems(b).suite("prime_blowup_positive")
     assert suite.checked > 0 and suite.counterexamples
+
+
+def test_model_stability_certificate_catches_a_wrong_centre(monkeypatch):
+    # an extension that blows up another centre than the step names: E's
+    # column extended by the step's sum is then no column of the built cluster
+    extend = germ.extend
+
+    def elsewhere(c, step):
+        others = [s for s in germ.legal_steps(c) if germ._step_refs(s) != germ._step_refs(step)]
+        return extend(c, others[0] if others else step)
+
+    monkeypatch.setattr(explorer.germ, "extend", elsewhere)
+    suite = verify_theorems(smooth_budget(3, ideal_coeff_bound=1)).suite("model_stability")
+    assert suite.checked > 0 and suite.counterexamples
+
+
+def test_dstar_unit_reads_the_unloaded_ideal(monkeypatch):
+    # an unload that doubles its result leaves the column alone, so only a
+    # check read off the unloaded ideal of degree m0 can catch it
+    unload = valuation.unload
+    monkeypatch.setattr(valuation, "unload", lambda c, z: tuple(2 * v for v in unload(c, z)))
+    b = smooth_budget(2, ideal_coeff_bound=1, lambda_denominator_bound=2)
+    suite = verify_theorems(b).suite("dstar_unit")
+    assert suite.checked == 3 and len(suite.counterexamples) == 3
 
 
 def test_sweep_unloads_each_valuation_ideal_once(monkeypatch):

@@ -102,6 +102,11 @@ def _run(capsys, argv) -> str:
     return out.out
 
 
+def _read(path, newline) -> str:
+    with path.open(encoding="utf-8", newline=newline) as fh:
+        return fh.read()
+
+
 def enumerate_outputs(capsys, tmp_path, name):
     args, (extra, parts, newline) = ENUMERATIONS[name]
     paths = {part: tmp_path / f"{name}.{part}" for part in parts}
@@ -109,7 +114,7 @@ def enumerate_outputs(capsys, tmp_path, name):
     for part, path in paths.items():
         argv += [f"--{part}", str(path)]
     stdout = _run(capsys, argv)
-    outputs = {part: path.open(encoding="utf-8", newline=newline).read() for part, path in paths.items()}
+    outputs = {part: _read(path, newline) for part, path in paths.items()}
     return {"stdout": stdout, **outputs}
 
 

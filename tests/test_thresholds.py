@@ -157,34 +157,36 @@ def test_plt_check_examples():
     assert not plt(satellite_chain(4), 3)
 
 
+def lc_places(c, coeffs):
+    """The curves attaining the ideal's threshold; one of them is its
+    unique lc place."""
+    return thresholds.lct_ideal(c, ideal(c, coeffs)).argmin
+
+
 def test_unique_lc_place_examples():
     sb = single_blowup()
-    assert thresholds.unique_lc_place(sb, ideal(sb, (1,))) == 0
+    assert lc_places(sb, (1,)) == {0}
     r3 = satellite_chain(3)
-    assert thresholds.unique_lc_place(r3, ideal(r3, (2, 3, 6))) == 2
-    assert thresholds.unique_lc_place(chain2(), ideal(chain2(), (1, 1))) == 0
-    # a genuine tie has no unique place: ratios 2/1 and 3/2... use (1,2): 2/1 vs 3/2 -> {1}
-    assert thresholds.unique_lc_place(chain2(), ideal(chain2(), (1, 2))) == 1
-    with pytest.raises(ValueError):
-        thresholds.unique_lc_place(sb, ideal(sb, (0,)))
+    assert lc_places(r3, (2, 3, 6)) == {2}
+    assert lc_places(chain2(), (1, 1)) == {0}
+    # ratios 2/1 and 3/2 -> {1}
+    assert lc_places(chain2(), (1, 2)) == {1}
+    # the structure sheaf has no lc places
+    assert lc_places(sb, (0,)) == frozenset()
 
 
 def test_unique_lc_place_none_on_tie():
-    r3 = satellite_chain(3)
-    # ratios for (2,3,12) are 1, 1, 5/12: min unique; use (1,1,2): 2, 3, 5/2 -> {0}
-    # build a tie instead on the A2 chain: both curves ratio 1 for (1,1)
+    # on the A2 chain both curves have ratio 1 for (1,1)
     a2 = germ.build(germ.du_val("A2"), ())
-    assert thresholds.unique_lc_place(a2, ideal(a2, (1, 1))) is None
+    assert lc_places(a2, (1, 1)) == {0, 1}
 
 
 def test_unique_lc_place_implies_plt():
     for c in (chain2(), satellite_chain(3), satellite_chain(4)):
         for coeffs in antinef_ideals(c, 3):
-            if not any(coeffs):
-                continue
-            place = thresholds.unique_lc_place(c, thresholds.CompleteIdeal(coeffs))
-            if place is not None:
-                assert plt(c, place)
+            places = lc_places(c, coeffs)
+            if len(places) == 1:
+                assert plt(c, min(places))
 
 
 def test_mld_at_origin_examples():

@@ -218,7 +218,12 @@ def test_profile_invariants():
 
 
 def test_model_stability_under_extensions():
-    for c in (chain2(), satellite_chain(3), germ.build(germ.du_val("A2"), ())):
+    # the re-solved column on each one-blowup extension is the one the
+    # model_stability certificate builds: w and its sum over the curves
+    # through the new centre
+    clusters = [chain2(), satellite_chain(3), germ.build(germ.du_val("A2"), ())]
+    clusters += enumerate_clusters(EnumBudget(max_steps=3, bases=(germ.SMOOTH, germ.du_val("D4"))))
+    for c in clusters:
         n = c.curve_count()
         for step in germ.legal_steps(c):
             c2 = germ.extend(c, step)
@@ -226,6 +231,8 @@ def test_model_stability_under_extensions():
                 old = valuation.asymptotic_multiplicities(c, e)
                 new = valuation.asymptotic_multiplicities(c2, e)
                 assert new[:n] == old
+                w = valuation.fingen_ideal(c, e)
+                assert valuation.fingen_ideal(c2, e) == (*w, sum(w[r] for r in germ._step_refs(step)))
 
 
 def test_oracle_lct_consistency_with_profiles():
