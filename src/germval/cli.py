@@ -409,10 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     cluster = argparse.ArgumentParser(add_help=False)
     cluster.add_argument("cluster", help="cluster JSON file")
     divisor = argparse.ArgumentParser(add_help=False)
-    divisor.add_argument("--divisor", "-d", type=int, default=None, help="curve id")
-    divisor.add_argument(
-        "--last", action="store_true", help="select the final blowup's curve"
-    )
+    pick = divisor.add_mutually_exclusive_group()
+    pick.add_argument("--divisor", "-d", type=int, default=None, help="curve id")
+    pick.add_argument("--last", action="store_true", help="select the final blowup's curve")
     pair = argparse.ArgumentParser(add_help=False)
     pair.add_argument("--ideal", default=None, help="comma-separated coefficients")
     pair.add_argument("--lambda", dest="lam", default=None, help="exponent p/q")

@@ -295,38 +295,36 @@ def lambda_grid(c: germ.Cluster, coeffs, lct, qmax: int) -> list[Fraction]:
 
 
 def extension_forms(c: germ.Cluster, depth: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Affine forms (constant, weights) of every curve reachable by at
-    most ``depth`` further blowups: the new curve's canonical coefficient
-    is constant + weights . k, and its ideal coefficient is weights . d
-    for any divisorial ideal d on the model."""
-    if depth <= 0:
+    """Forms (k, weights) of every curve reachable by at most ``depth``
+    further blowups: the new curve's canonical coefficient is k, and its
+    ideal coefficient is weights . d for any divisorial ideal d on the
+    model.  The curve of a point on curves T gets k = 1 + sum of their k
+    and the sum of their weights.
+
+    A curve over the model depends only on its chain of infinitely near
+    points (Casas-Alvero, *Singularities of Plane Curves*, ch. 3), so the
+    walk follows chains instead of every order of blowups.  The first
+    centre is a point ``germ.legal_steps`` offers on the model.  Each
+    later centre lies on the newest curve f: its free point, or where f
+    meets a curve through f's own centre.  A new curve meets only the
+    curves through its centre, and curves never change their form, so a
+    blowup off a chain leaves the forms along it unchanged and no other
+    centre arises.
+    """
+    if depth < 1:
         return []
-    n = c.curve_count()
-    nodes = [(0, tuple(1 if i == j else 0 for i in range(n))) for j in range(n)]
-    adj = frozenset(germ.dual_graph(c).edges)
-    forms: set[tuple[int, tuple[int, ...]]] = set()
+    k = germ.canonical_vector(c)
+    unit = [(kj, tuple(int(i == j) for i in range(len(k)))) for j, kj in enumerate(k)]
 
-    def explore(nodes, adj, remaining):
-        if remaining == 0:
-            return
-        new_id = len(nodes)
-        for t in range(len(nodes)):
-            cu, wu = nodes[t]
-            nf = (1 + cu, wu)
-            forms.add(nf)
-            explore(nodes + [nf], adj | {(t, new_id)}, remaining - 1)
-        for i, j in sorted(adj):
-            ci, wi = nodes[i]
-            cj, wj = nodes[j]
-            nf = (1 + ci + cj, tuple(a + b for a, b in zip(wi, wj)))
-            forms.add(nf)
-            explore(
-                nodes + [nf],
-                (adj - {(i, j)}) | {(i, new_id), (j, new_id)},
-                remaining - 1,
-            )
+    def blowup(through):  # (the new curve's form, the forms through its centre)
+        ws = tuple(map(sum, zip(*(w for _, w in through))))
+        return (1 + sum(kt for kt, _ in through), ws), through
 
-    explore(nodes, adj, depth)
+    level = {blowup(tuple(unit[r] for r in germ._step_refs(s))) for s in germ.legal_steps(c)}
+    forms = {f for f, _ in level}
+    for _ in range(depth - 1):
+        level = {blowup(t) for f, through in level for t in ((f,), *((f, g) for g in through))}
+        forms |= {f for f, _ in level}
     return sorted(forms)
 
 
@@ -692,10 +690,7 @@ def _mld_extension_guard(case: _Case):
         return
     # (k, ideal coefficient) of each extension curve, per ideal
     kd_of = {
-        coeffs: sorted(
-            {(const + sum(map(mul, ws, case.k)), sum(map(mul, ws, coeffs))) for const, ws in forms}
-        )
-        for coeffs, _ in case.ideals
+        coeffs: sorted({(kk, sum(map(mul, ws, coeffs))) for kk, ws in forms}) for coeffs, _ in case.ideals
     }
     for coeffs, lam, _, mn in case.pairs:
         p, q = lam.numerator, lam.denominator

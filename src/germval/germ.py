@@ -365,8 +365,6 @@ def cluster_from_json(doc) -> Cluster:
                 or not all(_is_curve_id(v) for v in on)
             ):
                 raise ValueError(f"steps[{idx}]: satellite 'on' must be [int, int]")
-            if on[0] == on[1]:
-                raise InvalidStep(idx, "satellite needs two distinct curves")
             steps.append(Satellite((on[0], on[1])))
         else:
             raise ValueError(f"steps[{idx}]: unknown kind {kind!r}")

@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 
@@ -122,6 +123,41 @@ def antinef_ideals_bruteforce(c: germ.Cluster, bound: int) -> list[tuple[int, ..
     ``explorer.antinef_ideals`` must reproduce."""
     n = c.curve_count()
     return sorted({valuation.unload(c, v) for v in product(range(bound + 1), repeat=n)})
+
+
+def extension_forms_sequences(c: germ.Cluster, depth: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Forms (k, weights) of every curve reached by some ordered sequence
+    of at most ``depth`` blowups over the model, each at a free point of
+    any curve or at any meeting point of two curves, tracking which
+    meetings each blowup consumes and creates: the oracle for the chain
+    walk of ``explorer.extension_forms``."""
+    if depth <= 0:
+        return []
+    n = c.curve_count()
+    nodes = [(0, tuple(1 if i == j else 0 for i in range(n))) for j in range(n)]
+    adj = frozenset(germ.dual_graph(c).edges)
+    forms: set[tuple[int, tuple[int, ...]]] = set()
+
+    def explore(nodes, adj, remaining):
+        if remaining == 0:
+            return
+        new_id = len(nodes)
+        for t in range(len(nodes)):
+            cu, wu = nodes[t]
+            nf = (1 + cu, wu)
+            forms.add(nf)
+            explore(nodes + [nf], adj | {(t, new_id)}, remaining - 1)
+        for i, j in sorted(adj):
+            ci, wi = nodes[i]
+            cj, wj = nodes[j]
+            nf = (1 + ci + cj, tuple(a + b for a, b in zip(wi, wj)))
+            forms.add(nf)
+            explore(nodes + [nf], (adj - {(i, j)}) | {(i, new_id), (j, new_id)}, remaining - 1)
+
+    explore(nodes, adj, depth)
+    # the walk above keeps k as constant + weights . k on the model
+    k = germ.canonical_vector(c)
+    return sorted({(const + sum(map(mul, ws, k)), ws) for const, ws in forms})
 
 
 def prune_to_ancestors(c: germ.Cluster, curve: int) -> tuple[germ.Cluster, dict[int, int]]:

@@ -11,6 +11,7 @@ import pytest
 import germval
 from germval import explorer, germ, thresholds, valuation
 from germval.cli import main, paper_examples, satellite_chain
+from germval.errors import InvalidStep
 
 from conftest import count_column_solves, single_blowup
 
@@ -425,6 +426,32 @@ def test_analyze_builds_the_ratio_list_once(capsys, monkeypatch, r3_file):
     code, out, _ = run(capsys, ["analyze", r3_file, "--last", "--format", "json"])
     assert code == 0 and json.loads(out)["plt_over_model_divisors"] is True
     assert count["calls"] == 1 and len(taken) == 1
+
+
+def test_invalid_step_reports_the_first_bad_step():
+    # step 0 does not blow up the base point; step 1's satellite names one
+    # curve twice, and is checked only after the steps before it
+    doc = {"base": "smooth", "steps": [{"kind": "free", "on": 0}, {"kind": "satellite", "on": [0, 0]}]}
+    with pytest.raises(InvalidStep) as exc:
+        germ.cluster_from_json(doc)
+    assert exc.value.index == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze"],
+        ["ideal", "--degree", "1"],
+        ["mld", "--ideal", "0,0,0", "--lambda", "1"],
+        ["classify"],
+        ["fingen"],
+    ],
+)
+def test_divisor_and_last_exclude_each_other(capsys, r3_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], r3_file, *argv[1:], "--divisor", "0", "--last"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_queries_never_build_the_dense_matrix(capsys, monkeypatch, tmp_path):

@@ -31,6 +31,7 @@ from conftest import (
     chain2,
     cluster_signature_permutations,
     count_column_solves,
+    extension_forms_sequences,
     renumber,
     satellite_chain,
     single_blowup,
@@ -232,24 +233,55 @@ def test_lambda_grid_trivial_ideal():
 
 
 def test_extension_forms_small():
-    sb = single_blowup()
+    sb = single_blowup()  # one curve, k = 1
     assert extension_forms(sb, 0) == []
-    assert extension_forms(sb, 1) == [(1, (1,))]
+    assert extension_forms(sb, 1) == [(2, (1,))]
     depth2 = extension_forms(sb, 2)
     # free-on-free, and the satellite of the curve with its free child
-    assert (2, (1,)) in depth2 and (2, (2,)) in depth2
+    assert (3, (1,)) in depth2 and (4, (2,)) in depth2
 
-    forms = extension_forms(chain2(), 1)
-    assert (1, (1, 0)) in forms and (1, (0, 1)) in forms and (1, (1, 1)) in forms
+    forms = extension_forms(chain2(), 1)  # k = (1, 2)
+    assert (2, (1, 0)) in forms and (3, (0, 1)) in forms and (4, (1, 1)) in forms
 
 
 def test_extension_forms_track_consumed_intersections():
     # depth-2 satellite forms on the chain: after the satellite of (0,1),
     # the pair (0,1) is consumed, so no form can weight it twice
     forms = extension_forms(chain2(), 2)
-    assert (2, (2, 1)) in forms  # satellite of curve 0 with the first satellite
-    assert (2, (1, 2)) in forms
-    assert all(not (const == 2 and ws == (2, 2)) for const, ws in forms)
+    assert (6, (2, 1)) in forms  # satellite of curve 0 with the first satellite
+    assert (7, (1, 2)) in forms
+    assert all(ws != (2, 2) for _, ws in forms)
+
+
+def test_extension_forms_walk_equals_every_blowup_order():
+    cases = [(EnumBudget(max_steps=3, bases=(germ.SMOOTH, germ.du_val("A2"), germ.du_val("D4"))), (1, 2, 3))]
+    cases.append((smooth_budget(3), (4,)))
+    checked = 0
+    for b, depths in cases:
+        for c in enumerate_clusters(b):
+            for depth in depths:
+                assert extension_forms(c, depth) == extension_forms_sequences(c, depth), (c, depth)
+                checked += 1
+    assert checked == 1082
+
+
+def test_mld_extension_guard_reports_a_form_below_the_mld(monkeypatch):
+    # a form with k = -1 on curve 0 has log discrepancy -lambda·d_0 <= 0,
+    # below the mld of every lc pair (a positive one for the trivial ideal)
+    b = smooth_budget(2, ideal_coeff_bound=1, lambda_denominator_bound=2, extension_depth=1)
+    clean = verify_theorems(b).suite("mld_extension_guard")
+    assert clean.checked > 0 and not clean.counterexamples
+
+    def with_a_low_form(c, depth):
+        return extension_forms(c, depth) + [(-1, tuple(int(i == 0) for i in range(c.curve_count())))]
+
+    monkeypatch.setattr(explorer, "extension_forms", with_a_low_form)
+    suite = verify_theorems(b).suite("mld_extension_guard")
+    assert suite.checked == clean.checked
+    assert len(suite.counterexamples) == clean.checked
+    for found in suite.counterexamples:
+        assert {"ideal", "lambda", "ext_k", "ext_d"} <= set(found)
+        assert found["ext_k"] == -1 and found["ext_d"] == found["ideal"][0]
 
 
 def test_verify_theorems_empty_budget():
