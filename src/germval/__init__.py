@@ -42,7 +42,6 @@ from .thresholds import (
     MINUS_INFINITY,
     PLUS_INFINITY,
     Classification,
-    CompleteIdeal,
     LctReport,
     PairSpec,
     classify,

@@ -37,6 +37,11 @@ def satellite_chain(r: int) -> germ.Cluster:
     return germ.build(germ.SMOOTH, steps)
 
 
+def _fixture(name: str, expected: dict, got: dict, note: str = "", **extra) -> dict:
+    row = {"fixture": name, "expected": expected, "got": got, "pass": got == expected}
+    return {**row, "note": note, **extra}
+
+
 def paper_examples() -> list[dict]:
     """Built-in reference fixtures with frozen expected values.
 
@@ -46,26 +51,16 @@ def paper_examples() -> list[dict]:
     comparison; it is not the threshold of this family, and agrees with it
     only at r = 3.
     """
-    rows: list[dict] = []
-
     c = single_blowup()
-    trivial = thresholds.PairSpec(thresholds.CompleteIdeal((0,)), Fraction(1))
     cl = thresholds.classify(c, 0)
+    trivial = thresholds.PairSpec((0,), Fraction(1))
     got = {
         "lct": format_value(cl.lct),
         "verdict": cl.verdict,
         "mld_trivial_pair": format_value(thresholds.mld_at_origin(c, trivial)),
     }
     expected = {"lct": "2", "verdict": "ComputesLct", "mld_trivial_pair": "2"}
-    rows.append(
-        {
-            "fixture": "single-blowup",
-            "expected": expected,
-            "got": got,
-            "pass": got == expected,
-            "note": "",
-        }
-    )
+    rows = [_fixture("single-blowup", expected, got)]
 
     for r in range(3, 9):
         c = satellite_chain(r)
@@ -91,25 +86,18 @@ def paper_examples() -> list[dict]:
                 f"comparison; computed threshold is {format_value(cl.lct)}"
             )
         rows.append(
-            {
-                "fixture": f"satellite-chain r={r}",
-                "expected": expected,
-                "got": got,
-                "pass": got == expected,
-                "lct": format_value(cl.lct),
-                "closed_form": format_rational(closed_form),
-                "note": note,
-            }
+            _fixture(
+                f"satellite-chain r={r}", expected, got, note,
+                lct=format_value(cl.lct), closed_form=format_rational(closed_form),
+            )
         )
 
     c = germ.build(germ.du_val("E7"), ())
-    trivial = thresholds.PairSpec(thresholds.CompleteIdeal((0,) * 7), Fraction(1))
-    mld = thresholds.mld_at_origin(c, trivial)
-    computers = [e for e in range(7) if thresholds.computes_mld(c, e, trivial)]
+    trivial = thresholds.PairSpec((0,) * 7, Fraction(1))
     lct_subset = [e for e in range(7) if thresholds.classify(c, e).gap == 0]
     got = {
-        "mld_trivial_pair": format_value(mld),
-        "mld_computers": computers,
+        "mld_trivial_pair": format_value(thresholds.mld_at_origin(c, trivial)),
+        "mld_computers": [e for e in range(7) if thresholds.computes_mld(c, e, trivial)],
         "lct_subset_proper_nonempty": 0 < len(lct_subset) < 7,
     }
     expected = {
@@ -117,17 +105,11 @@ def paper_examples() -> list[dict]:
         "mld_computers": list(range(7)),
         "lct_subset_proper_nonempty": True,
     }
-    rows.append(
-        {
-            "fixture": "du-val-E7",
-            "expected": expected,
-            "got": got,
-            "pass": got == expected,
-            "lct_subset": lct_subset,
-            "note": "every minimal-resolution curve computes the trivial-pair mld; "
-            "only a proper subset computes an lct",
-        }
+    note = (
+        "every minimal-resolution curve computes the trivial-pair mld; "
+        "only a proper subset computes an lct"
     )
+    rows.append(_fixture("du-val-E7", expected, got, note, lct_subset=lct_subset))
     return rows
 
 
@@ -137,17 +119,14 @@ def paper_examples() -> list[dict]:
 def _approx_of(value):
     """Decimal approximation of a rational string or a list of them; None
     when there is none, or when a value is beyond the float range."""
-    if isinstance(value, str):
-        try:
-            return float(Fraction(value))
-        except (ValueError, ZeroDivisionError, OverflowError):
-            return None
-    if isinstance(value, list) and value and all(isinstance(v, str) for v in value):
-        try:
-            return [float(Fraction(v)) for v in value]
-        except (ValueError, ZeroDivisionError, OverflowError):
-            return None
-    return None
+    values = [value] if isinstance(value, str) else value
+    if not (isinstance(values, list) and values and all(isinstance(v, str) for v in values)):
+        return None
+    try:
+        approx = [float(Fraction(v)) for v in values]
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return None
+    return approx if values is value else approx[0]
 
 
 def _render_text(value) -> str:
@@ -178,7 +157,7 @@ def emit(doc: dict, args) -> None:
 
 
 def _pick_curve(args, c: germ.Cluster) -> int:
-    if getattr(args, "last", False):
+    if args.last:
         if not c.steps:
             raise ValueError("--last needs at least one blowup step")
         return c.curve_count() - 1
@@ -187,8 +166,8 @@ def _pick_curve(args, c: germ.Cluster) -> int:
     return args.divisor
 
 
-def _parse_ideal(args, c: germ.Cluster) -> thresholds.CompleteIdeal:
-    if getattr(args, "pair", None):
+def _parse_ideal(args, c: germ.Cluster) -> tuple[int, ...]:
+    if args.pair:
         return _parse_pair(args, c).ideal
     if args.ideal is None:
         raise ValueError("provide --ideal coefficients or a --pair file")
@@ -197,7 +176,7 @@ def _parse_ideal(args, c: germ.Cluster) -> thresholds.CompleteIdeal:
 
 
 def _parse_pair(args, c: germ.Cluster) -> thresholds.PairSpec:
-    if getattr(args, "pair", None):
+    if args.pair:
         return thresholds.pair_from_json(c, germ.read_json(args.pair))
     if args.ideal is None or args.lam is None:
         raise ValueError("provide --ideal and --lambda, or a --pair file")
@@ -206,18 +185,25 @@ def _parse_pair(args, c: germ.Cluster) -> thresholds.PairSpec:
 
 
 # -- subcommands ----------------------------------------------------------
+#
+# A cluster query builds its document from the parsed arguments and the
+# cluster; ``run_query`` loads the cluster file and prints the document.
 
 
-def cmd_analyze(args) -> int:
-    c = germ.cluster_from_file(args.cluster)
+def run_query(args) -> int:
+    emit(args.build(args, germ.cluster_from_file(args.cluster)), args)
+    return 0
+
+
+def cmd_analyze(args, c: germ.Cluster) -> dict:
     e = _pick_curve(args, c)
     cl = thresholds.classify(c, e)
     k = germ.canonical_vector(c)[e]
     # a curve computing an lct is witnessed by its valuation ideal of degree
     # m0, which unloading from the stored column m0·dstar returns unchanged
     witness = valuation.valuation_ideal(c, e, valuation.fingen_degree(c, e)) if cl.gap == 0 else None
-    doc = {
-        "base": "smooth" if c.base.is_smooth else c.base.dynkin,
+    return {
+        "base": explorer._base_label(c.base),
         "curve": e,
         "k": k,
         "dstar": [format_rational(v) for v in valuation.asymptotic_multiplicities(c, e)],
@@ -232,61 +218,49 @@ def cmd_analyze(args) -> int:
         "witness": cl.witness,
         "witness_ideal": None if witness is None else [str(v) for v in witness],
     }
-    emit(doc, args)
-    return 0
 
 
-def cmd_lct(args) -> int:
-    c = germ.cluster_from_file(args.cluster)
+def cmd_lct(args, c: germ.Cluster) -> dict:
     ideal = _parse_ideal(args, c)
     report = thresholds.lct_ideal(c, ideal)
-    doc = {
-        "ideal": [str(v) for v in ideal.coeffs],
+    return {
+        "ideal": [str(v) for v in ideal],
         "value": format_value(report.value),
         "argmin": sorted(report.argmin),
         "unique_lc_place": min(report.argmin) if len(report.argmin) == 1 else None,
     }
-    emit(doc, args)
-    return 0
 
 
-def cmd_ideal(args) -> int:
-    c = germ.cluster_from_file(args.cluster)
+def cmd_ideal(args, c: germ.Cluster) -> dict:
     e = _pick_curve(args, c)
     coeffs = valuation.valuation_ideal(c, e, args.degree)
-    doc = {
+    return {
         "curve": e,
         "m": args.degree,
         "coefficients": [str(v) for v in coeffs],
         "rees_valuations": sorted(valuation.rees_valuations(c, coeffs)),
     }
-    emit(doc, args)
-    return 0
 
 
-def cmd_mld(args) -> int:
-    c = germ.cluster_from_file(args.cluster)
+def cmd_mld(args, c: germ.Cluster) -> dict:
     pair = _parse_pair(args, c)
-    mld = thresholds.mld_at_origin(c, pair)
     doc = {
-        "ideal": [str(v) for v in pair.ideal.coeffs],
+        "ideal": [str(v) for v in pair.ideal],
         "lambda": format_rational(pair.lam),
-        "mld": format_value(mld),
+        "mld": format_value(thresholds.mld_at_origin(c, pair)),
     }
-    if args.divisor is not None or getattr(args, "last", False):
+    if args.divisor is not None or args.last:
         e = _pick_curve(args, c)
         doc["divisor"] = e
         doc["log_discrepancy"] = format_rational(thresholds.log_discrepancy(c, pair, e))
         doc["computes_mld"] = thresholds.computes_mld(c, e, pair)
-    emit(doc, args)
-    return 0
+    return doc
 
 
-def cmd_classify(args) -> int:
-    c = germ.cluster_from_file(args.cluster)
+def cmd_classify(args, c: germ.Cluster) -> dict:
     e = _pick_curve(args, c)
     cl = thresholds.classify(c, e)
-    doc = {
+    return {
         "curve": e,
         "verdict": cl.verdict,
         "witness": cl.witness,
@@ -295,23 +269,18 @@ def cmd_classify(args) -> int:
         # the threshold is attained at an ancestor; only ancestors are listed
         "argmin": sorted(cl.argmin & germ.ancestor_curves(c, e)),
     }
-    emit(doc, args)
-    return 0
 
 
-def cmd_fingen(args) -> int:
-    c = germ.cluster_from_file(args.cluster)
+def cmd_fingen(args, c: germ.Cluster) -> dict:
     e = _pick_curve(args, c)
     w = valuation.fingen_ideal(c, e)
-    doc = {
+    return {
         "curve": e,
         "k": germ.canonical_vector(c)[e],
         "dstar": [format_rational(v) for v in valuation.asymptotic_multiplicities(c, e)],
         "fingen_degree": w[e],
         "ideal_at_degree": [str(v) for v in w],
     }
-    emit(doc, args)
-    return 0
 
 
 def cmd_dot(args) -> int:
@@ -417,25 +386,18 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--lambda", dest="lam", default=None, help="exponent p/q")
     pair.add_argument("--pair", default=None, help="pair JSON file")
 
-    p = sub.add_parser("analyze", parents=[cluster, divisor, fmt],
-                       help="full valuation and threshold report for one curve")
-    p.set_defaults(func=cmd_analyze)
-    p = sub.add_parser("lct", parents=[cluster, pair, fmt],
-                       help="log canonical threshold of a complete ideal")
-    p.set_defaults(func=cmd_lct)
-    p = sub.add_parser("ideal", parents=[cluster, divisor, fmt],
-                       help="valuation ideal of a curve at a given degree")
+    def query(name, build, parents, summary):
+        p = sub.add_parser(name, parents=[cluster, *parents, fmt], help=summary)
+        p.set_defaults(func=run_query, build=build)
+        return p
+
+    query("analyze", cmd_analyze, [divisor], "full valuation and threshold report for one curve")
+    query("lct", cmd_lct, [pair], "log canonical threshold of a complete ideal")
+    p = query("ideal", cmd_ideal, [divisor], "valuation ideal of a curve at a given degree")
     p.add_argument("--degree", "-m", type=int, required=True)
-    p.set_defaults(func=cmd_ideal)
-    p = sub.add_parser("mld", parents=[cluster, pair, divisor, fmt],
-                       help="minimal log discrepancy of a pair at the point")
-    p.set_defaults(func=cmd_mld)
-    p = sub.add_parser("classify", parents=[cluster, divisor, fmt],
-                       help="computes-an-lct / mld-obstructed verdict")
-    p.set_defaults(func=cmd_classify)
-    p = sub.add_parser("fingen", parents=[cluster, divisor, fmt],
-                       help="finite-generation degree and multiplicities")
-    p.set_defaults(func=cmd_fingen)
+    query("mld", cmd_mld, [pair, divisor], "minimal log discrepancy of a pair at the point")
+    query("classify", cmd_classify, [divisor], "computes-an-lct / mld-obstructed verdict")
+    query("fingen", cmd_fingen, [divisor], "finite-generation degree and multiplicities")
     p = sub.add_parser("dot", parents=[cluster],
                        help="emit the dual graph in DOT format")
     p.add_argument("--output", "-o", default=None)

@@ -10,9 +10,9 @@ every verdict from one ``lct_ideal`` report (computes an lct, gap, plt
 over the model divisors, mld-obstruction witness).
 
 Complete (integrally closed) ideals cosupported at the germ point are
-represented by their antinef divisors on the top model.  All values are
-exact rationals; the two infinities are dedicated sentinels, never
-floats.
+represented by their antinef divisors on the top model, as tuples of
+ints.  All values are exact rationals; the two infinities are dedicated
+sentinels, never floats.
 """
 
 from __future__ import annotations
@@ -48,27 +48,20 @@ def format_value(x) -> str:
     return format_rational(x)
 
 
-@dataclass(frozen=True)
-class CompleteIdeal:
-    """Antinef integral divisor of a complete ideal; the zero divisor
-    stands for the full structure sheaf."""
-
-    coeffs: tuple[int, ...]
-
-
-def complete_ideal(c: germ.Cluster, coeffs) -> CompleteIdeal:
-    """Validate coefficients against the cluster: integral, >= 0 and
-    antinef (nonpositive against every curve)."""
+def complete_ideal(c: germ.Cluster, coeffs) -> tuple[int, ...]:
+    """The antinef divisor of a complete ideal, validated against the
+    cluster: integral, >= 0 and antinef (nonpositive against every
+    curve).  The zero divisor stands for the full structure sheaf."""
     d = valuation._int_vector(c, coeffs)
     for j, p in enumerate(germ.intersect(c, d)):
         if p > 0:
             raise NotAntinef(f"ideal divisor meets curve {j} positively")
-    return CompleteIdeal(tuple(d))
+    return tuple(d)
 
 
 @dataclass(frozen=True)
 class PairSpec:
-    ideal: CompleteIdeal
+    ideal: tuple[int, ...]  # antinef divisor, as ``complete_ideal`` returns it
     lam: Fraction
 
 
@@ -104,18 +97,18 @@ def log_discrepancy(c: germ.Cluster, p: PairSpec, f: int) -> Fraction:
     """k + 1 - lambda * (ideal coefficient at the curve)."""
     valuation._check_curve(c, f)
     k = germ.canonical_vector(c)
-    return Fraction(k[f] + 1) - p.lam * p.ideal.coeffs[f]
+    return Fraction(k[f] + 1) - p.lam * p.ideal[f]
 
 
-def lct_ideal(c: germ.Cluster, a: CompleteIdeal) -> LctReport:
-    """Log canonical threshold of a complete ideal: the minimum of
-    (k+1)/coefficient over the curves in the divisor's support, or
-    infinity for the structure sheaf."""
+def lct_ideal(c: germ.Cluster, d: tuple[int, ...]) -> LctReport:
+    """Log canonical threshold of the complete ideal of antinef divisor
+    ``d``: the minimum of (k+1)/coefficient over the curves in the
+    divisor's support, or infinity for the structure sheaf."""
     k = germ.canonical_vector(c)
-    support = [j for j, d in enumerate(a.coeffs) if d > 0]
+    support = [j for j, dj in enumerate(d) if dj > 0]
     if not support:
         return LctReport(PLUS_INFINITY, frozenset())
-    ratios = {j: Fraction(k[j] + 1, a.coeffs[j]) for j in support}
+    ratios = {j: Fraction(k[j] + 1, d[j]) for j in support}
     value = min(ratios.values())
     return LctReport(value, frozenset(j for j, r in ratios.items() if r == value))
 
@@ -130,7 +123,7 @@ def mld_at_origin(c: germ.Cluster, p: PairSpec) -> Fraction | _Infinity:
     harness re-checks this to bounded depth.
     """
     k = germ.canonical_vector(c)
-    values = [Fraction(k[j] + 1) - p.lam * p.ideal.coeffs[j] for j in range(len(k))]
+    values = [Fraction(k[j] + 1) - p.lam * p.ideal[j] for j in range(len(k))]
     low = min(values)
     return MINUS_INFINITY if low < 0 else low
 
@@ -171,7 +164,7 @@ def classify(c: germ.Cluster, e: int) -> Classification:
     ratio below k[E] + 1.
     """
     w = valuation.fingen_ideal(c, e)
-    report = lct_ideal(c, CompleteIdeal(w))
+    report = lct_ideal(c, w)
     value, argmin = w[e] * report.value, report.argmin
     k = germ.canonical_vector(c)
     gap = k[e] + 1 - value
@@ -191,7 +184,7 @@ def classify(c: germ.Cluster, e: int) -> Classification:
 
 def pair_to_json(p: PairSpec) -> dict:
     return {
-        "ideal": [format_rational(v) for v in p.ideal.coeffs],
+        "ideal": [format_rational(v) for v in p.ideal],
         "lambda": format_rational(p.lam),
     }
 

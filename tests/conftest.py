@@ -390,7 +390,7 @@ def check_proximity_model(c: germ.Cluster, curves) -> None:
         for deg in {1, m0 - 1, m0 + 1} - {0}:
             assert valuation.valuation_ideal(c, e, deg) == cold_valuation_ideal(c, e, deg)
         cl = thresholds.classify(c, e)
-        report = thresholds.lct_ideal(c, thresholds.CompleteIdeal(cold))
+        report = thresholds.lct_ideal(c, cold)
         assert (report.value * m0, report.argmin) == (cl.lct, cl.argmin)
         assert (e in report.argmin) == (cl.gap == 0)
     for v in [[int(i == j) for i in range(n)] for j in range(n)] + list(c._dstar.values()):

@@ -78,7 +78,7 @@ def test_criterion_03_satellite_chain_family():
 def test_criterion_04_du_val_e7():
     start = time.perf_counter()
     c = germ.build(germ.du_val("E7"), ())
-    trivial = thresholds.PairSpec(thresholds.CompleteIdeal((0,) * 7), Fraction(1))
+    trivial = thresholds.PairSpec((0,) * 7, Fraction(1))
     mld = thresholds.mld_at_origin(c, trivial)
     mld_all = all(thresholds.computes_mld(c, e, trivial) for e in range(7))
     subset = {e for e in range(7) if thresholds.classify(c, e).gap == 0}

@@ -242,6 +242,18 @@ def test_enumerate_rejects_nonpositive_jobs(capsys, tmp_path, jobs, report):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_enumerate_refuses_an_extension_depth_above_the_cap(capsys, tmp_path, monkeypatch):
+    def no_sweep(b):
+        raise AssertionError("the budget should be refused before any sweep")
+
+    monkeypatch.setattr(explorer, "verify_theorems", no_sweep)
+    monkeypatch.setattr(explorer, "atlas_rows", no_sweep)
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, ["enumerate", "--extension-depth", "11", "--report", str(report)])
+    assert (code, out, err) == (1, "", "ValueError: extension_depth must be <= 10\n")
+    assert not report.exists()
+
+
 def test_enumerate_jobs_output_identical(capsys, tmp_path, monkeypatch):
     # enumeration runs in one process whatever --jobs says
     def no_process(self):

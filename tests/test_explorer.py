@@ -284,6 +284,13 @@ def test_mld_extension_guard_reports_a_form_below_the_mld(monkeypatch):
         assert found["ext_k"] == -1 and found["ext_d"] == found["ideal"][0]
 
 
+def test_extension_depth_is_capped():
+    for depth in (0, 2, 3, 4, explorer.MAX_EXTENSION_DEPTH):
+        assert smooth_budget(1, extension_depth=depth).extension_depth == depth
+    with pytest.raises(ValueError, match="extension_depth must be <= 10"):
+        smooth_budget(1, extension_depth=11)
+
+
 def test_verify_theorems_empty_budget():
     report = verify_theorems(EnumBudget(max_steps=3, bases=()))
     assert report.counts["clusters"] == 0
@@ -431,6 +438,63 @@ def test_model_stability_certificate_catches_a_wrong_centre(monkeypatch):
     monkeypatch.setattr(explorer.germ, "extend", elsewhere)
     suite = verify_theorems(smooth_budget(3, ideal_coeff_bound=1)).suite("model_stability")
     assert suite.checked > 0 and suite.counterexamples
+
+
+def faulty_ideal_values(monkeypatch, value_of):
+    """Make each sweep case report ``value_of(lct)`` as every nonzero ideal's threshold."""
+    case_of = explorer._case
+
+    def faulty(*args):
+        case = case_of(*args)
+        ideals = [(d, replace(rep, value=value_of(rep.value)) if any(d) else rep) for d, rep in case.ideals]
+        return replace(case, ideals=ideals)
+
+    monkeypatch.setattr(explorer, "_case", faulty)
+
+
+def check_fault_is_caught(name, b, inject):
+    """The suite runs clean, and after ``inject()`` it reports a
+    counterexample without checking more or less than before."""
+    clean = verify_theorems(b).suite(name)
+    assert clean.checked > 0 and not clean.counterexamples
+    inject()
+    suite = verify_theorems(b).suite(name)
+    assert suite.checked == clean.checked and suite.counterexamples
+
+
+def test_witness_strictness_catches_a_witness_that_is_its_own_curve(monkeypatch):
+    # a curve's log discrepancy is never strictly below its own
+    classify = thresholds.classify
+
+    def own_witness(c, e):
+        return replace(classify(c, e), witness=e)
+
+    b = smooth_budget(4, ideal_coeff_bound=1, lambda_denominator_bound=2)
+    check_fault_is_caught("witness_strictness", b, lambda: monkeypatch.setattr(thresholds, "classify", own_witness))
+
+
+def test_mld_implies_lct_catches_a_gap_raised_by_one(monkeypatch):
+    # with no curve computing an lct, every curve computing an mld is a counterexample
+    classify = thresholds.classify
+
+    def raised_gap(c, e):
+        cl = classify(c, e)
+        return replace(cl, gap=cl.gap + 1)
+
+    b = smooth_budget(3, ideal_coeff_bound=1, lambda_denominator_bound=2)
+    check_fault_is_caught("mld_implies_lct", b, lambda: monkeypatch.setattr(thresholds, "classify", raised_gap))
+
+
+def test_pullback_stability_catches_a_threshold_raised_by_one(monkeypatch):
+    # a free point on a curve j attaining the lct gives ratio lct + 1/d_j, below lct + 1 once d_j > 1
+    b = smooth_budget(3, ideal_coeff_bound=2, lambda_denominator_bound=2)
+    check_fault_is_caught("pullback_stability", b, lambda: faulty_ideal_values(monkeypatch, lambda v: v + 1))
+
+
+def test_lct_containment_catches_inverted_thresholds(monkeypatch):
+    # 1/lct reverses the order of every pair of nested ideals with different thresholds
+    b = smooth_budget(3, ideal_coeff_bound=2, lambda_denominator_bound=2)
+    check_fault_is_caught("lct_containment", b, lambda: faulty_ideal_values(monkeypatch, lambda v: 1 / v))
 
 
 def test_dstar_unit_reads_the_unloaded_ideal(monkeypatch):

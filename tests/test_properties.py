@@ -122,7 +122,7 @@ def test_random_antinef_ideal_threshold_laws(c, data):
     k = germ.canonical_vector(c)
     assert all(rep.value <= Fraction(k[j] + 1, coeffs[j]) for j in range(n) if coeffs[j])
     # scaling law, and the pair at the threshold is log canonical with mld 0
-    doubled = thresholds.lct_ideal(c, thresholds.CompleteIdeal(tuple(2 * v for v in coeffs)))
+    doubled = thresholds.lct_ideal(c, tuple(2 * v for v in coeffs))
     assert doubled.value == rep.value / 2
     pair = thresholds.PairSpec(ideal, rep.value)
     assert thresholds.mld_at_origin(c, pair) == 0

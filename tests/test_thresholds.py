@@ -112,7 +112,7 @@ def computes_lct(c, e):
 
 def witness_ideal(c, e):
     """m0·dstar, the lct witness of a curve computing an lct."""
-    return thresholds.CompleteIdeal(valuation.fingen_ideal(c, e))
+    return valuation.fingen_ideal(c, e)
 
 
 def plt(c, e):
@@ -129,18 +129,18 @@ def test_computes_lct_examples():
 
 
 def test_lct_witness_ideal_examples():
-    assert witness_ideal(single_blowup(), 0).coeffs == (1,)
+    assert witness_ideal(single_blowup(), 0) == (1,)
 
     r3 = satellite_chain(3)
     assert computes_lct(r3, 2)
     w = witness_ideal(r3, 2)
-    assert w.coeffs == (2, 3, 6)
+    assert w == (2, 3, 6)
     rep = thresholds.lct_ideal(r3, w)
     assert rep.value == Fraction(5, 6) and 2 in rep.argmin
 
     assert computes_lct(chain2(), 1)
     w2 = witness_ideal(chain2(), 1)
-    assert w2.coeffs == (1, 2)
+    assert w2 == (1, 2)
     rep2 = thresholds.lct_ideal(chain2(), w2)
     assert rep2.value == Fraction(3, 2) and rep2.argmin == frozenset({1})
 
@@ -295,7 +295,7 @@ def test_scaling_and_containment():
     # containment: bigger divisor, smaller threshold
     vals = {}
     for coeffs in antinef_ideals(r3, 2):
-        rep = thresholds.lct_ideal(r3, thresholds.CompleteIdeal(coeffs))
+        rep = thresholds.lct_ideal(r3, coeffs)
         vals[coeffs] = rep.value
     for da, va in vals.items():
         for db, vb in vals.items():
@@ -331,9 +331,9 @@ def test_gap_lower_bounds_log_discrepancy():
     for coeffs in antinef_ideals(r4, 2):
         if not any(coeffs):
             continue
-        lct = thresholds.lct_ideal(r4, thresholds.CompleteIdeal(coeffs)).value
+        lct = thresholds.lct_ideal(r4, coeffs).value
         for lam in (lct, lct / 2, lct / 3):
-            p = thresholds.PairSpec(thresholds.CompleteIdeal(coeffs), lam)
+            p = thresholds.PairSpec(coeffs, lam)
             assert thresholds.mld_at_origin(r4, p) is not MINUS_INFINITY
             assert thresholds.log_discrepancy(r4, p, 3) >= gap
 
