@@ -9,6 +9,7 @@ approximation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -141,17 +142,17 @@ def _render_text(value) -> str:
     return str(value)
 
 
-def emit(doc: dict, args) -> None:
-    if args.format == "json":
-        if args.approx:
-            approx = {k: a for k, v in doc.items() if (a := _approx_of(v)) is not None}
-            if approx:
-                doc = {**doc, "approx": approx}
+def emit(doc: dict, fmt: str, approx: bool = False) -> None:
+    if fmt == "json":
+        if approx:
+            labeled = {k: a for k, v in doc.items() if (a := _approx_of(v)) is not None}
+            if labeled:
+                doc = {**doc, "approx": labeled}
         print(json.dumps(doc, sort_keys=True, indent=2))
         return
     for key, value in doc.items():
         line = f"{key} = {_render_text(value)}"
-        if args.approx and (a := _approx_of(value)) is not None:
+        if approx and (a := _approx_of(value)) is not None:
             line += f"   (approx {a})"
         print(line)
 
@@ -191,7 +192,7 @@ def _parse_pair(args, c: germ.Cluster) -> thresholds.PairSpec:
 
 
 def run_query(args) -> int:
-    emit(args.build(args, germ.cluster_from_file(args.cluster)), args)
+    emit(args.build(args, germ.cluster_from_file(args.cluster)), args.format, args.approx)
     return 0
 
 
@@ -334,7 +335,7 @@ def cmd_enumerate(args) -> int:
             json.dump(report.to_json(), fh, sort_keys=True, indent=2)
             fh.write("\n")
         doc["counterexamples"] = report.counterexample_total()
-    emit(doc, args)
+    emit(doc, args.format)
     return 0
 
 
@@ -360,7 +361,9 @@ def cmd_paper_examples(args) -> int:
     return 0 if all(r["pass"] for r in rows) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process, binding each ``cmd_*`` function as it stands then."""
     parser = argparse.ArgumentParser(
         prog="germval",
         description="Exact thresholds and discrepancies of divisorial "
@@ -370,11 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", "-f", choices=("text", "json"), default="text")
-    fmt.add_argument(
-        "--approx",
-        action="store_true",
-        help="also print labeled decimal approximations",
-    )
     cluster = argparse.ArgumentParser(add_help=False)
     cluster.add_argument("cluster", help="cluster JSON file")
     divisor = argparse.ArgumentParser(add_help=False)
@@ -382,12 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     pick.add_argument("--divisor", "-d", type=int, default=None, help="curve id")
     pick.add_argument("--last", action="store_true", help="select the final blowup's curve")
     pair = argparse.ArgumentParser(add_help=False)
-    pair.add_argument("--ideal", default=None, help="comma-separated coefficients")
-    pair.add_argument("--lambda", dest="lam", default=None, help="exponent p/q")
-    pair.add_argument("--pair", default=None, help="pair JSON file")
+    source = pair.add_mutually_exclusive_group()
+    source.add_argument("--ideal", default=None, help="comma-separated coefficients")
+    source.add_argument("--pair", default=None, help="pair JSON file")
 
     def query(name, build, parents, summary):
         p = sub.add_parser(name, parents=[cluster, *parents, fmt], help=summary)
+        p.add_argument("--approx", action="store_true", help="also print labeled decimal approximations")
         p.set_defaults(func=run_query, build=build)
         return p
 
@@ -395,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     query("lct", cmd_lct, [pair], "log canonical threshold of a complete ideal")
     p = query("ideal", cmd_ideal, [divisor], "valuation ideal of a curve at a given degree")
     p.add_argument("--degree", "-m", type=int, required=True)
-    query("mld", cmd_mld, [pair, divisor], "minimal log discrepancy of a pair at the point")
+    p = query("mld", cmd_mld, [pair, divisor], "minimal log discrepancy of a pair at the point")
+    p.add_argument("--lambda", dest="lam", default=None, help="exponent p/q")
     query("classify", cmd_classify, [divisor], "computes-an-lct / mld-obstructed verdict")
     query("fingen", cmd_fingen, [divisor], "finite-generation degree and multiplicities")
     p = sub.add_parser("dot", parents=[cluster],
@@ -404,11 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dot)
     p = sub.add_parser("enumerate", parents=[fmt],
                        help="enumerate clusters, write atlas CSV and reports")
-    p.add_argument("--max-steps", type=int, default=3)
+    p.add_argument("--max-steps", type=int, default=explorer.EnumBudget.max_steps)
     p.add_argument("--bases", default="smooth", help="comma list: smooth,A1,...,E8")
-    p.add_argument("--ideal-bound", type=int, default=2)
-    p.add_argument("--lambda-bound", type=int, default=6)
-    p.add_argument("--extension-depth", type=int, default=0)
+    p.add_argument("--ideal-bound", type=int, default=explorer.EnumBudget.ideal_coeff_bound)
+    p.add_argument("--lambda-bound", type=int, default=explorer.EnumBudget.lambda_denominator_bound)
+    p.add_argument("--extension-depth", type=int, default=explorer.EnumBudget.extension_depth)
     p.add_argument("--atlas", default=None, help="atlas CSV path")
     p.add_argument("--extremal", default=None, help="gap-ranked CSV path")
     p.add_argument("--report", default=None, help="verification report JSON path")
@@ -423,6 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "mld" and args.pair is not None and args.lam is not None:
+        build_parser().error("argument --lambda: not allowed with argument --pair")
     try:
         return args.func(args)
     except (GermvalError, ValueError, OSError) as exc:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import multiprocessing.process
@@ -464,6 +465,52 @@ def test_divisor_and_last_exclude_each_other(capsys, r3_file, argv):
         main([argv[0], r3_file, *argv[1:], "--divisor", "0", "--last"])
     assert exc.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lct", "--ideal", "2,4", "--pair"],
+        ["mld", "--ideal", "2,4", "--lambda", "1", "--pair"],
+        ["mld", "--lambda", "1", "--pair"],
+    ],
+)
+def test_pair_excludes_ideal_and_lambda(capsys, tmp_path, argv):
+    # a pair file would otherwise be read in place of the options given with it
+    c, p = tmp_path / "c.json", tmp_path / "p.json"
+    c.write_text(json.dumps(germ.cluster_to_json(germ.build(germ.SMOOTH, (germ.Free(None), germ.Free(0))))))
+    p.write_text(json.dumps({"ideal": ["1", "2"], "lambda": "1/2"}))
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(c), *argv[1:], str(p)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "not allowed with argument" in out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--approx"], ["paper-examples", "--approx"], ["lct", "R3", "--ideal", "2,3,6", "--lambda", "99"]],
+)
+def test_options_without_effect_are_refused(capsys, r3_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([r3_file if a == "R3" else a for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch, r3_file):
+    assert run(capsys, ["classify", r3_file, "--last"])[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(2):
+        assert run(capsys, ["classify", r3_file, "--last"])[0] == 0
+    assert built == []
 
 
 def test_queries_never_build_the_dense_matrix(capsys, monkeypatch, tmp_path):

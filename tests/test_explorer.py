@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import random
 import time
 from collections import Counter
@@ -462,27 +463,26 @@ def check_fault_is_caught(name, b, inject):
     assert suite.checked == clean.checked and suite.counterexamples
 
 
+def patch_classify(monkeypatch, change):
+    """Make ``classify`` report ``change(record)``."""
+    classify = thresholds.classify
+    monkeypatch.setattr(thresholds, "classify", lambda c, e: change(classify(c, e)))
+
+
 def test_witness_strictness_catches_a_witness_that_is_its_own_curve(monkeypatch):
     # a curve's log discrepancy is never strictly below its own
-    classify = thresholds.classify
-
-    def own_witness(c, e):
-        return replace(classify(c, e), witness=e)
-
     b = smooth_budget(4, ideal_coeff_bound=1, lambda_denominator_bound=2)
-    check_fault_is_caught("witness_strictness", b, lambda: monkeypatch.setattr(thresholds, "classify", own_witness))
+    check_fault_is_caught(
+        "witness_strictness", b, lambda: patch_classify(monkeypatch, lambda cl: replace(cl, witness=cl.curve))
+    )
 
 
 def test_mld_implies_lct_catches_a_gap_raised_by_one(monkeypatch):
     # with no curve computing an lct, every curve computing an mld is a counterexample
-    classify = thresholds.classify
-
-    def raised_gap(c, e):
-        cl = classify(c, e)
-        return replace(cl, gap=cl.gap + 1)
-
     b = smooth_budget(3, ideal_coeff_bound=1, lambda_denominator_bound=2)
-    check_fault_is_caught("mld_implies_lct", b, lambda: monkeypatch.setattr(thresholds, "classify", raised_gap))
+    check_fault_is_caught(
+        "mld_implies_lct", b, lambda: patch_classify(monkeypatch, lambda cl: replace(cl, gap=cl.gap + 1))
+    )
 
 
 def test_pullback_stability_catches_a_threshold_raised_by_one(monkeypatch):
@@ -497,12 +497,97 @@ def test_lct_containment_catches_inverted_thresholds(monkeypatch):
     check_fault_is_caught("lct_containment", b, lambda: faulty_ideal_values(monkeypatch, lambda v: 1 / v))
 
 
+def bump_valuation_ideal(monkeypatch, degree):
+    """Make ``valuation_ideal`` add 100 to every coefficient at one degree."""
+    valuation_ideal = valuation.valuation_ideal
+
+    def bumped(c, e, m):
+        d = valuation_ideal(c, e, m)
+        return tuple(v + 100 for v in d) if m == degree else d
+
+    monkeypatch.setattr(valuation, "valuation_ideal", bumped)
+
+
+def test_ideal_monotonicity_catches_a_degree_one_ideal_above_degree_two(monkeypatch):
+    b = smooth_budget(4, ideal_coeff_bound=1, lambda_denominator_bound=2)
+    check_fault_is_caught("ideal_monotonicity", b, lambda: bump_valuation_ideal(monkeypatch, 1))
+
+
+def test_graded_subadditivity_catches_a_degree_three_ideal_above_the_sum(monkeypatch):
+    b = smooth_budget(4, ideal_coeff_bound=1, lambda_denominator_bound=2)
+    check_fault_is_caught("graded_subadditivity", b, lambda: bump_valuation_ideal(monkeypatch, 3))
+
+
+def test_rees_singleton_catches_an_extra_rees_valuation(monkeypatch):
+    rees = valuation.rees_valuations
+    b = smooth_budget(3, ideal_coeff_bound=1, lambda_denominator_bound=2)
+    check_fault_is_caught(
+        "rees_singleton", b, lambda: monkeypatch.setattr(valuation, "rees_valuations", lambda c, d: rees(c, d) | {0})
+    )
+
+
+def test_lct_scaling_catches_a_threshold_doubled_on_powers(monkeypatch):
+    # an ideal whose entries share a factor is a power; doubling its lct breaks lct(a^m) = lct(a)/m
+    lct_ideal = thresholds.lct_ideal
+
+    def doubled(c, d):
+        report = lct_ideal(c, d)
+        return replace(report, value=2 * report.value) if math.gcd(*d) > 1 else report
+
+    b = smooth_budget(3, ideal_coeff_bound=1, lambda_denominator_bound=2)
+    check_fault_is_caught("lct_scaling", b, lambda: monkeypatch.setattr(thresholds, "lct_ideal", doubled))
+
+
+def test_lct_upper_bound_catches_a_threshold_above_k_plus_one(monkeypatch):
+    # lct = k + 1 - gap, so lct + gap + 1 = k + 2
+    b = smooth_budget(3, ideal_coeff_bound=1, lambda_denominator_bound=2)
+    check_fault_is_caught(
+        "lct_upper_bound", b, lambda: patch_classify(monkeypatch, lambda cl: replace(cl, lct=cl.lct + cl.gap + 1))
+    )
+
+
+def test_gap_attainment_catches_a_log_discrepancy_raised_by_one(monkeypatch):
+    log_discrepancy = thresholds.log_discrepancy
+    b = smooth_budget(3, ideal_coeff_bound=1, lambda_denominator_bound=2)
+    check_fault_is_caught(
+        "gap_attainment",
+        b,
+        lambda: monkeypatch.setattr(thresholds, "log_discrepancy", lambda c, p, f: log_discrepancy(c, p, f) + 1),
+    )
+
+
+def test_classification_decisive_catches_an_indeterminate_verdict(monkeypatch):
+    b = smooth_budget(3, ideal_coeff_bound=1, lambda_denominator_bound=2)
+    check_fault_is_caught(
+        "classification_decisive", b, lambda: patch_classify(monkeypatch, lambda cl: replace(cl, verdict="Indeterminate"))
+    )
+
+
+def test_atlas_spot_check_catches_a_round_trip_that_moves_the_last_blowup(monkeypatch):
+    # a free point on curve 0 keeps the curve count, so every row can still be recomputed
+    cluster_from_json = germ.cluster_from_json
+
+    def moved(doc):
+        steps = doc["steps"]
+        if len(steps) > 1:
+            doc = {**doc, "steps": [*steps[:-1], {"kind": "free", "on": 0}]}
+        return cluster_from_json(doc)
+
+    b = smooth_budget(4, ideal_coeff_bound=1, lambda_denominator_bound=2)
+    check_fault_is_caught("atlas_spot_check", b, lambda: monkeypatch.setattr(germ, "cluster_from_json", moved))
+
+
 def test_dstar_unit_reads_the_unloaded_ideal(monkeypatch):
     # an unload that doubles its result leaves the column alone, so only a
-    # check read off the unloaded ideal of degree m0 can catch it
+    # check read off the unloaded ideal of degree m0 can catch it, and
+    # oracle_equivalence finds the two apart
     unload = valuation.unload
-    monkeypatch.setattr(valuation, "unload", lambda c, z: tuple(2 * v for v in unload(c, z)))
     b = smooth_budget(2, ideal_coeff_bound=1, lambda_denominator_bound=2)
+    check_fault_is_caught(
+        "oracle_equivalence",
+        b,
+        lambda: monkeypatch.setattr(valuation, "unload", lambda c, z: tuple(2 * v for v in unload(c, z))),
+    )
     suite = verify_theorems(b).suite("dstar_unit")
     assert suite.checked == 3 and len(suite.counterexamples) == 3
 
@@ -520,6 +605,42 @@ def test_sweep_unloads_each_valuation_ideal_once(monkeypatch):
     report = verify_theorems(b)
     assert report.suite("gap_attainment").checked > 0
     assert requests and max(requests.values()) == 1
+
+
+def test_sweep_work_at_the_enumerate_report_budget(monkeypatch):
+    # deterministic work counts of the benchmark's enumerate-report sweep;
+    # a change that lowers a count lowers its pin
+    calls = Counter()
+
+    def counted(module, name):
+        f = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for module, name in (
+        (germ, "build"),
+        (valuation, "_column"),
+        (thresholds, "lct_ideal"),
+        (valuation, "unload"),
+        (explorer, "lambda_grid"),
+        (explorer, "cluster_signature"),
+    ):
+        counted(module, name)
+    report = verify_theorems(smooth_budget(6, ideal_coeff_bound=1, lambda_denominator_bound=12, extension_depth=2))
+    assert report.counterexample_total() == 0
+    assert dict(calls) == {
+        "build": 1676,
+        "_column": 1403,
+        "lct_ideal": 3555,
+        "unload": 10193,
+        "lambda_grid": 472,
+        "cluster_signature": 458,
+    }
+    assert report.counts["lc_pairs"] == 21948
 
 
 def test_verify_theorems_du_val_dichotomy():
