@@ -14,7 +14,6 @@ from .germ import (
     BaseGerm,
     BlowupStep,
     Cluster,
-    DualGraph,
     Free,
     Satellite,
     ancestor_curves,
@@ -24,7 +23,6 @@ from .germ import (
     cluster_from_json,
     cluster_to_json,
     du_val,
-    dual_graph,
     extend,
     intersection_matrix,
     legal_steps,

@@ -9,6 +9,7 @@ approximation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -204,7 +205,7 @@ def cmd_analyze(args, c: germ.Cluster) -> dict:
     # m0, which unloading from the stored column m0·dstar returns unchanged
     witness = valuation.valuation_ideal(c, e, valuation.fingen_degree(c, e)) if cl.gap == 0 else None
     return {
-        "base": explorer._base_label(c.base),
+        "base": c.base.label,
         "curve": e,
         "k": k,
         "dstar": [format_rational(v) for v in valuation.asymptotic_multiplicities(c, e)],
@@ -316,24 +317,28 @@ def cmd_enumerate(args) -> int:
         lambda_denominator_bound=args.lambda_bound,
         extension_depth=args.extension_depth,
     )
-    # The sweep builds every atlas row itself; only without it is the
-    # atlas computed on its own.
-    report = explorer.verify_theorems(budget) if args.report else None
-    rows = report.rows if report is not None else explorer.atlas_rows(budget)
-    if args.atlas:
-        with open(args.atlas, "w", newline="", encoding="utf-8") as fh:
-            explorer.write_atlas_csv(rows, fh)
-    if args.extremal:
-        with open(args.extremal, "w", newline="", encoding="utf-8") as fh:
-            explorer.write_atlas_csv(explorer.rank_by_gap(rows), fh)
+    with contextlib.ExitStack() as stack:
+        # every output is opened before the run, so a bad path fails at once
+        atlas, extremal, out = (
+            stack.enter_context(open(path, "w", newline=newline, encoding="utf-8")) if path else None
+            for path, newline in ((args.atlas, ""), (args.extremal, ""), (args.report, None))
+        )
+        # The sweep builds every atlas row itself; only without it is the
+        # atlas computed on its own.
+        report = explorer.verify_theorems(budget) if out is not None else None
+        rows = report.rows if report is not None else explorer.atlas_rows(budget)
+        if atlas is not None:
+            explorer.write_atlas_csv(rows, atlas)
+        if extremal is not None:
+            explorer.write_atlas_csv(explorer.rank_by_gap(rows), extremal)
+        if out is not None:
+            json.dump(report.to_json(), out, sort_keys=True, indent=2)
+            out.write("\n")
     doc = {
         "clusters": len({r.enum_index for r in rows}),
         "rows": len(rows),
     }
     if report is not None:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
         doc["counterexamples"] = report.counterexample_total()
     emit(doc, args.format)
     return 0

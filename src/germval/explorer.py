@@ -45,14 +45,6 @@ _STABILITY_CAP = 8
 MAX_EXTENSION_DEPTH = 10
 
 
-def _base_key(b: germ.BaseGerm):
-    return (0, "") if b.is_smooth else (1, b.dynkin)
-
-
-def _base_label(b: germ.BaseGerm) -> str:
-    return "smooth" if b.is_smooth else b.dynkin
-
-
 @dataclass(frozen=True)
 class EnumBudget:
     """Finite bounds for enumeration; the stream size is a function of
@@ -75,7 +67,7 @@ class EnumBudget:
             raise ValueError("extension_depth must be >= 0")
         if self.extension_depth > MAX_EXTENSION_DEPTH:
             raise ValueError(f"extension_depth must be <= {MAX_EXTENSION_DEPTH}")
-        bases = tuple(sorted(set(self.bases), key=_base_key))
+        bases = tuple(sorted(set(self.bases), key=lambda b: (not b.is_smooth, b.label)))
         object.__setattr__(self, "bases", bases)
 
 
@@ -103,11 +95,10 @@ def cluster_signature(c: germ.Cluster, step: germ.BlowupStep | None = None) -> t
     rank = c.base.rank()
     parents = germ.step_parents(c)
     if step is not None:
-        parents += (tuple(sorted(germ._step_refs(step))),)
+        parents += (germ.step_refs(step),)
     t = len(parents)
-    label = _base_label(c.base)
     if t == 0:
-        return (label,)
+        return (c.base.label,)
     key = _subtree_keys(rank, parents)
     children: list[list[int]] = [[] for _ in parents]
     waiting = [0] * t  # parents of each step not yet placed
@@ -165,7 +156,7 @@ def cluster_signature(c: germ.Cluster, step: germ.BlowupStep | None = None) -> t
             tokens.pop()
 
     search([i for i in range(t) if waiting[i] == 0], False)
-    return (label,) + best
+    return (c.base.label,) + best
 
 
 def _subtree_keys(rank: int, parents) -> list[int]:
@@ -324,7 +315,7 @@ def extension_forms(c: germ.Cluster, depth: int) -> list[tuple[int, tuple[int, .
         ws = tuple(map(sum, zip(*(w for _, w in through))))
         return (1 + sum(kt for kt, _ in through), ws), through
 
-    level = {blowup(tuple(unit[r] for r in germ._step_refs(s))) for s in germ.legal_steps(c)}
+    level = {blowup(tuple(unit[r] for r in germ.step_refs(s))) for s in germ.legal_steps(c)}
     forms = {f for f, _ in level}
     for _ in range(depth - 1):
         level = {blowup(t) for f, through in level for t in ((f,), *((f, g) for g in through))}
@@ -391,7 +382,7 @@ def write_atlas_csv(rows, fh) -> None:
     for r in rows:
         w.writerow(
             (
-                _base_label(r.cluster.base),
+                r.cluster.base.label,
                 _steps_json(r.cluster),
                 r.curve,
                 r.k,
@@ -438,7 +429,7 @@ class VerificationReport:
         return {
             "budget": {
                 "max_steps": self.budget.max_steps,
-                "bases": [_base_label(b) for b in self.budget.bases],
+                "bases": [b.label for b in self.budget.bases],
                 "ideal_coeff_bound": self.budget.ideal_coeff_bound,
                 "lambda_denominator_bound": self.budget.lambda_denominator_bound,
                 "extension_depth": self.budget.extension_depth,
@@ -566,7 +557,7 @@ def _model_stability(case: _Case):
     ratio could lower the lct."""
     for step in case.extensions:
         c2, label = germ.extend(case.c, step), repr(step)
-        refs, k_new = germ._step_refs(step), germ.canonical_vector(c2)[-1]
+        refs, k_new = germ.step_refs(step), germ.canonical_vector(c2)[-1]
         for e, row in enumerate(case.rows):
             w = valuation.fingen_ideal(case.c, e)
             w_new = sum(w[r] for r in refs)
@@ -578,7 +569,7 @@ def _model_stability(case: _Case):
 def _pullback_stability(case: _Case):
     """The curve of one more blowup does not lower a nonzero ideal's lct."""
     for step in case.extensions:
-        refs, label = germ._step_refs(step), repr(step)
+        refs, label = germ.step_refs(step), repr(step)
         new_k = 1 + sum(case.k[r] for r in refs)
         for coeffs, old in case.ideals:
             if any(coeffs):
@@ -699,10 +690,7 @@ def _mld_extension_guard(case: _Case):
     for coeffs, lam, _, mn in case.pairs:
         p, q = lam.numerator, lam.denominator
         below = [(kk, dd) for kk, dd in kd_of[coeffs] if q * (kk + 1) - p * dd < mn][:1]
-        yield [
-            {"ideal": list(coeffs), "lambda": format_rational(lam), "ext_k": kk, "ext_d": dd}
-            for kk, dd in below
-        ]
+        yield [_pair_details(coeffs, lam, ext_k=kk, ext_d=dd) for kk, dd in below]
 
 
 _SUITES = {
@@ -729,7 +717,7 @@ SUITE_NAMES = (*_SUITES, "atlas_spot_check")
 
 
 def _context(c: germ.Cluster) -> dict:
-    return {"base": _base_label(c.base), "steps": _steps_json(c)}
+    return {"base": c.base.label, "steps": _steps_json(c)}
 
 
 def verify_theorems(b: EnumBudget) -> VerificationReport:

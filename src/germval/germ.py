@@ -26,7 +26,7 @@ The intersection matrix is the proximity model M = P·D·Pᵀ (Casas-Alvero,
 *Singularities of Plane Curves*, 2000).  P is the unitriangular integer
 proximity matrix: P[i][j] = -1 when curve i passes through the center of
 the step creating curve j, that is, when i is among that step's
-``_step_refs``.  D is the Dynkin matrix of the base (empty over a smooth
+:func:`step_refs`.  D is the Dynkin matrix of the base (empty over a smooth
 point) followed by -1 on every step curve: the pulled-back base curves and
 the total transforms of the step curves are pairwise orthogonal.  D is
 negative definite and P is invertible, so M is negative definite by
@@ -74,6 +74,11 @@ class BaseGerm:
     @property
     def is_smooth(self) -> bool:
         return self.dynkin is None
+
+    @property
+    def label(self) -> str:
+        """The Dynkin label, or "smooth" for a smooth point."""
+        return "smooth" if self.dynkin is None else self.dynkin
 
     def rank(self) -> int:
         """Number of minimal-resolution curves (0 for a smooth base)."""
@@ -169,7 +174,9 @@ class Cluster:
         return self.base.rank() + len(self.steps)
 
 
-def _step_refs(step: BlowupStep) -> tuple[int, ...]:
+def step_refs(step: BlowupStep) -> tuple[int, ...]:
+    """The ids of the curves through the step's center, increasing by
+    construction: a satellite sorts its pair."""
     if isinstance(step, Free):
         return () if step.on is None else (step.on,)
     return step.on
@@ -188,7 +195,7 @@ def _simulate(base: BaseGerm, steps: tuple[BlowupStep, ...]):
 
     for idx, step in enumerate(steps):
         n = len(self_int)
-        refs = _step_refs(step)
+        refs = step_refs(step)
         if isinstance(step, Free) and step.on is None:
             if not base.is_smooth:
                 raise InvalidStep(idx, "blowup of the base point needs a smooth base")
@@ -255,39 +262,26 @@ def canonical_vector(c: Cluster) -> tuple[int, ...]:
 
 def step_parents(c: Cluster) -> tuple[tuple[int, ...], ...]:
     """For each step, the sorted ids of the curves through its center."""
-    return tuple(tuple(sorted(_step_refs(s))) for s in c.steps)
+    return tuple(map(step_refs, c.steps))
 
 
-@dataclass(frozen=True)
-class DualGraph:
-    vertices: tuple[tuple[int, int, int], ...]  # (id, self-intersection, k)
-    edges: tuple[tuple[int, int], ...]
-
-
-def dual_graph(c: Cluster) -> DualGraph:
-    """Vertices are curves labeled with E.E and k; edges join meeting
-    curves (intersection number 1), sorted."""
-    vertices = tuple(zip(range(c.curve_count()), c._self, c._k))
-    edges = tuple((i, j) for i, nb in enumerate(c._nbrs) for j in nb if i < j)
-    return DualGraph(vertices, edges)
+def _edges(c: Cluster) -> list[tuple[int, int]]:
+    """The pairs i < j of meeting curves, sorted."""
+    return [(i, j) for i, nb in enumerate(c._nbrs) for j in nb if i < j]
 
 
 def to_dot(c: Cluster) -> str:
-    g = dual_graph(c)
-    lines = ["graph cluster {"]
-    for i, self_int, k in g.vertices:
-        lines.append(f'  E{i} [label="E{i} | self={self_int} | k={k}"];')
-    for i, j in g.edges:
-        lines.append(f"  E{i} -- E{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """The dual graph: curves labeled with E.E and k, joined when they meet."""
+    nodes = [f'  E{i} [label="E{i} | self={s} | k={k}"];' for i, (s, k) in enumerate(zip(c._self, c._k))]
+    edges = [f"  E{i} -- E{j};" for i, j in _edges(c)]
+    return "\n".join(["graph cluster {", *nodes, *edges, "}"]) + "\n"
 
 
 def legal_steps(c: Cluster) -> list[BlowupStep]:
     """All single blowup steps that may extend the cluster, in a fixed
     deterministic order (free steps by curve, then satellites by pair)."""
     free: list[BlowupStep] = [Free(i) for i in range(c.curve_count())]
-    return free + [Satellite(edge) for edge in dual_graph(c).edges]
+    return free + [Satellite(edge) for edge in _edges(c)]
 
 
 def extend(c: Cluster, step: BlowupStep) -> Cluster:
@@ -308,7 +302,7 @@ def ancestor_curves(c: Cluster, curve: int) -> frozenset[int]:
             continue
         keep.add(v)
         if v >= rank:
-            stack.extend(_step_refs(c.steps[v - rank]))
+            stack.extend(step_refs(c.steps[v - rank]))
     return frozenset(keep)
 
 

@@ -125,6 +125,12 @@ def antinef_ideals_bruteforce(c: germ.Cluster, bound: int) -> list[tuple[int, ..
     return sorted({valuation.unload(c, v) for v in product(range(bound + 1), repeat=n)})
 
 
+def meeting_pairs(m) -> list[tuple[int, int]]:
+    """The pairs i < j of curves that meet, read off the 1-entries of the
+    intersection matrix ``m``, sorted."""
+    return [(i, j) for i in range(len(m)) for j in range(i + 1, len(m)) if m[i][j] == 1]
+
+
 def extension_forms_sequences(c: germ.Cluster, depth: int) -> list[tuple[int, tuple[int, ...]]]:
     """Forms (k, weights) of every curve reached by some ordered sequence
     of at most ``depth`` blowups over the model, each at a free point of
@@ -135,7 +141,7 @@ def extension_forms_sequences(c: germ.Cluster, depth: int) -> list[tuple[int, tu
         return []
     n = c.curve_count()
     nodes = [(0, tuple(1 if i == j else 0 for i in range(n))) for j in range(n)]
-    adj = frozenset(germ.dual_graph(c).edges)
+    adj = frozenset(meeting_pairs(germ.intersection_matrix(c)))
     forms: set[tuple[int, tuple[int, ...]]] = set()
 
     def explore(nodes, adj, remaining):
@@ -363,22 +369,22 @@ def oracle_dstar_dense(c: germ.Cluster) -> list[tuple[Fraction, ...]]:
 
 
 def check_proximity_model(c: germ.Cluster, curves) -> None:
-    """M = P·D·Pᵀ, M passes Sylvester's criterion, the dual graph's edges
-    are M's off-diagonal 1-entries and ``germ.intersect`` is the dense
-    product with M on every unit vector and every stored column, and on
-    the given curves dstar is the dense-inverse column, the stored column
-    m0·dstar is primitive with m0 the lcm of dstar's denominators and
-    agrees with the cold unloading of m0·E, done by the worklist and by
-    the dense rescan, the warm-started valuation ideals of degree 1,
-    m0 - 1 and m0 + 1 agree with cold unloading, ``classify``'s lct is
-    m0 times that ideal's threshold with the same argmin, and E attains
-    that threshold exactly when the gap is 0."""
+    """M = P·D·Pᵀ, M passes Sylvester's criterion, the satellites of
+    ``germ.legal_steps`` are at M's off-diagonal 1-entries and
+    ``germ.intersect`` is the dense product with M on every unit vector and
+    every stored column, and on the given curves dstar is the dense-inverse
+    column, the stored column m0·dstar is primitive with m0 the lcm of
+    dstar's denominators and agrees with the cold unloading of m0·E, done
+    by the worklist and by the dense rescan, the warm-started valuation
+    ideals of degree 1, m0 - 1 and m0 + 1 agree with cold unloading,
+    ``classify``'s lct is m0 times that ideal's threshold with the same
+    argmin, and E attains that threshold exactly when the gap is 0."""
     m = [list(row) for row in germ.intersection_matrix(c)]
     p, d = proximity_factors(c)
     assert m == _mat_mul(_mat_mul(p, d), [list(col) for col in zip(*p)])
     assert is_negative_definite(m)
     n = len(m)
-    assert germ.dual_graph(c).edges == tuple((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] == 1)
+    assert [s.on for s in germ.legal_steps(c) if isinstance(s, germ.Satellite)] == meeting_pairs(m)
     dense = oracle_dstar_dense(c)
     for e in curves:
         assert valuation.asymptotic_multiplicities(c, e) == dense[e]

@@ -255,6 +255,19 @@ def test_enumerate_refuses_an_extension_depth_above_the_cap(capsys, tmp_path, mo
     assert not report.exists()
 
 
+@pytest.mark.parametrize("option", ["--atlas", "--extremal", "--report"])
+def test_enumerate_opens_its_outputs_before_the_run(capsys, tmp_path, monkeypatch, option):
+    def no_sweep(b):
+        raise AssertionError("an unwritable output should be refused before any sweep")
+
+    monkeypatch.setattr(explorer, "verify_theorems", no_sweep)
+    monkeypatch.setattr(explorer, "atlas_rows", no_sweep)
+    bad = tmp_path / "missing" / "out"
+    code, out, err = run(capsys, ["enumerate", "--max-steps", "6", option, str(bad)])
+    assert (code, out) == (1, "")
+    assert err == f"FileNotFoundError: [Errno 2] No such file or directory: '{bad}'\n"
+
+
 def test_enumerate_jobs_output_identical(capsys, tmp_path, monkeypatch):
     # enumeration runs in one process whatever --jobs says
     def no_process(self):
@@ -485,6 +498,22 @@ def test_pair_excludes_ideal_and_lambda(capsys, tmp_path, argv):
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and "not allowed with argument" in out.err
+
+
+@pytest.mark.parametrize(
+    "pair, code, err",
+    [
+        ({"ideal": ["1"], "lambda": "1"}, 0, ""),
+        ({"ideal": ["1"]}, 1, 'ValueError: "lambda" must be a rational string\n'),
+        ({"ideal": ["1"], "lambda": "x"}, 1, "ValueError: not a rational: 'x'\n"),
+    ],
+)
+def test_lct_validates_the_whole_pair_file(capsys, sb_file, tmp_path, pair, code, err):
+    # a pair file has one schema, {"ideal", "lambda"}, whichever command reads it
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair))
+    got_code, _, got_err = run(capsys, ["lct", sb_file, "--pair", str(path)])
+    assert (got_code, got_err) == (code, err)
 
 
 @pytest.mark.parametrize(

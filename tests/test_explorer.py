@@ -433,7 +433,7 @@ def test_model_stability_certificate_catches_a_wrong_centre(monkeypatch):
     extend = germ.extend
 
     def elsewhere(c, step):
-        others = [s for s in germ.legal_steps(c) if germ._step_refs(s) != germ._step_refs(step)]
+        others = [s for s in germ.legal_steps(c) if germ.step_refs(s) != germ.step_refs(step)]
         return extend(c, others[0] if others else step)
 
     monkeypatch.setattr(explorer.germ, "extend", elsewhere)
@@ -607,9 +607,19 @@ def test_sweep_unloads_each_valuation_ideal_once(monkeypatch):
     assert requests and max(requests.values()) == 1
 
 
-def test_sweep_work_at_the_enumerate_report_budget(monkeypatch):
-    # deterministic work counts of the benchmark's enumerate-report sweep;
-    # a change that lowers a count lowers its pin
+WORK_COUNTED = (
+    (germ, "build"),
+    (valuation, "_column"),
+    (thresholds, "lct_ideal"),
+    (valuation, "unload"),
+    (explorer, "lambda_grid"),
+    (explorer, "cluster_signature"),
+)
+
+
+def sweep_work(monkeypatch, budget):
+    """One ``verify_theorems`` report over the budget, with the calls made
+    of each function in ``WORK_COUNTED``, by name."""
     calls = Counter()
 
     def counted(module, name):
@@ -621,18 +631,19 @@ def test_sweep_work_at_the_enumerate_report_budget(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
 
-    for module, name in (
-        (germ, "build"),
-        (valuation, "_column"),
-        (thresholds, "lct_ideal"),
-        (valuation, "unload"),
-        (explorer, "lambda_grid"),
-        (explorer, "cluster_signature"),
-    ):
+    for module, name in WORK_COUNTED:
         counted(module, name)
-    report = verify_theorems(smooth_budget(6, ideal_coeff_bound=1, lambda_denominator_bound=12, extension_depth=2))
+    return verify_theorems(budget), dict(calls)
+
+
+def test_sweep_work_at_the_enumerate_report_budget(monkeypatch):
+    # deterministic work counts of the benchmark's enumerate-report sweep;
+    # a change that lowers a count lowers its pin
+    report, calls = sweep_work(
+        monkeypatch, smooth_budget(6, ideal_coeff_bound=1, lambda_denominator_bound=12, extension_depth=2)
+    )
     assert report.counterexample_total() == 0
-    assert dict(calls) == {
+    assert calls == {
         "build": 1676,
         "_column": 1403,
         "lct_ideal": 3555,
@@ -641,6 +652,43 @@ def test_sweep_work_at_the_enumerate_report_budget(monkeypatch):
         "cluster_signature": 458,
     }
     assert report.counts["lc_pairs"] == 21948
+
+
+@pytest.mark.parametrize(
+    "budget, work, lc_pairs",
+    [
+        pytest.param(
+            EnumBudget(
+                max_steps=2,
+                bases=tuple(map(germ.du_val, ("A1", "A2", "A3", "D4", "E6", "E7"))),
+                ideal_coeff_bound=1,
+                lambda_denominator_bound=4,
+            ),
+            (2636, 2584, 4638, 20516, 666, 494),
+            1210,
+            id="sweep-duval",
+        ),
+        pytest.param(
+            smooth_budget(5, ideal_coeff_bound=3, lambda_denominator_bound=12),
+            (362, 269, 1729, 2639, 443, 89),
+            21920,
+            id="sweep-A",
+        ),
+        pytest.param(
+            smooth_budget(4, ideal_coeff_bound=3, lambda_denominator_bound=12, extension_depth=3),
+            (106, 54, 408, 506, 111, 19),
+            5438,
+            id="sweep-B",
+        ),
+    ],
+)
+def test_sweep_work_at_the_north_star_budgets(monkeypatch, budget, work, lc_pairs):
+    # the benchmark's du Val bases in one sweep, and acceptance sweeps A and
+    # B; the counts are in the order of WORK_COUNTED
+    report, calls = sweep_work(monkeypatch, budget)
+    assert report.counterexample_total() == 0
+    assert calls == dict(zip((name for _, name in WORK_COUNTED), work))
+    assert report.counts["lc_pairs"] == lc_pairs
 
 
 def test_verify_theorems_du_val_dichotomy():

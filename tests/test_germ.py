@@ -5,7 +5,14 @@ import pytest
 from germval import germ
 from germval.errors import InvalidStep
 
-from conftest import chain2, is_negative_definite, prune_to_ancestors, satellite_chain, single_blowup
+from conftest import (
+    chain2,
+    is_negative_definite,
+    meeting_pairs,
+    prune_to_ancestors,
+    satellite_chain,
+    single_blowup,
+)
 
 
 def test_build_single_blowup():
@@ -147,17 +154,19 @@ def test_invariants_on_enumerated_clusters():
 
 
 def test_dual_graph_matches_chain_figure():
-    g = germ.dual_graph(satellite_chain(5))
-    assert set(g.edges) == {(0, 2), (1, 2), (2, 3), (3, 4)}
-    assert g.vertices[0] == (0, -3, 1)
-    assert g.vertices[2] == (2, -2, 4)
+    c = satellite_chain(5)
+    m = germ.intersection_matrix(c)
+    assert meeting_pairs(m) == [(0, 2), (1, 2), (2, 3), (3, 4)]
+    assert (m[0][0], germ.canonical_vector(c)[0]) == (-3, 1)
+    assert (m[2][2], germ.canonical_vector(c)[2]) == (-2, 4)
 
-    g1 = germ.dual_graph(single_blowup())
-    assert g1.vertices == ((0, -1, 1),) and g1.edges == ()
+    c1 = single_blowup()
+    assert germ.intersection_matrix(c1) == ((-1,),) and germ.canonical_vector(c1) == (1,)
 
-    ga3 = germ.dual_graph(germ.build(germ.du_val("A3"), ()))
-    assert set(ga3.edges) == {(0, 1), (1, 2)}
-    assert all(v[1] == -2 and v[2] == 0 for v in ga3.vertices)
+    ca3 = germ.build(germ.du_val("A3"), ())
+    ma3 = germ.intersection_matrix(ca3)
+    assert meeting_pairs(ma3) == [(0, 1), (1, 2)]
+    assert [ma3[i][i] for i in range(3)] == [-2] * 3 and germ.canonical_vector(ca3) == (0,) * 3
 
 
 def test_intersect_reads_the_dual_graph():

@@ -98,7 +98,7 @@ def test_multiplicities_stable_under_extension(cc, data):
     )
     # the column the model_stability certificate builds without a solve
     w = valuation.fingen_ideal(c, e)
-    assert valuation.fingen_ideal(c2, e) == (*w, sum(w[r] for r in germ._step_refs(step)))
+    assert valuation.fingen_ideal(c2, e) == (*w, sum(w[r] for r in germ.step_refs(step)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -232,7 +232,7 @@ def test_model_stability_under_extensions():
                 new = valuation.asymptotic_multiplicities(c2, e)
                 assert new[:n] == old
                 w = valuation.fingen_ideal(c, e)
-                assert valuation.fingen_ideal(c2, e) == (*w, sum(w[r] for r in germ._step_refs(step)))
+                assert valuation.fingen_ideal(c2, e) == (*w, sum(w[r] for r in germ.step_refs(step)))
 
 
 def test_oracle_lct_consistency_with_profiles():
