@@ -21,7 +21,11 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import permutations
+from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from . import germ, thresholds, valuation
 from .exact import format_rational
@@ -40,8 +44,9 @@ ATLAS_COLUMNS = (
 )
 _CONTAINMENT_CAP = 120
 _STABILITY_CAP = 8
-# The mld extension guard checks every form against every lc pair, and the
-# forms grow about 2.3x per level: 19,898 at depth 10 on a three-step cluster.
+# The mld extension guard checks every form at a few exponents of every ideal,
+# and the forms grow about 2.3x per level: 19,898 at depth 10 on a three-step
+# cluster.
 MAX_EXTENSION_DEPTH = 10
 
 
@@ -377,13 +382,18 @@ def _steps_json(c: germ.Cluster) -> str:
 
 
 def write_atlas_csv(rows, fh) -> None:
+    """Rows of one enumeration as CSV; each cluster's steps are serialised
+    once, keyed by its enumeration index."""
     w = csv.writer(fh)
     w.writerow(ATLAS_COLUMNS)
+    steps: dict[int, str] = {}
     for r in rows:
+        if r.enum_index not in steps:
+            steps[r.enum_index] = _steps_json(r.cluster)
         w.writerow(
             (
                 r.cluster.base.label,
-                _steps_json(r.cluster),
+                steps[r.enum_index],
                 r.curve,
                 r.k,
                 format_rational(r.lct),
@@ -448,6 +458,67 @@ class VerificationReport:
         }
 
 
+class _Grid(NamedTuple):
+    """Integer summary of one ideal's nonempty ``lambda_grid``, exponents
+    p/q held as pairs (p, q) with q > 0.  Every exponent lies in
+    [lo, hi], and the mld, the least k_j + 1 - lambda·d_j, is affine
+    between its kinks."""
+
+    coeffs: tuple[int, ...]
+    lct: Fraction | thresholds._Infinity
+    count: int  # len(lambda_grid(...)): the ideal's lc pairs
+    lo: tuple[int, int]
+    hi: tuple[int, int]
+    kinks: list[tuple[int, int]]  # the mld's vertices strictly inside (lo, hi)
+
+
+def _scaled(k, coeffs, pt) -> list[int]:
+    """q·(k_j + 1 - lambda·d_j) per curve j at lambda = p/q, pt = (p, q)."""
+    p, q = pt
+    return [q * (kj + 1) - p * dj for kj, dj in zip(k, coeffs)]
+
+
+# orders exponents given as pairs (p, q) by p/q
+_BY_VALUE = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
+
+
+def _grid(k, coeffs, lct, qmax: int) -> _Grid | None:
+    """The summary of ``lambda_grid`` over the same ideal, or None when
+    that grid is empty.  The count takes the reduced p/q <= lct with
+    q <= qmax, and the crossings in (0, lct] whose reduced denominator
+    exceeds qmax.  One walk along the mld from lo finds its kinks: the
+    steepest line attaining it stays least until its nearest crossing
+    with a steeper line, all of which lie above it."""
+    if lct is thresholds.PLUS_INFINITY:
+        count, points = 1, {(1, 1)}
+    else:
+        a, b = lct.numerator, lct.denominator
+        # (the largest p with p/q <= lct, q) for each q admitting p >= 1
+        tops = [(a * q // b, q) for q in range(1, qmax + 1) if a * q >= b]
+        count = sum(gcd(p, q) == 1 for top, q in tops for p in range(1, top + 1))
+        far = set()
+        for i, j in permutations(range(len(k)), 2):
+            num, den = k[i] - k[j], coeffs[i] - coeffs[j]
+            if num > 0 and den > 0 and num * b <= a * den:
+                g = gcd(num, den)
+                if den // g > qmax:
+                    far.add((num // g, den // g))
+        count += len(far)
+        points = far.union(tops, [(1, qmax)] if tops else [])
+        if not points:
+            return None
+    lo, hi = min(points, key=_BY_VALUE), max(points, key=_BY_VALUE)
+    kinks, pt = [], lo
+    while True:
+        vs = _scaled(k, coeffs, pt)
+        cur = max(range(len(k)), key=lambda j: (-vs[j], coeffs[j]))
+        steeper = [(k[i] - k[cur], di - coeffs[cur]) for i, di in enumerate(coeffs) if di > coeffs[cur]]
+        pt = min(steeper, key=_BY_VALUE, default=hi)
+        if _BY_VALUE(pt) >= _BY_VALUE(hi):
+            return _Grid(tuple(coeffs), lct, count, lo, hi, kinks)
+        kinks.append(pt)
+
+
 @dataclass(frozen=True)
 class _Case:
     """Everything the suites share about one enumerated cluster, computed
@@ -462,14 +533,15 @@ class _Case:
     # has value PLUS_INFINITY and an empty argmin
     ideals: list[tuple[tuple[int, ...], thresholds.LctReport]]
     # per curve, its valuation ideals of degree 1..4 and m0..4m0, keyed by
-    # degree; the multiples of m0 are unloaded from m·E alone, not from the
-    # column, so the suites reading them check the column independently
+    # degree; j·m0 is unloaded from the ideal of degree (j-1)·m0 with its E
+    # entry raised to j·m0, which lies below the closure of j·m0·E since
+    # unloading is monotone.  The column is never read, so the suites
+    # reading these ideals check it independently.
     graded: list[dict[int, tuple[int, ...]]]
     extensions: list[germ.BlowupStep]  # sampled one-blowup extensions
-    # (divisor, lambda, q·(log discrepancy per curve), minimum) of every
-    # pair; lambda = p/q in lowest terms.  No grid exponent exceeds its
-    # ideal's lct, so every pair is log canonical.
-    pairs: list[tuple[tuple[int, ...], Fraction, list[int], int]]
+    # the summary of every ideal with a nonempty grid.  No grid exponent
+    # exceeds its ideal's lct, so every pair is log canonical.
+    grids: list[_Grid]
 
 
 def _case(b: EnumBudget, enum_index: int, c: germ.Cluster) -> _Case:
@@ -481,32 +553,30 @@ def _case(b: EnumBudget, enum_index: int, c: germ.Cluster) -> _Case:
         (coeffs, thresholds.lct_ideal(c, coeffs))
         for coeffs in antinef_ideals(c, b.ideal_coeff_bound)
     ]
-    pairs = []
-    for coeffs, report in ideals:
-        for lam in lambda_grid(c, coeffs, report.value, b.lambda_denominator_bound):
-            p, q = lam.numerator, lam.denominator
-            vs = [q * (kj + 1) - p * dj for kj, dj in zip(k, coeffs)]
-            pairs.append((coeffs, lam, vs, min(vs)))
+    graded = []
+    for e, m0 in enumerate(r.fingen_degree for r in rows):
+        g = {m: valuation.valuation_ideal(c, e, m) for m in range(1, 5) if m % m0}
+        d = (0,) * n
+        for m in range(m0, 5 * m0, m0):
+            d = g[m] = valuation.unload(c, [m if j == e else v for j, v in enumerate(d)])
+        graded.append(g)
+    grids = [_grid(k, coeffs, report.value, b.lambda_denominator_bound) for coeffs, report in ideals]
     steps = germ.legal_steps(c)
     return _Case(
-        c, b, rows, classes, k, ideals,
-        graded=[
-            {m: valuation.valuation_ideal(c, e, m) for m in range(1, 5) if m % m0}
-            | {m: valuation.unload(c, [m * (j == e) for j in range(n)]) for m in range(m0, 5 * m0, m0)}
-            for e, m0 in enumerate(r.fingen_degree for r in rows)
-        ],
+        c, b, rows, classes, k, ideals, graded,
         # sampled deterministically when there are many
         extensions=steps[:: max(1, -(-len(steps) // _STABILITY_CAP))],
-        pairs=pairs,
+        grids=[g for g in grids if g],
     )
 
 
-def _found(failed: bool, **details) -> list[dict]:
-    return [details] if failed else []
+def _found(failed: bool, **details) -> tuple[int, list[dict]]:
+    """One check, with its failure when ``failed``."""
+    return 1, [details] if failed else []
 
 
-def _pair_details(coeffs, lam, **details) -> dict:
-    return {**details, "ideal": list(coeffs), "lambda": format_rational(lam)}
+def _pair_details(coeffs, pt, **details) -> dict:
+    return {**details, "ideal": list(coeffs), "lambda": format_rational(Fraction(*pt))}
 
 
 def _dstar_unit(case: _Case):
@@ -555,11 +625,11 @@ def _model_stability(case: _Case):
     new centre is E's column on the extension (a nonsingular form) when it meets
     E negatively and every other curve trivially; then only the new curve's
     ratio could lower the lct."""
+    columns = [valuation.fingen_ideal(case.c, row.curve) for row in case.rows]
     for step in case.extensions:
         c2, label = germ.extend(case.c, step), repr(step)
         refs, k_new = germ.step_refs(step), germ.canonical_vector(c2)[-1]
-        for e, row in enumerate(case.rows):
-            w = valuation.fingen_ideal(case.c, e)
+        for e, (row, w) in enumerate(zip(case.rows, columns)):
             w_new = sum(w[r] for r in refs)
             prod = germ.intersect(c2, (*w, w_new))
             lowered = (k_new + 1) * w[e] * row.lct.denominator < row.lct.numerator * w_new
@@ -574,7 +644,7 @@ def _pullback_stability(case: _Case):
         for coeffs, old in case.ideals:
             if any(coeffs):
                 new_d = sum(coeffs[r] for r in refs)
-                lowered = new_d > 0 and Fraction(new_k + 1, new_d) < old.value
+                lowered = new_d > 0 and (new_k + 1) * old.value.denominator < old.value.numerator * new_d
                 yield _found(lowered, ideal=list(coeffs), step=label)
 
 
@@ -626,16 +696,38 @@ def _unique_place_plt(case: _Case):
             yield _found(place is not None and case.classes[place].argmin != {place}, ideal=list(coeffs))
 
 
+def _by_ideal(case: _Case, grids, points, failures):
+    """(checks, details) per ideal of ``grids``, one check per lc pair.
+    ``failures(coeffs, pt, vs, mld)`` lists the details of the failures at
+    lambda = p/q, pt = (p, q), given vs = q·(log discrepancy per curve) and
+    their minimum.  An ideal with none at ``points(grid)`` has none at all;
+    any other is checked at every pair of its ``lambda_grid``."""
+
+    def at(coeffs, pt):
+        vs = _scaled(case.k, coeffs, pt)
+        return failures(coeffs, pt, vs, min(vs))
+
+    for g in grids:
+        found = []
+        if any(at(g.coeffs, pt) for pt in points(g)):
+            for lam in lambda_grid(case.c, g.coeffs, g.lct, case.budget.lambda_denominator_bound):
+                found += at(g.coeffs, (lam.numerator, lam.denominator))
+        yield g.count, found
+
+
+def _ends_and_kinks(g: _Grid):
+    return (g.lo, *g.kinks, g.hi)
+
+
 def _gap_inequality(case: _Case):
-    """Along every lc pair, each curve's log discrepancy is at least its gap."""
+    """Along every lc pair, each curve's log discrepancy is at least its gap.
+    Log discrepancies do not grow with lambda, so an ideal is decided at hi."""
     gaps = [(r.gap.numerator, r.gap.denominator) for r in case.rows]
-    for coeffs, lam, vs, _ in case.pairs:
-        q = lam.denominator
-        yield [
-            _pair_details(coeffs, lam, curve=e)
-            for e, (gn, gd) in enumerate(gaps)
-            if vs[e] * gd < q * gn
-        ]
+
+    def failures(coeffs, pt, vs, _):
+        return [_pair_details(coeffs, pt, curve=e) for e, (gn, gd) in enumerate(gaps) if vs[e] * gd < pt[1] * gn]
+
+    yield from _by_ideal(case, case.grids, lambda g: (g.hi,), failures)
 
 
 def _gap_attainment(case: _Case):
@@ -650,26 +742,25 @@ def _gap_attainment(case: _Case):
 
 
 def _witness_strictness(case: _Case):
-    """A witness keeps a strictly smaller log discrepancy than its curve along nonzero lc pairs."""
+    """A witness keeps a strictly smaller log discrepancy than its curve along nonzero lc pairs.
+    The difference of two log discrepancies is affine in lambda, so an ideal
+    is decided at lo and hi."""
     obstructions = [(r.curve, r.witness) for r in case.rows if r.verdict == "MldObstructed"]
-    for coeffs, lam, vs, _ in case.pairs:
-        if any(coeffs):
-            yield [
-                _pair_details(coeffs, lam, curve=e, witness=f)
-                for e, f in obstructions
-                if not vs[f] < vs[e]
-            ]
+
+    def failures(coeffs, pt, vs, _):
+        return [_pair_details(coeffs, pt, curve=e, witness=f) for e, f in obstructions if not vs[f] < vs[e]]
+
+    yield from _by_ideal(case, [g for g in case.grids if any(g.coeffs)], lambda g: (g.lo, g.hi), failures)
 
 
 def _mld_implies_lct(case: _Case):
-    """A curve computing the mld of an lc pair with nonzero ideal computes an lct."""
-    for coeffs, lam, vs, mn in case.pairs:
-        if any(coeffs):
-            yield [
-                _pair_details(coeffs, lam, curve=j)
-                for j, v in enumerate(vs)
-                if v == mn and case.rows[j].gap != 0
-            ]
+    """A curve computing the mld of an lc pair with nonzero ideal computes an lct.
+    A curve attaining the mld anywhere on [lo, hi] attains it at an end or a kink."""
+
+    def failures(coeffs, pt, vs, mld):
+        return [_pair_details(coeffs, pt, curve=j) for j, v in enumerate(vs) if v == mld and case.rows[j].gap != 0]
+
+    yield from _by_ideal(case, [g for g in case.grids if any(g.coeffs)], _ends_and_kinks, failures)
 
 
 def _classification_decisive(case: _Case):
@@ -679,18 +770,21 @@ def _classification_decisive(case: _Case):
 
 
 def _mld_extension_guard(case: _Case):
-    """No curve within the extension depth goes below the model's mld (the model is a log resolution)."""
+    """No curve within the extension depth goes below the model's mld (the model is a log resolution).
+    The mld less a curve's log discrepancy is concave in lambda, so its largest
+    value on [lo, hi] is at an end or at a kink of the mld."""
     forms = extension_forms(case.c, case.budget.extension_depth)
     if not forms:
         return
     # (k, ideal coefficient) of each extension curve, per ideal
-    kd_of = {
-        coeffs: sorted({(kk, sum(map(mul, ws, coeffs))) for kk, ws in forms}) for coeffs, _ in case.ideals
-    }
-    for coeffs, lam, _, mn in case.pairs:
-        p, q = lam.numerator, lam.denominator
-        below = [(kk, dd) for kk, dd in kd_of[coeffs] if q * (kk + 1) - p * dd < mn][:1]
-        yield [_pair_details(coeffs, lam, ext_k=kk, ext_d=dd) for kk, dd in below]
+    kd_of = {g.coeffs: sorted({(kk, sum(map(mul, ws, g.coeffs))) for kk, ws in forms}) for g in case.grids}
+
+    def failures(coeffs, pt, _, mld):
+        p, q = pt
+        below = [(kk, dd) for kk, dd in kd_of[coeffs] if q * (kk + 1) - p * dd < mld][:1]
+        return [_pair_details(coeffs, pt, ext_k=kk, ext_d=dd) for kk, dd in below]
+
+    yield from _by_ideal(case, case.grids, _ends_and_kinks, failures)
 
 
 _SUITES = {
@@ -731,18 +825,18 @@ def verify_theorems(b: EnumBudget) -> VerificationReport:
     rows: list[AtlasRow] = []
 
     def record(name, ctx, checks):
-        for details in checks:
-            checked[name] += 1
-            if details:
-                bad[name].extend({**ctx, **d} for d in details)
+        for count, details in checks:
+            checked[name] += count
+            bad[name].extend({**ctx, **d} for d in details)
 
     for enum_index, c in enumerate(enumerate_clusters(b)):
         case = _case(b, enum_index, c)
         counts["clusters"] += 1
         counts["curves"] += len(case.rows)
         counts["ideals"] += len(case.ideals)
-        counts["lc_pairs"] += len(case.pairs)
-        counts["lambda_checks"] += len(case.pairs)
+        pairs = sum(g.count for g in case.grids)
+        counts["lc_pairs"] += pairs
+        counts["lambda_checks"] += pairs
         rows.extend(case.rows)
         ctx = _context(c)
         for name, suite in _SUITES.items():

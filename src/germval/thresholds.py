@@ -105,12 +105,18 @@ def lct_ideal(c: germ.Cluster, d: tuple[int, ...]) -> LctReport:
     ``d``: the minimum of (k+1)/coefficient over the curves in the
     divisor's support, or infinity for the structure sheaf."""
     k = germ.canonical_vector(c)
-    support = [j for j, dj in enumerate(d) if dj > 0]
-    if not support:
+    argmin: list[int] = []
+    for j, dj in enumerate(d):
+        if dj > 0:
+            # compare (k_j + 1)/d_j with the least ratio so far by cross-multiplying
+            side = (k[j] + 1) * d[argmin[0]] - (k[argmin[0]] + 1) * dj if argmin else -1
+            if side < 0:
+                argmin = [j]
+            elif side == 0:
+                argmin.append(j)
+    if not argmin:
         return LctReport(PLUS_INFINITY, frozenset())
-    ratios = {j: Fraction(k[j] + 1, d[j]) for j in support}
-    value = min(ratios.values())
-    return LctReport(value, frozenset(j for j, r in ratios.items() if r == value))
+    return LctReport(Fraction(k[argmin[0]] + 1, d[argmin[0]]), frozenset(argmin))
 
 
 def mld_at_origin(c: germ.Cluster, p: PairSpec) -> Fraction | _Infinity:

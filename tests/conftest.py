@@ -8,8 +8,9 @@ from operator import mul
 
 import pytest
 
-from germval import germ, thresholds, valuation
+from germval import explorer, germ, thresholds, valuation
 from germval.cli import satellite_chain, single_blowup
+from germval.exact import format_rational
 from germval.explorer import EnumBudget, verify_theorems
 
 __all__ = ["satellite_chain", "single_blowup"]
@@ -297,6 +298,96 @@ def proximity_factors(c: germ.Cluster):
         for i, row in enumerate(germ.intersection_matrix(germ.build(c.base, ()))):
             d[i][:rank] = row
     return p, d
+
+
+def lc_pairs(case):
+    """(divisor, lambda, q·(log discrepancy per curve), minimum) of every
+    pair of a sweep case, ideal by ideal over ``explorer.lambda_grid``,
+    lambda = p/q in lowest terms: the per-pair data of the oracle suites
+    below."""
+    for coeffs, report in case.ideals:
+        for lam in explorer.lambda_grid(case.c, coeffs, report.value, case.budget.lambda_denominator_bound):
+            p, q = lam.numerator, lam.denominator
+            vs = [q * (kj + 1) - p * dj for kj, dj in zip(case.k, coeffs)]
+            yield coeffs, lam, vs, min(vs)
+
+
+def _details(coeffs, lam, **details) -> dict:
+    return {**details, "ideal": list(coeffs), "lambda": format_rational(lam)}
+
+
+def pairwise_gap_inequality(case):
+    gaps = [(r.gap.numerator, r.gap.denominator) for r in case.rows]
+    for coeffs, lam, vs, _ in lc_pairs(case):
+        q = lam.denominator
+        yield [_details(coeffs, lam, curve=e) for e, (gn, gd) in enumerate(gaps) if vs[e] * gd < q * gn]
+
+
+def pairwise_witness_strictness(case):
+    obstructions = [(r.curve, r.witness) for r in case.rows if r.verdict == "MldObstructed"]
+    for coeffs, lam, vs, _ in lc_pairs(case):
+        if any(coeffs):
+            yield [_details(coeffs, lam, curve=e, witness=f) for e, f in obstructions if not vs[f] < vs[e]]
+
+
+def pairwise_mld_implies_lct(case):
+    for coeffs, lam, vs, mn in lc_pairs(case):
+        if any(coeffs):
+            yield [_details(coeffs, lam, curve=j) for j, v in enumerate(vs) if v == mn and case.rows[j].gap != 0]
+
+
+def pairwise_mld_extension_guard(case):
+    forms = explorer.extension_forms(case.c, case.budget.extension_depth)
+    if not forms:
+        return
+    kd_of = {coeffs: sorted({(kk, sum(map(mul, ws, coeffs))) for kk, ws in forms}) for coeffs, _ in case.ideals}
+    for coeffs, lam, _, mn in lc_pairs(case):
+        p, q = lam.numerator, lam.denominator
+        below = [(kk, dd) for kk, dd in kd_of[coeffs] if q * (kk + 1) - p * dd < mn][:1]
+        yield [_details(coeffs, lam, ext_k=kk, ext_d=dd) for kk, dd in below]
+
+
+PAIRWISE_SUITES = {
+    "gap_inequality": pairwise_gap_inequality,
+    "witness_strictness": pairwise_witness_strictness,
+    "mld_implies_lct": pairwise_mld_implies_lct,
+    "mld_extension_guard": pairwise_mld_extension_guard,
+}
+
+
+def check_pair_suites_pairwise(b) -> dict[str, list[dict]]:
+    """On every cluster of the budget, each pair suite of the sweep, which
+    decides an ideal at a few exponents, counts the same checks and lists
+    the same counterexamples in the same order as its per-pair oracle,
+    which evaluates every lc pair: the sweep's pair suites before they
+    were decided per ideal.  Returns each suite's counterexamples, each
+    with its ``cluster``."""
+    found: dict[str, list[dict]] = {name: [] for name in PAIRWISE_SUITES}
+    for enum_index, c in enumerate(explorer.enumerate_clusters(b)):
+        case = explorer._case(b, enum_index, c)
+        for name, pairwise in PAIRWISE_SUITES.items():
+            got = list(explorer._SUITES[name](case))
+            want = list(pairwise(case))
+            assert sum(n for n, _ in got) == len(want), (name, c)
+            assert [d for _, ds in got for d in ds] == [d for ds in want for d in ds], (name, c)
+            found[name] += [{"cluster": c, **d} for ds in want for d in ds]
+    return found
+
+
+def mld_kinks_bruteforce(k, coeffs, lo: Fraction, hi: Fraction) -> list[Fraction]:
+    """The kinks strictly inside (lo, hi) of the least k_j + 1 - lambda·d_j,
+    read off every crossing of two lines: the least line bends at a
+    crossing where lines of different slopes attain it."""
+    n = len(k)
+    crossings = {
+        Fraction(k[i] - k[j], coeffs[i] - coeffs[j]) for i in range(n) for j in range(n) if coeffs[i] > coeffs[j]
+    }
+    kinks = []
+    for x in sorted(x for x in crossings if lo < x < hi):
+        vals = [kj + 1 - x * dj for kj, dj in zip(k, coeffs)]
+        if len({dj for v, dj in zip(vals, coeffs) if v == min(vals)}) > 1:
+            kinks.append(x)
+    return kinks
 
 
 def count_column_solves(monkeypatch) -> dict:

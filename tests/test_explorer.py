@@ -6,11 +6,12 @@ import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 
 import pytest
 
 from germval import explorer, germ, thresholds, valuation
+from germval.exact import format_rational
 from germval.explorer import (
     ATLAS_COLUMNS,
     SUITE_NAMES,
@@ -30,9 +31,11 @@ from germval.explorer import (
 from conftest import (
     antinef_ideals_bruteforce,
     chain2,
+    check_pair_suites_pairwise,
     cluster_signature_permutations,
     count_column_solves,
     extension_forms_sequences,
+    mld_kinks_bruteforce,
     renumber,
     satellite_chain,
     single_blowup,
@@ -231,6 +234,122 @@ def test_lambda_grid_includes_off_grid_crossings():
 
 def test_lambda_grid_trivial_ideal():
     assert lambda_grid(chain2(), (0, 0), thresholds.PLUS_INFINITY, 6) == [Fraction(1)]
+
+
+ENUMERATE_REPORT_BUDGET = EnumBudget(
+    max_steps=6, bases=(germ.SMOOTH,), ideal_coeff_bound=1, lambda_denominator_bound=12, extension_depth=2
+)
+SWEEP_A_BUDGET = EnumBudget(max_steps=5, bases=(germ.SMOOTH,), ideal_coeff_bound=3, lambda_denominator_bound=12)
+# du Val ideals whose threshold is below 1 mostly have no exponent of denominator 1
+EMPTY_GRIDS_BUDGET = EnumBudget(2, (germ.SMOOTH, germ.du_val("A2"), germ.du_val("E6")), 2, 1)
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        pytest.param(ENUMERATE_REPORT_BUDGET, id="enumerate-report"),
+        pytest.param(SWEEP_A_BUDGET, id="sweep-A"),
+        pytest.param(EMPTY_GRIDS_BUDGET, id="q-1"),
+    ],
+)
+def test_grid_summary_matches_lambda_grid(budget):
+    # count, lo and hi are len, min and max of the grid, and the kinks are
+    # those read off every crossing
+    empty = 0
+    for enum_index, c in enumerate(enumerate_clusters(budget)):
+        case = explorer._case(budget, enum_index, c)
+        summaries = {g.coeffs: g for g in case.grids}
+        for coeffs, report in case.ideals:
+            grid = lambda_grid(c, coeffs, report.value, budget.lambda_denominator_bound)
+            g = summaries.pop(coeffs, None)
+            if not grid:
+                assert g is None
+                empty += 1
+                continue
+            assert (g.count, Fraction(*g.lo), Fraction(*g.hi)) == (len(grid), grid[0], grid[-1])
+            assert [Fraction(*x) for x in g.kinks] == mld_kinks_bruteforce(case.k, coeffs, grid[0], grid[-1])
+        assert not summaries
+    assert (empty > 0) == (budget is EMPTY_GRIDS_BUDGET)
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        pytest.param(EnumBudget(3, (germ.SMOOTH, germ.du_val("A2"), germ.du_val("D4")), 2, 6, 2), id="mixed"),
+        pytest.param(EnumBudget(2, tuple(map(germ.du_val, ("A3", "D5", "E7"))), 1, 4, 1), id="du-Val"),
+        pytest.param(EMPTY_GRIDS_BUDGET, id="q-1"),
+    ],
+)
+def test_pair_suites_match_the_pairwise_oracle(budget):
+    assert not any(check_pair_suites_pairwise(budget).values())
+
+
+FAULT_BUDGET = EnumBudget(3, (germ.SMOOTH, germ.du_val("A2")), 2, 6, 1)
+
+
+def swap_witness(e, f):
+    """A change of ``classify``'s record: curve e obstructed by curve f."""
+
+    def change(c, cl):
+        return replace(cl, verdict="MldObstructed", witness=f) if cl.curve == e and f < c.curve_count() else cl
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "suite, change, budget",
+    [
+        pytest.param(
+            "gap_inequality", lambda c, cl: replace(cl, gap=cl.gap + Fraction(1, 3)), FAULT_BUDGET, id="raised-gaps"
+        ),
+        pytest.param(
+            "mld_implies_lct",
+            lambda c, cl: replace(cl, gap=Fraction(1, 7)) if cl.gap == 0 else cl,
+            FAULT_BUDGET,
+            id="gap-0-moved",
+        ),
+        # on seven ideals of this budget curve 1 attains the mld only at a
+        # kink inside the grid, where a check of the grid's ends misses it
+        pytest.param(
+            "mld_implies_lct",
+            lambda c, cl: replace(cl, gap=Fraction(1, 7)) if cl.curve == 1 and cl.gap == 0 else cl,
+            smooth_budget(4, ideal_coeff_bound=3, lambda_denominator_bound=6),
+            id="gap-of-curve-1-moved",
+        ),
+        # curves 0 and 1 given each other as witness, one at a time: with
+        # k1 = k0 + 1, a_1 - a_0 = 1 - lambda·(d_1 - d_0) turns sign inside
+        # some grids, so one fault fails at the low end, the other at the high
+        pytest.param("witness_strictness", swap_witness(0, 1), FAULT_BUDGET, id="witness-1-for-curve-0"),
+        pytest.param("witness_strictness", swap_witness(1, 0), FAULT_BUDGET, id="witness-0-for-curve-1"),
+    ],
+)
+def test_pair_suites_match_the_pairwise_oracle_under_a_fault(monkeypatch, suite, change, budget):
+    classify = thresholds.classify
+    monkeypatch.setattr(thresholds, "classify", lambda c, e: change(c, classify(c, e)))
+    assert check_pair_suites_pairwise(budget)[suite]
+
+
+def test_mld_extension_guard_finds_a_form_below_the_mld_inside_the_grid(monkeypatch):
+    # the average of two model curves' forms, less 1/100, goes below the mld
+    # only near where both attain it: at a kink of the mld, which may lie
+    # strictly inside an ideal's grid, where a check of its ends misses it
+    def with_midpoints(c, depth):
+        k, n = germ.canonical_vector(c), c.curve_count()
+        return extension_forms(c, depth) + [
+            (Fraction(k[i] + k[j], 2) - Fraction(1, 100), tuple(Fraction(int(x in (i, j)), 2) for x in range(n)))
+            for i in range(n)
+            for j in range(i + 1, n)
+        ]
+
+    monkeypatch.setattr(explorer, "extension_forms", with_midpoints)
+    found = check_pair_suites_pairwise(FAULT_BUDGET)["mld_extension_guard"]
+    assert found
+    inside = 0
+    for (c, coeffs), entries in groupby(found, key=lambda e: (e["cluster"], tuple(e["ideal"]))):
+        lct = thresholds.lct_ideal(c, coeffs).value
+        grid = [format_rational(x) for x in lambda_grid(c, coeffs, lct, FAULT_BUDGET.lambda_denominator_bound)]
+        inside += not {grid[0], grid[-1]} & {e["lambda"] for e in entries}
+    assert inside > 0
 
 
 def test_extension_forms_small():
@@ -617,9 +736,14 @@ WORK_COUNTED = (
 )
 
 
+# and the lc pairs a pair suite walked one by one, on ideals it did not clear
+# at a few exponents: the exponents lambda_grid returned in the sweep
+WORK_NAMES = (*(name for _, name in WORK_COUNTED), "pairs_walked")
+
+
 def sweep_work(monkeypatch, budget):
-    """One ``verify_theorems`` report over the budget, with the calls made
-    of each function in ``WORK_COUNTED``, by name."""
+    """One ``verify_theorems`` report over the budget, with the work of
+    ``WORK_NAMES``, by name."""
     calls = Counter()
 
     def counted(module, name):
@@ -633,23 +757,30 @@ def sweep_work(monkeypatch, budget):
 
     for module, name in WORK_COUNTED:
         counted(module, name)
-    return verify_theorems(budget), dict(calls)
+    grid = explorer.lambda_grid
+
+    def walked(*args):
+        exponents = grid(*args)
+        calls["pairs_walked"] += len(exponents)
+        return exponents
+
+    monkeypatch.setattr(explorer, "lambda_grid", walked)
+    return verify_theorems(budget), {name: calls[name] for name in WORK_NAMES}
 
 
 def test_sweep_work_at_the_enumerate_report_budget(monkeypatch):
     # deterministic work counts of the benchmark's enumerate-report sweep;
     # a change that lowers a count lowers its pin
-    report, calls = sweep_work(
-        monkeypatch, smooth_budget(6, ideal_coeff_bound=1, lambda_denominator_bound=12, extension_depth=2)
-    )
+    report, calls = sweep_work(monkeypatch, ENUMERATE_REPORT_BUDGET)
     assert report.counterexample_total() == 0
     assert calls == {
         "build": 1676,
         "_column": 1403,
         "lct_ideal": 3555,
         "unload": 10193,
-        "lambda_grid": 472,
+        "lambda_grid": 0,
         "cluster_signature": 458,
+        "pairs_walked": 0,
     }
     assert report.counts["lc_pairs"] == 21948
 
@@ -664,19 +795,19 @@ def test_sweep_work_at_the_enumerate_report_budget(monkeypatch):
                 ideal_coeff_bound=1,
                 lambda_denominator_bound=4,
             ),
-            (2636, 2584, 4638, 20516, 666, 494),
+            (2636, 2584, 4638, 20516, 0, 494, 0),
             1210,
             id="sweep-duval",
         ),
         pytest.param(
-            smooth_budget(5, ideal_coeff_bound=3, lambda_denominator_bound=12),
-            (362, 269, 1729, 2639, 443, 89),
+            SWEEP_A_BUDGET,
+            (362, 269, 1729, 2639, 0, 89, 0),
             21920,
             id="sweep-A",
         ),
         pytest.param(
             smooth_budget(4, ideal_coeff_bound=3, lambda_denominator_bound=12, extension_depth=3),
-            (106, 54, 408, 506, 111, 19),
+            (106, 54, 408, 506, 0, 19, 0),
             5438,
             id="sweep-B",
         ),
@@ -684,11 +815,24 @@ def test_sweep_work_at_the_enumerate_report_budget(monkeypatch):
 )
 def test_sweep_work_at_the_north_star_budgets(monkeypatch, budget, work, lc_pairs):
     # the benchmark's du Val bases in one sweep, and acceptance sweeps A and
-    # B; the counts are in the order of WORK_COUNTED
+    # B; the counts are in the order of WORK_NAMES
     report, calls = sweep_work(monkeypatch, budget)
     assert report.counterexample_total() == 0
-    assert calls == dict(zip((name for _, name in WORK_COUNTED), work))
+    assert calls == dict(zip(WORK_NAMES, work))
     assert report.counts["lc_pairs"] == lc_pairs
+
+
+def test_sweep_evaluates_pairs_only_on_ideals_a_suite_does_not_clear(monkeypatch):
+    # curve 0 obstructed by curve 1 fails witness_strictness on some ideals;
+    # those alone are walked pair by pair, once each
+    classify, change = thresholds.classify, swap_witness(0, 1)
+    monkeypatch.setattr(thresholds, "classify", lambda c, e: change(c, classify(c, e)))
+    b = smooth_budget(4, ideal_coeff_bound=1, lambda_denominator_bound=6)
+    report, calls = sweep_work(monkeypatch, b)
+    suite = report.suite("witness_strictness")
+    assert report.counterexample_total() == len(suite.counterexamples) > 0
+    assert (calls["lambda_grid"], calls["pairs_walked"], len(suite.counterexamples)) == (14, 336, 336)
+    assert calls["pairs_walked"] < report.counts["lc_pairs"]
 
 
 def test_verify_theorems_du_val_dichotomy():
