@@ -28,6 +28,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import germ, thresholds, valuation
+from .errors import NotAntinef
 from .exact import format_rational
 
 ATLAS_SPOT_CHECK_SEED = 20260810
@@ -233,7 +234,16 @@ def enumerate_clusters(b: EnumBudget):
 # -- pair enumeration ----------------------------------------------------
 
 
-def antinef_ideals(c: germ.Cluster, bound: int) -> list[tuple[int, ...]]:
+def _pullback(d: tuple[int, ...], refs: tuple[int, ...]) -> tuple[int, ...]:
+    """A divisor of the parent model pulled back through one more blowup,
+    centred on the curves ``refs``: the new curve takes their sum.  It
+    meets the new curve in 0 and every other curve as before."""
+    return (*d, sum(d[r] for r in refs))
+
+
+def antinef_ideals(
+    c: germ.Cluster, bound: int, parent: list[tuple[int, ...]] | None = None
+) -> list[tuple[int, ...]]:
     """Antinef closures of every coefficient vector bounded by ``bound``,
     deduplicated and sorted.  Closures may exceed the bound pointwise.
 
@@ -246,8 +256,29 @@ def antinef_ideals(c: germ.Cluster, bound: int) -> list[tuple[int, ...]]:
     of the zero divisor under a -> unload(max(a, g)) over the generators
     g = unload(b·e_j), 0 < b <= bound.  That takes at most
     n·bound·(len(result) + 1) unloads.
+
+    With ``parent``, this list on c less its last step, one pass of joins
+    suffices.  A divisor whose new entry is at most the sum, over the
+    centre's curves, of the parent closure D of its old entries closes to
+    D pulled back (Lipman, *Rational singularities...*, Publ. IHES 36,
+    1969, §18): pushing forward keeps a divisor antinef, and being antinef
+    at the new curve forces the new entry up to that sum.  So the set is
+    the parent's pulled back and each unload(max(a, g)) of one of them
+    with a new generator g = unload(b·e_new): at most
+    bound·(len(parent) + 1) unloads.
     """
     n = c.curve_count()
+    if parent is not None:
+        refs = germ.step_refs(c.steps[-1])
+        pulled = [_pullback(a, refs) for a in parent]
+        new = [valuation.unload(c, (0,) * (n - 1) + (b,)) for b in range(1, bound + 1)]
+        seen = {*pulled, *new}
+        for a in pulled:
+            for g in new:
+                z = tuple(map(max, a, g))
+                if z not in seen:
+                    seen.add(valuation.unload(c, z))
+        return sorted(seen)
     gens = {
         valuation.unload(c, tuple(b if i == j else 0 for i in range(n)))
         for j in range(n)
@@ -519,6 +550,13 @@ def _grid(k, coeffs, lct, qmax: int) -> _Grid | None:
         kinks.append(pt)
 
 
+class _Lineage(NamedTuple):
+    """What a cluster's children pull back from it in the sweep."""
+
+    graded: list[dict[int, tuple[int, ...]]]  # _Case.graded
+    ideals: list[tuple[int, ...]]  # antinef_ideals
+
+
 @dataclass(frozen=True)
 class _Case:
     """Everything the suites share about one enumerated cluster, computed
@@ -533,10 +571,13 @@ class _Case:
     # has value PLUS_INFINITY and an empty argmin
     ideals: list[tuple[tuple[int, ...], thresholds.LctReport]]
     # per curve, its valuation ideals of degree 1..4 and m0..4m0, keyed by
-    # degree; j·m0 is unloaded from the ideal of degree (j-1)·m0 with its E
-    # entry raised to j·m0, which lies below the closure of j·m0·E since
-    # unloading is monotone.  The column is never read, so the suites
-    # reading these ideals check it independently.
+    # degree.  A valuation's ideals do not depend on the model, so on a
+    # cluster with a parent each old curve's are the parent's pulled back
+    # (see antinef_ideals); they keep every intersection number and
+    # meet the new curve in 0.  Otherwise j·m0 is unloaded from the ideal
+    # of degree (j-1)·m0 with its E entry raised to j·m0, which lies below
+    # the closure of j·m0·E since unloading is monotone.  The column is
+    # never read, so the suites reading these ideals check it independently.
     graded: list[dict[int, tuple[int, ...]]]
     extensions: list[germ.BlowupStep]  # sampled one-blowup extensions
     # the summary of every ideal with a nonempty grid.  No grid exponent
@@ -544,17 +585,24 @@ class _Case:
     grids: list[_Grid]
 
 
-def _case(b: EnumBudget, enum_index: int, c: germ.Cluster) -> _Case:
+def _case(b: EnumBudget, enum_index: int, c: germ.Cluster, parent: _Lineage | None = None) -> _Case:
+    """The case of ``c``.  With ``parent``, the lineage of c less its last
+    step, the old curves' graded ideals and the ideal set are pulled back
+    from it, and only the new curve's ideals are unloaded."""
     n = c.curve_count()
     classes = [thresholds.classify(c, e) for e in range(n)]
     rows = [_row(c, cl, enum_index) for cl in classes]
     k = germ.canonical_vector(c)
+    graded = []
+    if parent is not None:
+        refs = germ.step_refs(c.steps[-1])
+        graded = [{m: _pullback(d, refs) for m, d in g.items()} for g in parent.graded]
     ideals = [
         (coeffs, thresholds.lct_ideal(c, coeffs))
-        for coeffs in antinef_ideals(c, b.ideal_coeff_bound)
+        for coeffs in antinef_ideals(c, b.ideal_coeff_bound, None if parent is None else parent.ideals)
     ]
-    graded = []
-    for e, m0 in enumerate(r.fingen_degree for r in rows):
+    for e in range(len(graded), n):
+        m0 = rows[e].fingen_degree
         g = {m: valuation.valuation_ideal(c, e, m) for m in range(1, 5) if m % m0}
         d = (0,) * n
         for m in range(m0, 5 * m0, m0):
@@ -611,12 +659,19 @@ def _graded_subadditivity(case: _Case):
 
 
 def _rees_singleton(case: _Case):
-    """E is the only Rees valuation of its ideals of degree m0, 2m0, 3m0, 4m0."""
+    """E is the only Rees valuation of its ideals of degree m0, 2m0, 3m0, 4m0.
+    An ideal whose divisor is not antinef fails the check."""
+
+    def rees(d):
+        try:
+            return valuation.rees_valuations(case.c, d)
+        except NotAntinef:
+            return None
+
     for row in case.rows:
         e, m0 = row.curve, row.fingen_degree
         ideals = (case.graded[e][mm * m0] for mm in range(1, 5))
-        extra = any(valuation.rees_valuations(case.c, d) != frozenset((e,)) for d in ideals)
-        yield _found(extra, curve=e, m0=m0)
+        yield _found(any(rees(d) != frozenset((e,)) for d in ideals), curve=e, m0=m0)
 
 
 def _model_stability(case: _Case):
@@ -829,8 +884,17 @@ def verify_theorems(b: EnumBudget) -> VerificationReport:
             checked[name] += count
             bad[name].extend({**ctx, **d} for d in details)
 
+    # the lineages of the last wave and of this one, by steps: a child's
+    # steps less the last are its parent's, both being canonical
+    parents: dict[tuple, _Lineage] = {}
+    wave, kept = None, {}
     for enum_index, c in enumerate(enumerate_clusters(b)):
-        case = _case(b, enum_index, c)
+        if wave != (c.base, len(c.steps)):
+            parents = kept if wave == (c.base, len(c.steps) - 1) else {}
+            wave, kept = (c.base, len(c.steps)), {}
+        case = _case(b, enum_index, c, parents.get(c.steps[:-1]))
+        if len(c.steps) < b.max_steps:
+            kept[c.steps] = _Lineage(case.graded, [d for d, _ in case.ideals])
         counts["clusters"] += 1
         counts["curves"] += len(case.rows)
         counts["ideals"] += len(case.ideals)

@@ -151,24 +151,27 @@ class Cluster:
     Construction validates the steps (raising InvalidStep) and computes
     the dual graph and the canonical vector once: ``_self`` holds each
     curve's self-intersection, the diagonal of M, and ``_nbrs`` the sorted
-    ids of the curves it meets, the off-diagonal 1-entries.  ``_dstar``
-    holds m0·dstar, as integers, of each curve asked about so far (see
-    :mod:`germval.valuation`).  The derived fields take no part
-    in equality, hashing or repr, and are freed with the cluster.
+    ids of the curves it meets, the off-diagonal 1-entries.  :func:`extend`
+    passes in the three it derived from a parent cluster's, and then
+    nothing is simulated again.  ``_dstar`` holds m0·dstar, as integers,
+    of each curve asked about so far (see :mod:`germval.valuation`).  The
+    derived fields take no part in equality, hashing or repr, and are
+    freed with the cluster.
     """
 
     base: BaseGerm
     steps: tuple[BlowupStep, ...]
-    _self: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _nbrs: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    _k: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _self: tuple[int, ...] = field(default=None, compare=False, repr=False)
+    _nbrs: tuple[tuple[int, ...], ...] = field(default=None, compare=False, repr=False)
+    _k: tuple[int, ...] = field(default=None, compare=False, repr=False)
     _dstar: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        self_int, nbrs, k = _simulate(self.base, self.steps)
-        object.__setattr__(self, "_self", tuple(self_int))
-        object.__setattr__(self, "_nbrs", tuple(tuple(sorted(nb)) for nb in nbrs))
-        object.__setattr__(self, "_k", tuple(k))
+        if self._self is None:
+            self_int, nbrs, k = _simulate(self.base, self.steps)
+            object.__setattr__(self, "_self", tuple(self_int))
+            object.__setattr__(self, "_nbrs", tuple(nbrs))
+            object.__setattr__(self, "_k", tuple(k))
 
     def curve_count(self) -> int:
         return self.base.rank() + len(self.steps)
@@ -183,7 +186,8 @@ def step_refs(step: BlowupStep) -> tuple[int, ...]:
 
 
 def _simulate(base: BaseGerm, steps: tuple[BlowupStep, ...]):
-    """Validate steps and return (self-intersections, neighbour sets, k)."""
+    """Validate steps and return (self-intersections, sorted neighbour
+    tuples, k) as lists."""
     if base.is_smooth and not steps:
         raise InvalidStep(0, "a smooth base needs at least one blowup")
     self_int = [-2] * base.rank()
@@ -191,9 +195,18 @@ def _simulate(base: BaseGerm, steps: tuple[BlowupStep, ...]):
     for i, j in [] if base.is_smooth else _dynkin_edges(base.dynkin):
         nbrs[i].add(j)
         nbrs[j].add(i)
-    k: list[int] = [0] * len(self_int)
+    graph = self_int, [tuple(sorted(nb)) for nb in nbrs], [0] * len(self_int)
+    _blowup(base, 0, steps, *graph)
+    return graph
 
-    for idx, step in enumerate(steps):
+
+def _blowup(base: BaseGerm, first: int, steps, self_int, nbrs, k) -> None:
+    """Validate the steps, numbered from ``first``, against the model so
+    far and apply them to the lists in place: a new curve meets the
+    curves through its centre, each of which loses 1 of self-intersection,
+    and a satellite parts its two curves.  The new id is the largest, so
+    each neighbour tuple stays sorted."""
+    for idx, step in enumerate(steps, first):
         n = len(self_int)
         refs = step_refs(step)
         if isinstance(step, Free) and step.on is None:
@@ -212,16 +225,15 @@ def _simulate(base: BaseGerm, steps: tuple[BlowupStep, ...]):
             i, j = step.on
             if j not in nbrs[i]:
                 raise InvalidStep(idx, f"curves {i} and {j} do not meet at this step")
-            nbrs[i].remove(j)
-            nbrs[j].remove(i)
+            nbrs[i] = tuple(v for v in nbrs[i] if v != j)
+            nbrs[j] = tuple(v for v in nbrs[j] if v != i)
 
         self_int.append(-1)
-        nbrs.append(set(refs))
+        nbrs.append(refs)
         for r in refs:
-            nbrs[r].add(n)
+            nbrs[r] += (n,)
             self_int[r] -= 1
         k.append(1 + sum(k[r] for r in refs))
-    return self_int, nbrs, k
 
 
 def build(base: BaseGerm, steps) -> Cluster:
@@ -285,7 +297,12 @@ def legal_steps(c: Cluster) -> list[BlowupStep]:
 
 
 def extend(c: Cluster, step: BlowupStep) -> Cluster:
-    return build(c.base, c.steps + (step,))
+    """The cluster ``build(c.base, c.steps + (step,))``, with the same
+    InvalidStep on an illegal step, from c's dual graph and canonical
+    vector and the one step: c's steps are not simulated again."""
+    graph = list(c._self), list(c._nbrs), list(c._k)
+    _blowup(c.base, len(c.steps), (step,), *graph)
+    return Cluster(c.base, c.steps + (step,), *map(tuple, graph))
 
 
 def ancestor_curves(c: Cluster, curve: int) -> frozenset[int]:

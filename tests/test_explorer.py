@@ -726,6 +726,111 @@ def test_sweep_unloads_each_valuation_ideal_once(monkeypatch):
     assert requests and max(requests.values()) == 1
 
 
+def fresh_graded(c):
+    """Per curve, its valuation ideals of degree 1..4 and m0..4m0 from
+    ``valuation_ideal``; each multiple of m0 is also unloaded bump by bump
+    from the one below it, with its E entry raised, and must agree."""
+    graded = []
+    for e in range(c.curve_count()):
+        m0 = valuation.fingen_degree(c, e)
+        g = {m: valuation.valuation_ideal(c, e, m) for m in (*range(1, 5), *range(m0, 5 * m0, m0))}
+        d = (0,) * c.curve_count()
+        for m in range(m0, 5 * m0, m0):
+            d = valuation.unload(c, [m if j == e else v for j, v in enumerate(d)])
+            assert d == g[m], (c, e, m)
+        graded.append(g)
+    return graded
+
+
+def sweep_pullbacks(monkeypatch, budget):
+    """Sweep the budget, comparing each case's graded ideals with
+    ``fresh_graded`` and its ideal set with ``antinef_ideals(c, bound)``.
+    Returns the clusters that differ, the clusters past their base's first
+    wave and how many of those found their parent's lineage."""
+    case_of = explorer._case
+    wrong, later, found = [], 0, 0
+
+    def checked(b, enum_index, c, parent=None):
+        nonlocal later, found
+        case = case_of(b, enum_index, c, parent)
+        if len(c.steps) > c.base.is_smooth:
+            later += 1
+            found += parent is not None
+        if case.graded != fresh_graded(c) or [d for d, _ in case.ideals] != antinef_ideals(c, b.ideal_coeff_bound):
+            wrong.append(c)
+        return case
+
+    with monkeypatch.context() as m:
+        m.setattr(explorer, "_case", checked)
+        verify_theorems(budget)
+    return wrong, later, found
+
+
+@pytest.mark.parametrize(
+    "budget, later",
+    [
+        pytest.param(du_val_budget(("A1", "A2", "A3", "D4", "E6", "E7"), 2), 327, id="sweep-duval"),
+        pytest.param(ENUMERATE_REPORT_BUDGET, 235, id="enumerate-report"),
+        pytest.param(EnumBudget(3, tuple(map(germ.du_val, ("A2", "D4", "E6"))), 2, 6), 1066, id="A2-D4-E6x3"),
+    ],
+)
+def test_sweep_pulls_back_what_a_fresh_computation_gives(monkeypatch, budget, later):
+    # every cluster past a base's first wave finds its parent, and every
+    # pulled-back graded ideal and ideal set is the one computed afresh
+    wrong, past_first_wave, found = sweep_pullbacks(monkeypatch, budget)
+    assert not wrong
+    assert found == past_first_wave == later
+
+
+def test_sweep_catches_an_unload_fault_past_the_first_wave(monkeypatch):
+    # past a base's first wave only the new curve's ideals and the joins with
+    # its generators are unloaded; an unload that raises the newest curve's
+    # entry there is still found, on those clusters alone
+    unload = valuation.unload
+
+    def faulty(c, z):
+        d = unload(c, z)
+        return (*d[:-1], d[-1] + 1) if len(c.steps) > 1 else d
+
+    b = smooth_budget(4, ideal_coeff_bound=1, lambda_denominator_bound=2)
+    check_fault_is_caught("oracle_equivalence", b, lambda: monkeypatch.setattr(valuation, "unload", faulty))
+    found = verify_theorems(b).suite("oracle_equivalence").counterexamples
+    assert all(len(json.loads(x["steps"])) > 1 for x in found)
+
+
+def test_oracle_equivalence_catches_a_pullback_that_reads_one_curve_of_a_satellite(monkeypatch):
+    # the new entry of a pulled-back ideal must be the sum over both curves
+    # through a satellite centre; the column is solved afresh
+    pullback = explorer._pullback
+    b = smooth_budget(3, ideal_coeff_bound=1, lambda_denominator_bound=2)
+    check_fault_is_caught(
+        "oracle_equivalence", b, lambda: monkeypatch.setattr(explorer, "_pullback", lambda d, refs: pullback(d, refs[:1]))
+    )
+
+
+def test_pullback_check_catches_an_ideal_set_missing_a_join(monkeypatch):
+    # drop from each pulled-back ideal set its largest ideal, if any, that
+    # is no parent ideal pulled back: a join with a new generator
+    ideals_of, dropped = explorer.antinef_ideals, []
+
+    def missing_a_join(c, bound, parent=None):
+        ideals = ideals_of(c, bound, parent)
+        if parent is not None:
+            refs = germ.step_refs(c.steps[-1])
+            pulled = {explorer._pullback(a, refs) for a in parent}
+            joins = [d for d in ideals if d not in pulled]
+            if joins:
+                ideals.remove(max(joins))
+                dropped.append(c)
+        return ideals
+
+    b = smooth_budget(4, ideal_coeff_bound=2)
+    assert not sweep_pullbacks(monkeypatch, b)[0]
+    monkeypatch.setattr(explorer, "antinef_ideals", missing_a_join)
+    wrong = sweep_pullbacks(monkeypatch, b)[0]
+    assert dropped and set(dropped) <= set(wrong)
+
+
 WORK_COUNTED = (
     (germ, "build"),
     (valuation, "_column"),
@@ -774,10 +879,10 @@ def test_sweep_work_at_the_enumerate_report_budget(monkeypatch):
     report, calls = sweep_work(monkeypatch, ENUMERATE_REPORT_BUDGET)
     assert report.counterexample_total() == 0
     assert calls == {
-        "build": 1676,
+        "build": 302,
         "_column": 1403,
         "lct_ideal": 3555,
-        "unload": 10193,
+        "unload": 2052,
         "lambda_grid": 0,
         "cluster_signature": 458,
         "pairs_walked": 0,
@@ -795,27 +900,29 @@ def test_sweep_work_at_the_enumerate_report_budget(monkeypatch):
                 ideal_coeff_bound=1,
                 lambda_denominator_bound=4,
             ),
-            (2636, 2584, 4638, 20516, 0, 494, 0),
+            (456, 2584, 4638, 3074, 0, 494, 0),
             1210,
             id="sweep-duval",
         ),
         pytest.param(
             SWEEP_A_BUDGET,
-            (362, 269, 1729, 2639, 0, 89, 0),
+            (68, 269, 1729, 660, 0, 89, 0),
             21920,
             id="sweep-A",
         ),
         pytest.param(
             smooth_budget(4, ideal_coeff_bound=3, lambda_denominator_bound=12, extension_depth=3),
-            (106, 54, 408, 506, 0, 19, 0),
+            (17, 54, 408, 167, 0, 19, 0),
             5438,
             id="sweep-B",
         ),
+        pytest.param(EnumBudget(max_steps=7), (1462, 7717, 26312, 10921, 0, 2438, 0), 68112, id="enumerate-7"),
     ],
 )
 def test_sweep_work_at_the_north_star_budgets(monkeypatch, budget, work, lc_pairs):
-    # the benchmark's du Val bases in one sweep, and acceptance sweeps A and
-    # B; the counts are in the order of WORK_NAMES
+    # the benchmark's du Val bases in one sweep, acceptance sweeps A and B,
+    # and smooth <= 7 at the command-line defaults; the counts are in the
+    # order of WORK_NAMES
     report, calls = sweep_work(monkeypatch, budget)
     assert report.counterexample_total() == 0
     assert calls == dict(zip(WORK_NAMES, work))

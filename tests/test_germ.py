@@ -252,3 +252,35 @@ def test_prune_minimal_resolution_curve():
     # pruning to the last curve keeps its whole chain
     pruned2, _ = prune_to_ancestors(c, 3)
     assert pruned2 == c
+
+
+def _raised(make):
+    """(index, reason) of the InvalidStep that ``make()`` raises."""
+    with pytest.raises(InvalidStep) as err:
+        make()
+    return err.value.index, err.value.reason
+
+
+@pytest.mark.parametrize(
+    "bases, max_steps",
+    [((germ.SMOOTH,), 5), (tuple(map(germ.du_val, ("A3", "D4", "E6"))), 3)],
+    ids=["smooth5", "A3-D4-E6x3"],
+)
+def test_extend_equals_build_of_the_longer_step_list(bases, max_steps):
+    # every legal step of every cluster, and three kinds of illegal step,
+    # applied to the cluster's dual graph or simulated from the base
+    from germval.explorer import EnumBudget, enumerate_clusters
+
+    for c in enumerate_clusters(EnumBudget(max_steps=max_steps, bases=bases)):
+        for step in germ.legal_steps(c):
+            got, want = germ.extend(c, step), germ.build(c.base, c.steps + (step,))
+            assert (got.steps, got._self, got._nbrs, got._k) == (want.steps, want._self, want._nbrs, want._k)
+        n = c.curve_count()
+        apart = [(i, j) for i in range(n) for j in range(i + 1, n) if j not in c._nbrs[i]]
+        illegal = [germ.Free(n), germ.Satellite((0, n))] + [germ.Satellite(pair) for pair in apart[:1]]
+        if c.steps:
+            illegal.append(germ.Free(None))
+        for step in illegal:
+            raised = _raised(lambda: germ.extend(c, step))
+            assert raised == _raised(lambda: germ.build(c.base, c.steps + (step,)))
+            assert raised[0] == len(c.steps)
