@@ -1,13 +1,8 @@
 """Bounded exhaustive enumeration of clusters and pairs, theorem-level
 property sweeps, and the atlas dataset.
 
-Clusters are enumerated up to the canonical identification in which free
-blowups on the same curve are interchangeable (together with the induced
-relabeling of their descendants); minimal-resolution curves are never
-permuted.  Each class is represented by the lexicographically smallest
-step encoding, found by a search that builds it one position at a time
-and branches only over tied free siblings, once per isomorphism class of
-their subtrees (see :func:`cluster_signature`).
+Clusters are enumerated once per class of interchangeable free blowups,
+each by its smallest step encoding (see :func:`cluster_signature`).
 
 Counterexamples found by the sweeps become report entries, never aborts:
 the harness doubles as a probe for where the claims might fail
@@ -555,6 +550,7 @@ class _Lineage(NamedTuple):
 
     graded: list[dict[int, tuple[int, ...]]]  # _Case.graded
     ideals: list[tuple[int, ...]]  # antinef_ideals
+    graded_failed: list[tuple[bool, bool, bool]]  # _Case.graded_failed
 
 
 @dataclass(frozen=True)
@@ -571,14 +567,16 @@ class _Case:
     # has value PLUS_INFINITY and an empty argmin
     ideals: list[tuple[tuple[int, ...], thresholds.LctReport]]
     # per curve, its valuation ideals of degree 1..4 and m0..4m0, keyed by
-    # degree.  A valuation's ideals do not depend on the model, so on a
-    # cluster with a parent each old curve's are the parent's pulled back
-    # (see antinef_ideals); they keep every intersection number and
-    # meet the new curve in 0.  Otherwise j·m0 is unloaded from the ideal
-    # of degree (j-1)·m0 with its E entry raised to j·m0, which lies below
-    # the closure of j·m0·E since unloading is monotone.  The column is
-    # never read, so the suites reading these ideals check it independently.
+    # degree.  They do not depend on the model, so on a cluster with a parent
+    # each old curve's are the parent's pulled back (see antinef_ideals).
+    # Otherwise j·m0 is unloaded from the ideal of degree (j-1)·m0 with its E
+    # entry raised to j·m0, below the closure of j·m0·E as unloading is
+    # monotone.  The suites reading these check the column independently.
     graded: list[dict[int, tuple[int, ...]]]
+    # per curve, whether those fail ideal_monotonicity, graded_subadditivity
+    # and rees_singleton.  A pullback keeps order, sums and products (and
+    # meets the new curve in 0), so old curves inherit the verdicts.
+    graded_failed: list[tuple[bool, bool, bool]]
     extensions: list[germ.BlowupStep]  # sampled one-blowup extensions
     # the summary of every ideal with a nonempty grid.  No grid exponent
     # exceeds its ideal's lct, so every pair is log canonical.
@@ -587,16 +585,17 @@ class _Case:
 
 def _case(b: EnumBudget, enum_index: int, c: germ.Cluster, parent: _Lineage | None = None) -> _Case:
     """The case of ``c``.  With ``parent``, the lineage of c less its last
-    step, the old curves' graded ideals and the ideal set are pulled back
-    from it, and only the new curve's ideals are unloaded."""
+    step, the old curves' graded ideals, their verdicts and the ideal set
+    are pulled back from it, and only the new curve's ideals are unloaded."""
     n = c.curve_count()
     classes = [thresholds.classify(c, e) for e in range(n)]
     rows = [_row(c, cl, enum_index) for cl in classes]
     k = germ.canonical_vector(c)
-    graded = []
+    graded, failed = [], []
     if parent is not None:
         refs = germ.step_refs(c.steps[-1])
         graded = [{m: _pullback(d, refs) for m, d in g.items()} for g in parent.graded]
+        failed = list(parent.graded_failed)
     ideals = [
         (coeffs, thresholds.lct_ideal(c, coeffs))
         for coeffs in antinef_ideals(c, b.ideal_coeff_bound, None if parent is None else parent.ideals)
@@ -608,10 +607,11 @@ def _case(b: EnumBudget, enum_index: int, c: germ.Cluster, parent: _Lineage | No
         for m in range(m0, 5 * m0, m0):
             d = g[m] = valuation.unload(c, [m if j == e else v for j, v in enumerate(d)])
         graded.append(g)
+        failed.append(_graded_failures(c, e, m0, g))
     grids = [_grid(k, coeffs, report.value, b.lambda_denominator_bound) for coeffs, report in ideals]
     steps = germ.legal_steps(c)
     return _Case(
-        c, b, rows, classes, k, ideals, graded,
+        c, b, rows, classes, k, ideals, graded, failed,
         # sampled deterministically when there are many
         extensions=steps[:: max(1, -(-len(steps) // _STABILITY_CAP))],
         grids=[g for g in grids if g],
@@ -643,52 +643,56 @@ def _oracle_equivalence(case: _Case):
         yield _found(case.graded[e][m0] != valuation.fingen_ideal(case.c, e), curve=e, m0=m0)
 
 
+def _graded_failures(c: germ.Cluster, e: int, m0: int, g) -> tuple[bool, bool, bool]:
+    """_Case.graded_failed of E, whose graded ideals are ``g``."""
+
+    def rees(d):
+        try:
+            return valuation.rees_valuations(c, d) if any(d) else None
+        except NotAntinef:
+            return None
+
+    return (
+        any(a > b for m in range(1, 4) for a, b in zip(g[m], g[m + 1])),
+        any(s > a + b for m in range(1, 4) for n in range(1, 5 - m) for s, a, b in zip(g[m + n], g[m], g[n])),
+        any(rees(g[mm * m0]) != frozenset((e,)) for mm in range(1, 5)),
+    )
+
+
 def _ideal_monotonicity(case: _Case):
     """E's valuation ideals of degree 1..4 have pointwise growing divisors."""
-    for e, g in enumerate(case.graded):
-        ds = [g[m] for m in range(1, 5)]
-        yield _found(any(a > b for da, db in zip(ds, ds[1:]) for a, b in zip(da, db)), curve=e)
+    for e, failed in enumerate(case.graded_failed):
+        yield _found(failed[0], curve=e)
 
 
 def _graded_subadditivity(case: _Case):
     """The divisor of degree m + n is at most the sum of degrees m and n (m + n <= 4)."""
-    splits = [(m, n) for m in range(1, 4) for n in range(1, 5 - m)]
-    for e, g in enumerate(case.graded):
-        over = any(s > a + b for m, n in splits for s, a, b in zip(g[m + n], g[m], g[n]))
-        yield _found(over, curve=e)
+    for e, failed in enumerate(case.graded_failed):
+        yield _found(failed[1], curve=e)
 
 
 def _rees_singleton(case: _Case):
     """E is the only Rees valuation of its ideals of degree m0, 2m0, 3m0, 4m0.
-    An ideal whose divisor is not antinef fails the check."""
-
-    def rees(d):
-        try:
-            return valuation.rees_valuations(case.c, d)
-        except NotAntinef:
-            return None
-
-    for row in case.rows:
-        e, m0 = row.curve, row.fingen_degree
-        ideals = (case.graded[e][mm * m0] for mm in range(1, 5))
-        yield _found(any(rees(d) != frozenset((e,)) for d in ideals), curve=e, m0=m0)
+    An ideal whose divisor is zero or not antinef fails the check."""
+    for row, failed in zip(case.rows, case.graded_failed):
+        yield _found(failed[2], curve=row.curve, m0=row.fingen_degree)
 
 
 def _model_stability(case: _Case):
     """One more blowup keeps E's multiplicities on the old curves and its asymptotic lct.
-    Certified without a solve: w extended by its sum over the curves through the
-    new centre is E's column on the extension (a nonsingular form) when it meets
-    E negatively and every other curve trivially; then only the new curve's
-    ratio could lower the lct."""
-    columns = [valuation.fingen_ideal(case.c, row.curve) for row in case.rows]
+    Certified without a solve: if E's column w meets E negatively and every other
+    curve trivially, so does its pullback (see _pullback) on every extension, as
+    E's column there; then only the new curve's ratio could lower the lct."""
+    columns = [valuation.fingen_ideal(case.c, e) for e in range(len(case.rows))]
+    prods = [germ.intersect(case.c, w) for w in columns]
+    wrong = [p[e] >= 0 or any(p[:e] + p[e + 1 :]) for e, p in enumerate(prods)]
     for step in case.extensions:
-        c2, label = germ.extend(case.c, step), repr(step)
-        refs, k_new = germ.step_refs(step), germ.canonical_vector(c2)[-1]
+        refs, label = germ.step_refs(step), repr(step)
+        k_new = 1 + sum(case.k[r] for r in refs)
         for e, (row, w) in enumerate(zip(case.rows, columns)):
             w_new = sum(w[r] for r in refs)
-            prod = germ.intersect(c2, (*w, w_new))
             lowered = (k_new + 1) * w[e] * row.lct.denominator < row.lct.numerator * w_new
-            yield _found(prod[e] >= 0 or any(prod[:e] + prod[e + 1 :]) or lowered, curve=e, step=label)
+            yield _found(wrong[e] or lowered, curve=e, step=label)
 
 
 def _pullback_stability(case: _Case):
@@ -787,13 +791,15 @@ def _gap_inequality(case: _Case):
 
 def _gap_attainment(case: _Case):
     """A curve computing an lct has log discrepancy 0 along its unloaded
-    ideal of degree m0 at that ideal's lct."""
+    ideal of degree m0 at that ideal's lct; a zero ideal, of infinite lct, fails."""
     c = case.c
     for row in case.rows:
         if row.gap == 0:
             witness = case.graded[row.curve][row.fingen_degree]
-            pair = thresholds.PairSpec(witness, thresholds.lct_ideal(c, witness).value)
-            yield _found(thresholds.log_discrepancy(c, pair, row.curve) != row.gap, curve=row.curve)
+            lct = thresholds.lct_ideal(c, witness).value
+            pair = thresholds.PairSpec(witness, lct)
+            wrong = lct is thresholds.PLUS_INFINITY or thresholds.log_discrepancy(c, pair, row.curve) != row.gap
+            yield _found(wrong, curve=row.curve)
 
 
 def _witness_strictness(case: _Case):
@@ -894,7 +900,7 @@ def verify_theorems(b: EnumBudget) -> VerificationReport:
             wave, kept = (c.base, len(c.steps)), {}
         case = _case(b, enum_index, c, parents.get(c.steps[:-1]))
         if len(c.steps) < b.max_steps:
-            kept[c.steps] = _Lineage(case.graded, [d for d, _ in case.ideals])
+            kept[c.steps] = _Lineage(case.graded, [d for d, _ in case.ideals], case.graded_failed)
         counts["clusters"] += 1
         counts["curves"] += len(case.rows)
         counts["ideals"] += len(case.ideals)

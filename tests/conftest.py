@@ -10,6 +10,7 @@ import pytest
 
 from germval import explorer, germ, thresholds, valuation
 from germval.cli import satellite_chain, single_blowup
+from germval.errors import NotAntinef
 from germval.exact import format_rational
 from germval.explorer import EnumBudget, verify_theorems
 
@@ -372,6 +373,32 @@ def check_pair_suites_pairwise(b) -> dict[str, list[dict]]:
             assert [d for _, ds in got for d in ds] == [d for ds in want for d in ds], (name, c)
             found[name] += [{"cluster": c, **d} for ds in want for d in ds]
     return found
+
+
+def graded_failures_fresh(c: germ.Cluster, graded) -> list[tuple[bool, bool, bool]]:
+    """Per curve E, whether its graded ideals fail ideal_monotonicity,
+    graded_subadditivity and rees_singleton, checked on the cluster itself:
+    pointwise on the divisors, and with ``valuation.rees_valuations`` on
+    each ideal of degree m0..4m0.  A zero or non-antinef one fails."""
+
+    def only_e(d, e):
+        try:
+            return any(d) and valuation.rees_valuations(c, d) == {e}
+        except NotAntinef:
+            return False
+
+    failed = []
+    for e, g in enumerate(graded):
+        m0 = valuation.fingen_degree(c, e)
+        n = c.curve_count()
+        failed.append(
+            (
+                any(g[m][j] > g[m + 1][j] for m in range(1, 4) for j in range(n)),
+                any(g[a + b][j] > g[a][j] + g[b][j] for a in range(1, 4) for b in range(1, 5 - a) for j in range(n)),
+                not all(only_e(g[mm * m0], e) for mm in range(1, 5)),
+            )
+        )
+    return failed
 
 
 def mld_kinks_bruteforce(k, coeffs, lo: Fraction, hi: Fraction) -> list[Fraction]:

@@ -10,7 +10,7 @@ from itertools import groupby, product
 
 import pytest
 
-from germval import explorer, germ, thresholds, valuation
+from germval import cli, explorer, germ, thresholds, valuation
 from germval.exact import format_rational
 from germval.explorer import (
     ATLAS_COLUMNS,
@@ -35,6 +35,7 @@ from conftest import (
     cluster_signature_permutations,
     count_column_solves,
     extension_forms_sequences,
+    graded_failures_fresh,
     mld_kinks_bruteforce,
     renumber,
     satellite_chain,
@@ -486,8 +487,8 @@ def test_counterexamples_keep_one_check_per_pair(monkeypatch):
 
 def test_sweep_reuses_row_lct_reports(monkeypatch):
     # each atlas row and each spot check solves its curve's column once, in
-    # classify; no suite solves it again, and model_stability checks E's
-    # column on each extension by a certificate instead of a solve
+    # classify; no suite solves it again, and model_stability certifies E's
+    # column once on the model instead of solving on each extension
     count = count_column_solves(monkeypatch)
     report = verify_theorems(smooth_budget(3, ideal_coeff_bound=1))
     rows = report.counts["curves"] + report.suite("atlas_spot_check").checked
@@ -546,18 +547,43 @@ def test_prime_blowup_positive_reads_lct_off_the_unloaded_ideal(monkeypatch):
     assert suite.checked > 0 and suite.counterexamples
 
 
-def test_model_stability_certificate_catches_a_wrong_centre(monkeypatch):
+def pullback_identity_failures(budget):
+    """(cluster, step, curve) wherever E's column pulled back through a
+    legal step fails to meet the built extension as the column meets the
+    model, and the new curve in 0: the premise of model_stability."""
+    failures = []
+    for c in enumerate_clusters(budget):
+        for step in germ.legal_steps(c):
+            c2, refs = germ.extend(c, step), germ.step_refs(step)
+            for e in range(c.curve_count()):
+                w = valuation.fingen_ideal(c, e)
+                if germ.intersect(c2, explorer._pullback(w, refs)) != [*germ.intersect(c, w), 0]:
+                    failures.append((c, step, e))
+    return failures
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        pytest.param(smooth_budget(5), id="smooth5"),
+        pytest.param(du_val_budget(("A3", "D4", "E6"), 3), id="A3-D4-E6x3"),
+    ],
+)
+def test_extension_meets_a_pulled_back_column_as_the_model_does(budget):
+    assert not pullback_identity_failures(budget)
+
+
+def test_pullback_identity_catches_a_wrong_centre(monkeypatch):
     # an extension that blows up another centre than the step names: E's
-    # column extended by the step's sum is then no column of the built cluster
+    # column extended by the step's sum then meets it otherwise
     extend = germ.extend
 
     def elsewhere(c, step):
         others = [s for s in germ.legal_steps(c) if germ.step_refs(s) != germ.step_refs(step)]
         return extend(c, others[0] if others else step)
 
-    monkeypatch.setattr(explorer.germ, "extend", elsewhere)
-    suite = verify_theorems(smooth_budget(3, ideal_coeff_bound=1)).suite("model_stability")
-    assert suite.checked > 0 and suite.counterexamples
+    monkeypatch.setattr(germ, "extend", elsewhere)
+    assert pullback_identity_failures(smooth_budget(3))
 
 
 def faulty_ideal_values(monkeypatch, value_of):
@@ -627,6 +653,18 @@ def bump_valuation_ideal(monkeypatch, degree):
     monkeypatch.setattr(valuation, "valuation_ideal", bumped)
 
 
+def doubled_unload(monkeypatch):
+    """Make ``unload`` return twice the closure."""
+    unload = valuation.unload
+    monkeypatch.setattr(valuation, "unload", lambda c, z: tuple(2 * v for v in unload(c, z)))
+
+
+def extra_rees_valuation(monkeypatch):
+    """Make curve 0 a Rees valuation of every ideal."""
+    rees = valuation.rees_valuations
+    monkeypatch.setattr(valuation, "rees_valuations", lambda c, d: rees(c, d) | {0})
+
+
 def test_ideal_monotonicity_catches_a_degree_one_ideal_above_degree_two(monkeypatch):
     b = smooth_budget(4, ideal_coeff_bound=1, lambda_denominator_bound=2)
     check_fault_is_caught("ideal_monotonicity", b, lambda: bump_valuation_ideal(monkeypatch, 1))
@@ -638,11 +676,45 @@ def test_graded_subadditivity_catches_a_degree_three_ideal_above_the_sum(monkeyp
 
 
 def test_rees_singleton_catches_an_extra_rees_valuation(monkeypatch):
-    rees = valuation.rees_valuations
     b = smooth_budget(3, ideal_coeff_bound=1, lambda_denominator_bound=2)
-    check_fault_is_caught(
-        "rees_singleton", b, lambda: monkeypatch.setattr(valuation, "rees_valuations", lambda c, d: rees(c, d) | {0})
-    )
+    check_fault_is_caught("rees_singleton", b, lambda: extra_rees_valuation(monkeypatch))
+
+
+def test_rees_singleton_fails_a_zero_ideal_instead_of_stopping_the_sweep(monkeypatch):
+    # an unload that returns the zero divisor leaves every graded ideal 0,
+    # which has no Rees valuation and no finite lct
+    b = smooth_budget(2, ideal_coeff_bound=1, lambda_denominator_bound=2)
+    clean = verify_theorems(b)
+    monkeypatch.setattr(valuation, "unload", lambda c, z: (0,) * c.curve_count())
+    report = verify_theorems(b)
+    for name in ("rees_singleton", "dstar_unit"):
+        suite = report.suite(name)
+        assert suite.checked == clean.suite(name).checked and suite.counterexamples, name
+
+
+def shifted_column(monkeypatch):
+    """Make ``fingen_ideal`` add 1 at the curve after E, when there is one."""
+    fingen_ideal = valuation.fingen_ideal
+
+    def shifted(c, e):
+        w = fingen_ideal(c, e)
+        return tuple(v + (i == (e + 1) % len(w) != e) for i, v in enumerate(w))
+
+    monkeypatch.setattr(valuation, "fingen_ideal", shifted)
+
+
+@pytest.mark.parametrize(
+    "inject",
+    [
+        # w + e_j meets curve j in E_j.E_j != 0, so the certificate fails
+        pytest.param(shifted_column, id="column-meets-another-curve"),
+        # the new curve's ratio lies below an lct raised by one
+        pytest.param(lambda mp: patch_classify(mp, lambda cl: replace(cl, lct=cl.lct + 1)), id="lct-raised"),
+    ],
+)
+def test_model_stability_catches_a_wrong_column_or_lct(monkeypatch, inject):
+    b = smooth_budget(3, ideal_coeff_bound=1, lambda_denominator_bound=2)
+    check_fault_is_caught("model_stability", b, lambda: inject(monkeypatch))
 
 
 def test_lct_scaling_catches_a_threshold_doubled_on_powers(monkeypatch):
@@ -700,13 +772,8 @@ def test_dstar_unit_reads_the_unloaded_ideal(monkeypatch):
     # an unload that doubles its result leaves the column alone, so only a
     # check read off the unloaded ideal of degree m0 can catch it, and
     # oracle_equivalence finds the two apart
-    unload = valuation.unload
     b = smooth_budget(2, ideal_coeff_bound=1, lambda_denominator_bound=2)
-    check_fault_is_caught(
-        "oracle_equivalence",
-        b,
-        lambda: monkeypatch.setattr(valuation, "unload", lambda c, z: tuple(2 * v for v in unload(c, z))),
-    )
+    check_fault_is_caught("oracle_equivalence", b, lambda: doubled_unload(monkeypatch))
     suite = verify_theorems(b).suite("dstar_unit")
     assert suite.checked == 3 and len(suite.counterexamples) == 3
 
@@ -782,6 +849,44 @@ def test_sweep_pulls_back_what_a_fresh_computation_gives(monkeypatch, budget, la
     assert found == past_first_wave == later
 
 
+@pytest.mark.parametrize(
+    "inject, fails",
+    [
+        pytest.param(lambda mp: None, set(), id="clean"),
+        pytest.param(lambda mp: bump_valuation_ideal(mp, 1), {"ideal_monotonicity"}, id="degree-1-bump"),
+        pytest.param(
+            lambda mp: bump_valuation_ideal(mp, 3), {"ideal_monotonicity", "graded_subadditivity"}, id="degree-3-bump"
+        ),
+        pytest.param(extra_rees_valuation, {"rees_singleton"}, id="extra-rees-valuation"),
+        # the m0..4m0 chain then sets E's entry below the doubled one
+        pytest.param(doubled_unload, {"rees_singleton"}, id="doubled-unload"),
+    ],
+)
+def test_inherited_graded_verdicts_match_a_fresh_check(monkeypatch, inject, fails):
+    # the three graded-ideal verdicts are computed on the first wave and on
+    # each new curve, and inherited on old curves; on every curve they are
+    # those of a fresh check of the case's graded ideals, clean and under
+    # faults, and the faults make inherited verdicts fail
+    inject(monkeypatch)
+    case_of, wrong, inherited = explorer._case, [], Counter()
+    names = ("ideal_monotonicity", "graded_subadditivity", "rees_singleton")
+
+    def checked(b, enum_index, c, parent=None):
+        case = case_of(b, enum_index, c, parent)
+        if case.graded_failed != graded_failures_fresh(c, case.graded):
+            wrong.append(c)
+        for failed in [] if parent is None else case.graded_failed[:-1]:
+            inherited.update(["curves", *(name for name, f in zip(names, failed) if f)])
+        return case
+
+    monkeypatch.setattr(explorer, "_case", checked)
+    monkeypatch.setattr(explorer, "_SUITES", {})  # the cases alone are compared
+    report = verify_theorems(EnumBudget(4, (germ.SMOOTH, germ.du_val("A2"), germ.du_val("D4")), 0, 1))
+    assert report.counts["curves"] == 52 + 1724 + 12494
+    assert not wrong and inherited["curves"] > 10000
+    assert {name for name in names if inherited[name]} == fails
+
+
 def test_sweep_catches_an_unload_fault_past_the_first_wave(monkeypatch):
     # past a base's first wave only the new curve's ideals and the joins with
     # its generators are unloaded; an unload that raises the newest curve's
@@ -838,6 +943,8 @@ WORK_COUNTED = (
     (valuation, "unload"),
     (explorer, "lambda_grid"),
     (explorer, "cluster_signature"),
+    (germ, "extend"),
+    (valuation, "rees_valuations"),
 )
 
 
@@ -846,9 +953,8 @@ WORK_COUNTED = (
 WORK_NAMES = (*(name for _, name in WORK_COUNTED), "pairs_walked")
 
 
-def sweep_work(monkeypatch, budget):
-    """One ``verify_theorems`` report over the budget, with the work of
-    ``WORK_NAMES``, by name."""
+def count_work(monkeypatch, run):
+    """What ``run()`` returns, with the work of ``WORK_NAMES`` it did, by name."""
     calls = Counter()
 
     def counted(module, name):
@@ -870,7 +976,12 @@ def sweep_work(monkeypatch, budget):
         return exponents
 
     monkeypatch.setattr(explorer, "lambda_grid", walked)
-    return verify_theorems(budget), {name: calls[name] for name in WORK_NAMES}
+    return run(), {name: calls[name] for name in WORK_NAMES}
+
+
+def sweep_work(monkeypatch, budget):
+    """One ``verify_theorems`` report over the budget, with its work."""
+    return count_work(monkeypatch, lambda: verify_theorems(budget))
 
 
 def test_sweep_work_at_the_enumerate_report_budget(monkeypatch):
@@ -885,6 +996,8 @@ def test_sweep_work_at_the_enumerate_report_budget(monkeypatch):
         "unload": 2052,
         "lambda_grid": 0,
         "cluster_signature": 458,
+        "extend": 0,
+        "rees_valuations": 944,
         "pairs_walked": 0,
     }
     assert report.counts["lc_pairs"] == 21948
@@ -900,23 +1013,25 @@ def test_sweep_work_at_the_enumerate_report_budget(monkeypatch):
                 ideal_coeff_bound=1,
                 lambda_denominator_bound=4,
             ),
-            (456, 2584, 4638, 3074, 0, 494, 0),
+            (456, 2584, 4638, 3074, 0, 494, 0, 1400, 0),
             1210,
             id="sweep-duval",
         ),
         pytest.param(
             SWEEP_A_BUDGET,
-            (68, 269, 1729, 660, 0, 89, 0),
+            (68, 269, 1729, 660, 0, 89, 0, 224, 0),
             21920,
             id="sweep-A",
         ),
         pytest.param(
             smooth_budget(4, ideal_coeff_bound=3, lambda_denominator_bound=12, extension_depth=3),
-            (17, 54, 408, 167, 0, 19, 0),
+            (17, 54, 408, 167, 0, 19, 0, 60, 0),
             5438,
             id="sweep-B",
         ),
-        pytest.param(EnumBudget(max_steps=7), (1462, 7717, 26312, 10921, 0, 2438, 0), 68112, id="enumerate-7"),
+        pytest.param(
+            EnumBudget(max_steps=7), (1462, 7717, 26312, 10921, 0, 2438, 0, 4380, 0), 68112, id="enumerate-7"
+        ),
     ],
 )
 def test_sweep_work_at_the_north_star_budgets(monkeypatch, budget, work, lc_pairs):
@@ -927,6 +1042,17 @@ def test_sweep_work_at_the_north_star_budgets(monkeypatch, budget, work, lc_pair
     assert report.counterexample_total() == 0
     assert calls == dict(zip(WORK_NAMES, work))
     assert report.counts["lc_pairs"] == lc_pairs
+
+
+def test_analyze_work_on_a_long_chain(monkeypatch, tmp_path, capsys):
+    # analyze --last on a 10,000-blowup chain builds the cluster and solves
+    # the last curve's column and threshold once; its gap is positive, so
+    # no witness is unloaded
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(germ.cluster_to_json(satellite_chain(10_000))))
+    code, calls = count_work(monkeypatch, lambda: cli.main(["analyze", str(path), "--last", "-f", "json"]))
+    assert code == 0 and json.loads(capsys.readouterr().out)["gap"] == "9997/6"
+    assert calls == dict(zip(WORK_NAMES, (1, 1, 1, 0, 0, 0, 0, 0, 0)))
 
 
 def test_sweep_evaluates_pairs_only_on_ideals_a_suite_does_not_clear(monkeypatch):
