@@ -44,6 +44,8 @@ _STABILITY_CAP = 8
 # and the forms grow about 2.3x per level: 19,898 at depth 10 on a three-step
 # cluster.
 MAX_EXTENSION_DEPTH = 10
+# _grid takes O(q_max^2·lct) steps: sweep A took 0.5 s at q <= 100, 1.7 s at 200.
+MAX_LAMBDA_DENOMINATOR = 100
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,8 @@ class EnumBudget:
             raise ValueError("max_steps must be >= 1")
         if self.ideal_coeff_bound < 0:
             raise ValueError("ideal_coeff_bound must be >= 0")
-        if self.lambda_denominator_bound < 1:
-            raise ValueError("lambda_denominator_bound must be >= 1")
+        if not 1 <= self.lambda_denominator_bound <= MAX_LAMBDA_DENOMINATOR:
+            raise ValueError(f"lambda_denominator_bound must be in 1..{MAX_LAMBDA_DENOMINATOR}")
         if self.extension_depth < 0:
             raise ValueError("extension_depth must be >= 0")
         if self.extension_depth > MAX_EXTENSION_DEPTH:
@@ -189,41 +191,33 @@ def _subtree_keys(rank: int, parents) -> list[int]:
     return key
 
 
-def cluster_from_signature(sig: tuple) -> germ.Cluster:
-    label = sig[0]
-    base = germ.SMOOTH if label == "smooth" else germ.du_val(label)
-    steps: list[germ.BlowupStep] = []
-    for tok in sig[1:]:
-        if len(tok) == 0:
-            steps.append(germ.Free(None))
-        elif len(tok) == 1:
-            steps.append(germ.Free(tok[0]))
-        else:
-            steps.append(germ.Satellite(tok))
-    return germ.build(base, steps)
+def _waves(b: EnumBudget):
+    """Per base, each wave of classes in signature order, as a list of
+    (parent's position in the last wave or None, signature, cluster).
+    A class's signature less its last token is its parent's: the last
+    placed step is a leaf.  So each class is made once: its parent
+    extended by the one step whose own token ends the class's signature
+    (McKay's canonical augmentation, J. Algorithms 26, 1998)."""
+    for base in b.bases:
+        c = germ.build(base, (germ.Free(None),) if base.is_smooth else ())
+        wave = [(None, (base.label, *germ.step_parents(c)), c)]  # one step at most: canonical
+        yield wave
+        for _ in range(len(c.steps), b.max_steps):
+            children = []
+            for pos, (_, sig, parent) in enumerate(wave):
+                for step in sorted(germ.legal_steps(parent), key=germ.step_refs):
+                    child = (*sig, germ.step_refs(step))
+                    if cluster_signature(parent, step) == child:
+                        children.append((pos, child, germ.extend(parent, step)))
+            wave = children
+            yield wave
 
 
 def enumerate_clusters(b: EnumBudget):
     """Yield every valid cluster within the budget exactly once, in
     deterministic order: bases in canonical order, then by step count,
     then by signature."""
-    for base in b.bases:
-        if base.is_smooth:
-            wave = [germ.build(base, (germ.Free(None),))]
-        else:
-            wave = [germ.build(base, ())]
-        yield from wave
-        while wave and len(wave[0].steps) < b.max_steps:
-            # a wave's candidates all have one more step than the wave, so a
-            # class can only repeat within it
-            fresh: dict[tuple, germ.Cluster] = {}
-            for c in wave:
-                for step in germ.legal_steps(c):
-                    sig = cluster_signature(c, step)
-                    if sig not in fresh:
-                        fresh[sig] = cluster_from_signature(sig)
-            wave = [fresh[s] for s in sorted(fresh)]
-            yield from wave
+    yield from (c for wave in _waves(b) for _, _, c in wave)
 
 
 # -- pair enumeration ----------------------------------------------------
@@ -890,27 +884,24 @@ def verify_theorems(b: EnumBudget) -> VerificationReport:
             checked[name] += count
             bad[name].extend({**ctx, **d} for d in details)
 
-    # the lineages of the last wave and of this one, by steps: a child's
-    # steps less the last are its parent's, both being canonical
-    parents: dict[tuple, _Lineage] = {}
-    wave, kept = None, {}
-    for enum_index, c in enumerate(enumerate_clusters(b)):
-        if wave != (c.base, len(c.steps)):
-            parents = kept if wave == (c.base, len(c.steps) - 1) else {}
-            wave, kept = (c.base, len(c.steps)), {}
-        case = _case(b, enum_index, c, parents.get(c.steps[:-1]))
-        if len(c.steps) < b.max_steps:
-            kept[c.steps] = _Lineage(case.graded, [d for d, _ in case.ideals], case.graded_failed)
-        counts["clusters"] += 1
-        counts["curves"] += len(case.rows)
-        counts["ideals"] += len(case.ideals)
-        pairs = sum(g.count for g in case.grids)
-        counts["lc_pairs"] += pairs
-        counts["lambda_checks"] += pairs
-        rows.extend(case.rows)
-        ctx = _context(c)
-        for name, suite in _SUITES.items():
-            record(name, ctx, suite(case))
+    last: list[_Lineage] = []
+    for wave in _waves(b):
+        lineages = []  # by position, for the next wave
+        for parent, _, c in wave:
+            case = _case(b, counts["clusters"], c, None if parent is None else last[parent])
+            if len(c.steps) < b.max_steps:
+                lineages.append(_Lineage(case.graded, [d for d, _ in case.ideals], case.graded_failed))
+            counts["clusters"] += 1
+            counts["curves"] += len(case.rows)
+            counts["ideals"] += len(case.ideals)
+            pairs = sum(g.count for g in case.grids)
+            counts["lc_pairs"] += pairs
+            counts["lambda_checks"] += pairs
+            rows.extend(case.rows)
+            ctx = _context(c)
+            for name, suite in _SUITES.items():
+                record(name, ctx, suite(case))
+        last = lineages
 
     rng = random.Random(ATLAS_SPOT_CHECK_SEED)
     if rows:

@@ -151,12 +151,13 @@ class Cluster:
     Construction validates the steps (raising InvalidStep) and computes
     the dual graph and the canonical vector once: ``_self`` holds each
     curve's self-intersection, the diagonal of M, and ``_nbrs`` the sorted
-    ids of the curves it meets, the off-diagonal 1-entries.  :func:`extend`
-    passes in the three it derived from a parent cluster's, and then
-    nothing is simulated again.  ``_dstar`` holds m0·dstar, as integers,
-    of each curve asked about so far (see :mod:`germval.valuation`).  The
-    derived fields take no part in equality, hashing or repr, and are
-    freed with the cluster.
+    ids of the curves it meets, the off-diagonal 1-entries.  The
+    enumeration's :func:`extend` passes in the three it derived from a
+    parent cluster's, sharing its unchanged tuples, and then nothing is
+    simulated again.  ``_dstar`` holds m0·dstar, as integers, of each
+    curve asked about so far (see :mod:`germval.valuation`).  The derived
+    fields take no part in equality, hashing or repr, and are freed with
+    the cluster.
     """
 
     base: BaseGerm
@@ -299,7 +300,8 @@ def legal_steps(c: Cluster) -> list[BlowupStep]:
 def extend(c: Cluster, step: BlowupStep) -> Cluster:
     """The cluster ``build(c.base, c.steps + (step,))``, with the same
     InvalidStep on an illegal step, from c's dual graph and canonical
-    vector and the one step: c's steps are not simulated again."""
+    vector and the one step: c's steps are not simulated again.  Each
+    enumerated class past a first wave is made so, from its parent."""
     graph = list(c._self), list(c._nbrs), list(c._k)
     _blowup(c.base, len(c.steps), (step,), *graph)
     return Cluster(c.base, c.steps + (step,), *map(tuple, graph))

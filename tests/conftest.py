@@ -42,6 +42,32 @@ def cluster_signature_permutations(c: germ.Cluster) -> tuple:
     return ("smooth" if c.base.is_smooth else c.base.dynkin,) + best
 
 
+def enumerate_clusters_wave_wide(b: EnumBudget):
+    """Every class within the budget, in the order ``explorer.enumerate_clusters``
+    promises, enumerated without the tree: every legal step of every cluster
+    of a wave goes into one dict keyed by the extension's signature, and
+    the next wave is each key, in sorted order, built afresh from its
+    tokens.  The oracle for the enumeration, which reads each class's parent
+    off its signature instead."""
+
+    def from_signature(sig):
+        steps = [germ.Satellite(tok) if len(tok) == 2 else germ.Free(tok[0] if tok else None) for tok in sig[1:]]
+        return germ.build(base, steps)
+
+    for base in b.bases:
+        wave = [germ.build(base, (germ.Free(None),) if base.is_smooth else ())]
+        yield from wave
+        while wave and len(wave[0].steps) < b.max_steps:
+            fresh: dict[tuple, germ.Cluster] = {}
+            for c in wave:
+                for step in germ.legal_steps(c):
+                    sig = explorer.cluster_signature(c, step)
+                    if sig not in fresh:
+                        fresh[sig] = from_signature(sig)
+            wave = [fresh[s] for s in sorted(fresh)]
+            yield from wave
+
+
 def renumber(c: germ.Cluster, rng: random.Random) -> germ.Cluster:
     """The same cluster with its steps in a random order that keeps every
     curve after the curves it is blown up on.  A satellite stays legal,

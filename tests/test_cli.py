@@ -255,6 +255,19 @@ def test_enumerate_refuses_an_extension_depth_above_the_cap(capsys, tmp_path, mo
     assert not report.exists()
 
 
+def test_enumerate_refuses_a_lambda_bound_above_the_cap(capsys, tmp_path, monkeypatch):
+    # _grid's work grows with the square of the bound: 100000 would run for hours
+    def no_sweep(b):
+        raise AssertionError("the budget should be refused before any sweep")
+
+    monkeypatch.setattr(explorer, "verify_theorems", no_sweep)
+    monkeypatch.setattr(explorer, "atlas_rows", no_sweep)
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, ["enumerate", "--lambda-bound", "100000", "--report", str(report)])
+    assert (code, out, err) == (1, "", "ValueError: lambda_denominator_bound must be in 1..100\n")
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("option", ["--atlas", "--extremal", "--report"])
 def test_enumerate_opens_its_outputs_before_the_run(capsys, tmp_path, monkeypatch, option):
     def no_sweep(b):

@@ -18,7 +18,6 @@ from germval.explorer import (
     EnumBudget,
     antinef_ideals,
     atlas_rows,
-    cluster_from_signature,
     cluster_signature,
     enumerate_clusters,
     extension_forms,
@@ -34,6 +33,7 @@ from conftest import (
     check_pair_suites_pairwise,
     cluster_signature_permutations,
     count_column_solves,
+    enumerate_clusters_wave_wide,
     extension_forms_sequences,
     graded_failures_fresh,
     mld_kinks_bruteforce,
@@ -84,9 +84,45 @@ def test_enumeration_deterministic_and_unique():
 
 
 def test_enumeration_yields_canonical_representatives():
-    for c in enumerate_clusters(smooth_budget(4)):
-        sig = cluster_signature(c)
-        assert cluster_from_signature(sig) == c
+    # each class comes as the cluster whose step parents, read as tokens,
+    # are its signature
+    for wave in explorer._waves(EnumBudget(max_steps=4, bases=(germ.SMOOTH, germ.du_val("D4")))):
+        for _, sig, c in wave:
+            assert (c.base.label, *germ.step_parents(c)) == sig == cluster_signature(c)
+
+
+# the class-count budgets: smooth <= 7, three du Val bases in one run at
+# <= 4 steps, and the largest base at <= 3
+TREE_BUDGETS = [
+    pytest.param(smooth_budget(7), id="smooth7"),
+    pytest.param(EnumBudget(max_steps=4, bases=tuple(map(germ.du_val, ("A3", "D4", "E6")))), id="A3-D4-E6x4"),
+    pytest.param(EnumBudget(max_steps=3, bases=(germ.du_val("E8"),)), id="E8x3"),
+]
+
+
+@pytest.mark.parametrize("budget", TREE_BUDGETS)
+def test_enumeration_order_matches_the_wave_wide_oracle(budget):
+    got = [(c.base, c.steps) for c in enumerate_clusters(budget)]
+    assert got == [(c.base, c.steps) for c in enumerate_clusters_wave_wide(budget)]
+
+
+@pytest.mark.parametrize("budget", TREE_BUDGETS)
+def test_each_class_past_a_first_wave_extends_its_parent(budget):
+    # a class's signature less its last token is its parent's signature,
+    # and the class is its parent extended by one step
+    first_waves, previous = 0, []
+    for wave in explorer._waves(budget):
+        for pos, sig, c in wave:
+            assert cluster_signature(c) == sig
+            if pos is None:
+                first_waves += 1
+                assert len(wave) == 1 and len(c.steps) == c.base.is_smooth
+            else:
+                _, parent_sig, parent = previous[pos]
+                assert sig[:-1] == parent_sig and c.steps[:-1] == parent.steps
+        assert [pos for pos, _, _ in wave] == sorted(pos for pos, _, _ in wave)
+        previous = wave
+    assert first_waves == len(budget.bases)
 
 
 def test_enumeration_identifies_sibling_orderings():
@@ -175,16 +211,23 @@ def test_signature_of_extension_reads_step_parents():
 
 @pytest.mark.parametrize("budget,classes", [(smooth_budget(6), 236), (du_val_budget(("E6",), 4), 4736)])
 def test_enumeration_builds_each_class_once(monkeypatch, budget, classes):
-    builds = []
-    build = germ.build
+    # the base's first cluster is built, and every other class is its
+    # parent extended by one step
+    made = Counter()
+    build, extend = germ.build, germ.extend
 
     def counting_build(base, steps):
-        builds.append(steps)
+        made["build"] += 1
         return build(base, steps)
 
+    def counting_extend(c, step):
+        made["extend"] += 1
+        return extend(c, step)
+
     monkeypatch.setattr(germ, "build", counting_build)
+    monkeypatch.setattr(germ, "extend", counting_extend)
     assert sum(1 for _ in enumerate_clusters(budget)) == classes
-    assert len(builds) == classes
+    assert made == {"build": 1, "extend": classes - 1}
 
 
 @pytest.mark.parametrize("budget,bound", JOIN_ORACLE_BUDGETS)
@@ -412,6 +455,14 @@ def test_extension_depth_is_capped():
         smooth_budget(1, extension_depth=11)
 
 
+def test_lambda_denominator_bound_is_capped():
+    for q in (1, 12, explorer.MAX_LAMBDA_DENOMINATOR):
+        assert smooth_budget(1, lambda_denominator_bound=q).lambda_denominator_bound == q
+    for q in (0, 101, 10**5):
+        with pytest.raises(ValueError, match=r"lambda_denominator_bound must be in 1\.\.100"):
+            smooth_budget(1, lambda_denominator_bound=q)
+
+
 def test_verify_theorems_empty_budget():
     report = verify_theorems(EnumBudget(max_steps=3, bases=()))
     assert report.counts["clusters"] == 0
@@ -547,12 +598,12 @@ def test_prime_blowup_positive_reads_lct_off_the_unloaded_ideal(monkeypatch):
     assert suite.checked > 0 and suite.counterexamples
 
 
-def pullback_identity_failures(budget):
+def pullback_identity_failures(clusters):
     """(cluster, step, curve) wherever E's column pulled back through a
     legal step fails to meet the built extension as the column meets the
     model, and the new curve in 0: the premise of model_stability."""
     failures = []
-    for c in enumerate_clusters(budget):
+    for c in clusters:
         for step in germ.legal_steps(c):
             c2, refs = germ.extend(c, step), germ.step_refs(step)
             for e in range(c.curve_count()):
@@ -570,20 +621,21 @@ def pullback_identity_failures(budget):
     ],
 )
 def test_extension_meets_a_pulled_back_column_as_the_model_does(budget):
-    assert not pullback_identity_failures(budget)
+    assert not pullback_identity_failures(enumerate_clusters(budget))
 
 
 def test_pullback_identity_catches_a_wrong_centre(monkeypatch):
     # an extension that blows up another centre than the step names: E's
-    # column extended by the step's sum then meets it otherwise
-    extend = germ.extend
+    # column extended by the step's sum then meets it otherwise.  The
+    # clusters are enumerated first, as the enumeration extends too.
+    clusters, extend = list(enumerate_clusters(smooth_budget(3))), germ.extend
 
     def elsewhere(c, step):
         others = [s for s in germ.legal_steps(c) if germ.step_refs(s) != germ.step_refs(step)]
         return extend(c, others[0] if others else step)
 
     monkeypatch.setattr(germ, "extend", elsewhere)
-    assert pullback_identity_failures(smooth_budget(3))
+    assert pullback_identity_failures(clusters)
 
 
 def faulty_ideal_values(monkeypatch, value_of):
@@ -986,17 +1038,18 @@ def sweep_work(monkeypatch, budget):
 
 def test_sweep_work_at_the_enumerate_report_budget(monkeypatch):
     # deterministic work counts of the benchmark's enumerate-report sweep;
-    # a change that lowers a count lowers its pin
+    # a change that lowers a count lowers its pin.  The base's first cluster
+    # and each spot check are built, and every other class extended.
     report, calls = sweep_work(monkeypatch, ENUMERATE_REPORT_BUDGET)
     assert report.counterexample_total() == 0
     assert calls == {
-        "build": 302,
+        "build": 67,
         "_column": 1403,
         "lct_ideal": 3555,
         "unload": 2052,
         "lambda_grid": 0,
         "cluster_signature": 458,
-        "extend": 0,
+        "extend": 235,
         "rees_valuations": 944,
         "pairs_walked": 0,
     }
@@ -1013,24 +1066,24 @@ def test_sweep_work_at_the_enumerate_report_budget(monkeypatch):
                 ideal_coeff_bound=1,
                 lambda_denominator_bound=4,
             ),
-            (456, 2584, 4638, 3074, 0, 494, 0, 1400, 0),
+            (129, 2584, 4638, 3074, 0, 494, 327, 1400, 0),
             1210,
             id="sweep-duval",
         ),
         pytest.param(
             SWEEP_A_BUDGET,
-            (68, 269, 1729, 660, 0, 89, 0, 224, 0),
+            (13, 269, 1729, 660, 0, 89, 55, 224, 0),
             21920,
             id="sweep-A",
         ),
         pytest.param(
             smooth_budget(4, ideal_coeff_bound=3, lambda_denominator_bound=12, extension_depth=3),
-            (17, 54, 408, 167, 0, 19, 0, 60, 0),
+            (3, 54, 408, 167, 0, 19, 14, 60, 0),
             5438,
             id="sweep-B",
         ),
         pytest.param(
-            EnumBudget(max_steps=7), (1462, 7717, 26312, 10921, 0, 2438, 0, 4380, 0), 68112, id="enumerate-7"
+            EnumBudget(max_steps=7), (368, 7717, 26312, 10921, 0, 2438, 1094, 4380, 0), 68112, id="enumerate-7"
         ),
     ],
 )
