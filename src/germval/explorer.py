@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import permutations
@@ -46,6 +46,8 @@ _STABILITY_CAP = 8
 MAX_EXTENSION_DEPTH = 10
 # _grid takes O(q_max^2·lct) steps: sweep A took 0.5 s at q <= 100, 1.7 s at 200.
 MAX_LAMBDA_DENOMINATOR = 100
+# The ideal set grows with the bound: smooth <= 2 took 0.15 s at 100, 1.8 s at 400.
+MAX_IDEAL_COEFF_BOUND = 12
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,8 @@ class EnumBudget:
     def __post_init__(self):
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.ideal_coeff_bound < 0:
-            raise ValueError("ideal_coeff_bound must be >= 0")
+        if not 0 <= self.ideal_coeff_bound <= MAX_IDEAL_COEFF_BOUND:
+            raise ValueError(f"ideal_coeff_bound must be in 0..{MAX_IDEAL_COEFF_BOUND}")
         if not 1 <= self.lambda_denominator_bound <= MAX_LAMBDA_DENOMINATOR:
             raise ValueError(f"lambda_denominator_bound must be in 1..{MAX_LAMBDA_DENOMINATOR}")
         if self.extension_depth < 0:
@@ -364,15 +366,15 @@ class AtlasRow:
     enum_index: int
 
 
-def _row(c: germ.Cluster, cl: thresholds.Classification, enum_index: int) -> AtlasRow:
-    """The row read from one curve's ``thresholds.classify`` record."""
+def _row(c: germ.Cluster, cl: thresholds.Classification, enum_index: int, m0: int) -> AtlasRow:
+    """The row read from one curve's ``thresholds.classify`` record and m0."""
     return AtlasRow(
         cluster=c,
         curve=cl.curve,
         k=germ.canonical_vector(c)[cl.curve],
         lct=cl.lct,
         gap=cl.gap,
-        fingen_degree=valuation.fingen_degree(c, cl.curve),
+        fingen_degree=m0,
         verdict=cl.verdict,
         witness=cl.witness,
         enum_index=enum_index,
@@ -382,7 +384,7 @@ def _row(c: germ.Cluster, cl: thresholds.Classification, enum_index: int) -> Atl
 def atlas_rows(b: EnumBudget) -> list[AtlasRow]:
     """One row per (cluster, curve), in enumeration order."""
     return [
-        _row(c, thresholds.classify(c, e), enum_index)
+        _row(c, thresholds.classify(c, e), enum_index, valuation.fingen_degree(c, e))
         for enum_index, c in enumerate(enumerate_clusters(b))
         for e in range(c.curve_count())
     ]
@@ -540,11 +542,23 @@ def _grid(k, coeffs, lct, qmax: int) -> _Grid | None:
 
 
 class _Lineage(NamedTuple):
-    """What a cluster's children pull back from it in the sweep."""
+    """_Case's fields that a cluster's children inherit in the sweep."""
 
-    graded: list[dict[int, tuple[int, ...]]]  # _Case.graded
-    ideals: list[tuple[int, ...]]  # antinef_ideals
-    graded_failed: list[tuple[bool, bool, bool]]  # _Case.graded_failed
+    classes: list[thresholds.Classification]
+    m0_ideals: list[tuple[int, ...]]
+    graded_failed: list[tuple[bool, bool, bool]]
+    ideals: list[tuple[tuple[int, ...], thresholds.LctReport]]
+
+
+def _inherit(record, refs: tuple[int, ...], new: int):
+    """A classify record or lct_ideal report of d, for d pulled back through
+    a blowup centred on ``refs`` whose curve is ``new``.  The new ratio
+    (k+1)/d exceeds a free point's curve's and is the mediant of a
+    satellite's two, so the least ratio stays, and ``new`` attains it
+    exactly when both of a satellite's curves do."""
+    if len(refs) == 2 and refs[0] in record.argmin and refs[1] in record.argmin:
+        return replace(record, argmin=record.argmin | {new})
+    return record
 
 
 @dataclass(frozen=True)
@@ -555,21 +569,24 @@ class _Case:
     c: germ.Cluster
     budget: EnumBudget
     rows: list[AtlasRow]
-    classes: list[thresholds.Classification]  # per curve, the record its row was read from
+    # per curve, the record its row was read from; an old curve's column is
+    # its parent's pulled back, and its record is inherited (see _inherit)
+    classes: list[thresholds.Classification]
     k: tuple[int, ...]
+    columns: list[tuple[int, ...]]  # per curve, valuation.fingen_ideal, solved afresh
     # (divisor, lct_ideal report) of every enumerated ideal; the trivial one
-    # has value PLUS_INFINITY and an empty argmin
+    # has value PLUS_INFINITY and an empty argmin.  A pullback inherits its
+    # parent's report.
     ideals: list[tuple[tuple[int, ...], thresholds.LctReport]]
-    # per curve, its valuation ideals of degree 1..4 and m0..4m0, keyed by
-    # degree.  They do not depend on the model, so on a cluster with a parent
-    # each old curve's are the parent's pulled back (see antinef_ideals).
-    # Otherwise j·m0 is unloaded from the ideal of degree (j-1)·m0 with its E
-    # entry raised to j·m0, below the closure of j·m0·E as unloading is
-    # monotone.  The suites reading these check the column independently.
-    graded: list[dict[int, tuple[int, ...]]]
-    # per curve, whether those fail ideal_monotonicity, graded_subadditivity
-    # and rees_singleton.  A pullback keeps order, sums and products (and
-    # meets the new curve in 0), so old curves inherit the verdicts.
+    # per curve, its valuation ideal of degree m0, which does not depend on
+    # the model: an old curve's is its parent's pulled back (see
+    # antinef_ideals).  A new curve's j·m0 is unloaded from the ideal of
+    # degree (j-1)·m0 with its E entry raised to j·m0, below the closure of
+    # j·m0·E as unloading is monotone.
+    m0_ideals: list[tuple[int, ...]]
+    # per curve, whether its ideals of degree 1..4 and m0..4m0 fail
+    # ideal_monotonicity, graded_subadditivity and rees_singleton.  A
+    # pullback keeps order, sums and products, so old curves inherit these.
     graded_failed: list[tuple[bool, bool, bool]]
     extensions: list[germ.BlowupStep]  # sampled one-blowup extensions
     # the summary of every ideal with a nonempty grid.  No grid exponent
@@ -579,62 +596,67 @@ class _Case:
 
 def _case(b: EnumBudget, enum_index: int, c: germ.Cluster, parent: _Lineage | None = None) -> _Case:
     """The case of ``c``.  With ``parent``, the lineage of c less its last
-    step, the old curves' graded ideals, their verdicts and the ideal set
-    are pulled back from it, and only the new curve's ideals are unloaded."""
+    step, the old curves and the pulled-back ideals inherit from it; only
+    the new curve is classified and unloaded, and only new ideals get a
+    threshold."""
     n = c.curve_count()
-    classes = [thresholds.classify(c, e) for e in range(n)]
-    rows = [_row(c, cl, enum_index) for cl in classes]
     k = germ.canonical_vector(c)
-    graded, failed = [], []
+    classes, m0_ideals, failed, pulled = [], [], [], {}
     if parent is not None:
         refs = germ.step_refs(c.steps[-1])
-        graded = [{m: _pullback(d, refs) for m, d in g.items()} for g in parent.graded]
+        classes = [_inherit(cl, refs, n - 1) for cl in parent.classes]
+        m0_ideals = [_pullback(d, refs) for d in parent.m0_ideals]
         failed = list(parent.graded_failed)
+        pulled = {_pullback(d, refs): _inherit(r, refs, n - 1) for d, r in parent.ideals}
+    classes += [thresholds.classify(c, e) for e in range(len(classes), n)]
+    columns = [valuation.fingen_ideal(c, e) for e in range(n)]
+    rows = [_row(c, cl, enum_index, w[cl.curve]) for cl, w in zip(classes, columns)]
     ideals = [
-        (coeffs, thresholds.lct_ideal(c, coeffs))
-        for coeffs in antinef_ideals(c, b.ideal_coeff_bound, None if parent is None else parent.ideals)
+        (d, pulled[d] if d in pulled else thresholds.lct_ideal(c, d))
+        for d in antinef_ideals(c, b.ideal_coeff_bound, None if parent is None else [a for a, _ in parent.ideals])
     ]
-    for e in range(len(graded), n):
-        m0 = rows[e].fingen_degree
+    for e in range(len(m0_ideals), n):
+        m0 = columns[e][e]
         g = {m: valuation.valuation_ideal(c, e, m) for m in range(1, 5) if m % m0}
         d = (0,) * n
         for m in range(m0, 5 * m0, m0):
             d = g[m] = valuation.unload(c, [m if j == e else v for j, v in enumerate(d)])
-        graded.append(g)
+        m0_ideals.append(g[m0])
         failed.append(_graded_failures(c, e, m0, g))
     grids = [_grid(k, coeffs, report.value, b.lambda_denominator_bound) for coeffs, report in ideals]
     steps = germ.legal_steps(c)
     return _Case(
-        c, b, rows, classes, k, ideals, graded, failed,
+        c, b, rows, classes, k, columns, ideals, m0_ideals, failed,
         # sampled deterministically when there are many
         extensions=steps[:: max(1, -(-len(steps) // _STABILITY_CAP))],
         grids=[g for g in grids if g],
     )
 
 
-def _found(failed: bool, **details) -> tuple[int, list[dict]]:
-    """One check, with its failure when ``failed``."""
-    return 1, [details] if failed else []
+# Each suite returns a case's (count of checks, details of each failure).
 
 
 def _pair_details(coeffs, pt, **details) -> dict:
     return {**details, "ideal": list(coeffs), "lambda": format_rational(Fraction(*pt))}
 
 
+def _nonzero(case: _Case):
+    return [(coeffs, report) for coeffs, report in case.ideals if any(coeffs)]
+
+
 def _dstar_unit(case: _Case):
     """dstar is positive at every curve and 1 at E, read off the ideal d
     unloaded from m0·E as d[E] = m0 and d > 0."""
-    for row in case.rows:
-        e, m0 = row.curve, row.fingen_degree
-        d = case.graded[e][m0]
-        yield _found(d[e] != m0 or min(d) <= 0, curve=e)
+    return len(case.rows), [
+        {"curve": r.curve} for r, d in zip(case.rows, case.m0_ideals) if d[r.curve] != r.fingen_degree or min(d) <= 0
+    ]
 
 
 def _oracle_equivalence(case: _Case):
     """Unloading m0·E gives m0·dstar at the finite-generation degree m0."""
-    for row in case.rows:
-        e, m0 = row.curve, row.fingen_degree
-        yield _found(case.graded[e][m0] != valuation.fingen_ideal(case.c, e), curve=e, m0=m0)
+    return len(case.rows), [
+        {"curve": r.curve, "m0": r.fingen_degree} for r, d, w in zip(case.rows, case.m0_ideals, case.columns) if d != w
+    ]
 
 
 def _graded_failures(c: germ.Cluster, e: int, m0: int, g) -> tuple[bool, bool, bool]:
@@ -655,21 +677,20 @@ def _graded_failures(c: germ.Cluster, e: int, m0: int, g) -> tuple[bool, bool, b
 
 def _ideal_monotonicity(case: _Case):
     """E's valuation ideals of degree 1..4 have pointwise growing divisors."""
-    for e, failed in enumerate(case.graded_failed):
-        yield _found(failed[0], curve=e)
+    return len(case.graded_failed), [{"curve": e} for e, failed in enumerate(case.graded_failed) if failed[0]]
 
 
 def _graded_subadditivity(case: _Case):
     """The divisor of degree m + n is at most the sum of degrees m and n (m + n <= 4)."""
-    for e, failed in enumerate(case.graded_failed):
-        yield _found(failed[1], curve=e)
+    return len(case.graded_failed), [{"curve": e} for e, failed in enumerate(case.graded_failed) if failed[1]]
 
 
 def _rees_singleton(case: _Case):
     """E is the only Rees valuation of its ideals of degree m0, 2m0, 3m0, 4m0.
     An ideal whose divisor is zero or not antinef fails the check."""
-    for row, failed in zip(case.rows, case.graded_failed):
-        yield _found(failed[2], curve=row.curve, m0=row.fingen_degree)
+    return len(case.rows), [
+        {"curve": r.curve, "m0": r.fingen_degree} for r, failed in zip(case.rows, case.graded_failed) if failed[2]
+    ]
 
 
 def _model_stability(case: _Case):
@@ -677,80 +698,88 @@ def _model_stability(case: _Case):
     Certified without a solve: if E's column w meets E negatively and every other
     curve trivially, so does its pullback (see _pullback) on every extension, as
     E's column there; then only the new curve's ratio could lower the lct."""
-    columns = [valuation.fingen_ideal(case.c, e) for e in range(len(case.rows))]
-    prods = [germ.intersect(case.c, w) for w in columns]
+    prods = [germ.intersect(case.c, w) for w in case.columns]
     wrong = [p[e] >= 0 or any(p[:e] + p[e + 1 :]) for e, p in enumerate(prods)]
+    found = []
     for step in case.extensions:
-        refs, label = germ.step_refs(step), repr(step)
+        refs = germ.step_refs(step)
         k_new = 1 + sum(case.k[r] for r in refs)
-        for e, (row, w) in enumerate(zip(case.rows, columns)):
+        for e, (row, w) in enumerate(zip(case.rows, case.columns)):
             w_new = sum(w[r] for r in refs)
-            lowered = (k_new + 1) * w[e] * row.lct.denominator < row.lct.numerator * w_new
-            yield _found(wrong[e] or lowered, curve=e, step=label)
+            if wrong[e] or (k_new + 1) * w[e] * row.lct.denominator < row.lct.numerator * w_new:
+                found.append({"curve": e, "step": repr(step)})
+    return len(case.extensions) * len(case.rows), found
 
 
 def _pullback_stability(case: _Case):
     """The curve of one more blowup does not lower a nonzero ideal's lct."""
+    nonzero, found = _nonzero(case), []
     for step in case.extensions:
-        refs, label = germ.step_refs(step), repr(step)
+        refs = germ.step_refs(step)
         new_k = 1 + sum(case.k[r] for r in refs)
-        for coeffs, old in case.ideals:
-            if any(coeffs):
-                new_d = sum(coeffs[r] for r in refs)
-                lowered = new_d > 0 and (new_k + 1) * old.value.denominator < old.value.numerator * new_d
-                yield _found(lowered, ideal=list(coeffs), step=label)
+        for coeffs, old in nonzero:
+            new_d = sum(coeffs[r] for r in refs)
+            if new_d > 0 and (new_k + 1) * old.value.denominator < old.value.numerator * new_d:
+                found.append({"ideal": list(coeffs), "step": repr(step)})
+    return len(case.extensions) * len(nonzero), found
 
 
 def _lct_scaling(case: _Case):
     """lct(a^m) = lct(a)/m for m = 2, 3."""
-    for coeffs, old in case.ideals:
-        if any(coeffs):
-            powers = ((mm, tuple(mm * v for v in coeffs)) for mm in (2, 3))
-            wrong = any(thresholds.lct_ideal(case.c, a).value != old.value / mm for mm, a in powers)
-            yield _found(wrong, ideal=list(coeffs))
+    nonzero = _nonzero(case)
+    return len(nonzero), [
+        {"ideal": list(coeffs)}
+        for coeffs, old in nonzero
+        if any(thresholds.lct_ideal(case.c, tuple(mm * v for v in coeffs)).value != old.value / mm for mm in (2, 3))
+    ]
 
 
 def _lct_containment(case: _Case):
     """Of two nested ideals, the deeper one has the smaller lct."""
     stride = max(1, -(-len(case.ideals) // _CONTAINMENT_CAP))
     sample = [(d, report.value) for d, report in case.ideals[::stride]]
+    checks, found = 0, []
     for ia, (da, va) in enumerate(sample):
         for db, vb in sample[ia + 1 :]:
             dominates = all(a >= b for a, b in zip(da, db))
             if dominates or all(a <= b for a, b in zip(da, db)):
                 # The bigger divisor cuts the deeper ideal.
                 big, small = (va, vb) if dominates else (vb, va)
-                failed = thresholds.PLUS_INFINITY not in (big, small) and big > small
-                yield _found(failed, a=list(da), b=list(db))
+                checks += 1
+                if big is not thresholds.PLUS_INFINITY and small is not thresholds.PLUS_INFINITY and big > small:
+                    found.append({"a": list(da), "b": list(db)})
+    return checks, found
 
 
 def _lct_upper_bound(case: _Case):
     """E's asymptotic lct is at most k + 1."""
-    for row in case.rows:
-        yield _found(not row.lct <= row.k + 1, curve=row.curve)
+    return len(case.rows), [{"curve": r.curve} for r in case.rows if not r.lct <= r.k + 1]
 
 
 def _prime_blowup_positive(case: _Case):
     """The one-divisor model's threshold lct - k is positive exactly when the gap is below 1.
     The gap is classify's; lct > k is read off the ideal d unloaded from m0·E,
     as (k_j + 1)·m0 > k·d_j at every curve j."""
-    for row in case.rows:
-        e, m0 = row.curve, row.fingen_degree
-        positive = all((kj + 1) * m0 > row.k * dj for kj, dj in zip(case.k, case.graded[e][m0]))
-        yield _found((row.gap < 1) != positive, curve=e)
+    return len(case.rows), [
+        {"curve": r.curve}
+        for r, d in zip(case.rows, case.m0_ideals)
+        if (r.gap < 1) != all((kj + 1) * r.fingen_degree > r.k * dj for kj, dj in zip(case.k, d))
+    ]
 
 
 def _unique_place_plt(case: _Case):
     """The unique lc place of a nonzero ideal, when there is one, is plt over the model."""
-    for coeffs, report in case.ideals:
-        if any(coeffs):
-            place = min(report.argmin) if len(report.argmin) == 1 else None
-            # the place is plt over the model divisors when it alone attains its asymptotic lct
-            yield _found(place is not None and case.classes[place].argmin != {place}, ideal=list(coeffs))
+    nonzero = _nonzero(case)
+    # the place is plt over the model divisors when it alone attains its asymptotic lct
+    return len(nonzero), [
+        {"ideal": list(coeffs)}
+        for coeffs, report in nonzero
+        if len(report.argmin) == 1 and case.classes[min(report.argmin)].argmin != report.argmin
+    ]
 
 
 def _by_ideal(case: _Case, grids, points, failures):
-    """(checks, details) per ideal of ``grids``, one check per lc pair.
+    """(checks, details) over the ideals of ``grids``, one check per lc pair.
     ``failures(coeffs, pt, vs, mld)`` lists the details of the failures at
     lambda = p/q, pt = (p, q), given vs = q·(log discrepancy per curve) and
     their minimum.  An ideal with none at ``points(grid)`` has none at all;
@@ -760,12 +789,12 @@ def _by_ideal(case: _Case, grids, points, failures):
         vs = _scaled(case.k, coeffs, pt)
         return failures(coeffs, pt, vs, min(vs))
 
+    found = []
     for g in grids:
-        found = []
         if any(at(g.coeffs, pt) for pt in points(g)):
             for lam in lambda_grid(case.c, g.coeffs, g.lct, case.budget.lambda_denominator_bound):
                 found += at(g.coeffs, (lam.numerator, lam.denominator))
-        yield g.count, found
+    return sum(g.count for g in grids), found
 
 
 def _ends_and_kinks(g: _Grid):
@@ -780,20 +809,21 @@ def _gap_inequality(case: _Case):
     def failures(coeffs, pt, vs, _):
         return [_pair_details(coeffs, pt, curve=e) for e, (gn, gd) in enumerate(gaps) if vs[e] * gd < pt[1] * gn]
 
-    yield from _by_ideal(case, case.grids, lambda g: (g.hi,), failures)
+    return _by_ideal(case, case.grids, lambda g: (g.hi,), failures)
 
 
 def _gap_attainment(case: _Case):
     """A curve computing an lct has log discrepancy 0 along its unloaded
     ideal of degree m0 at that ideal's lct; a zero ideal, of infinite lct, fails."""
-    c = case.c
-    for row in case.rows:
-        if row.gap == 0:
-            witness = case.graded[row.curve][row.fingen_degree]
-            lct = thresholds.lct_ideal(c, witness).value
-            pair = thresholds.PairSpec(witness, lct)
-            wrong = lct is thresholds.PLUS_INFINITY or thresholds.log_discrepancy(c, pair, row.curve) != row.gap
-            yield _found(wrong, curve=row.curve)
+
+    def wrong(r):
+        witness = case.m0_ideals[r.curve]
+        lct = thresholds.lct_ideal(case.c, witness).value
+        pair = thresholds.PairSpec(witness, lct)
+        return lct is thresholds.PLUS_INFINITY or thresholds.log_discrepancy(case.c, pair, r.curve) != r.gap
+
+    attaining = [r for r in case.rows if r.gap == 0]
+    return len(attaining), [{"curve": r.curve} for r in attaining if wrong(r)]
 
 
 def _witness_strictness(case: _Case):
@@ -805,7 +835,7 @@ def _witness_strictness(case: _Case):
     def failures(coeffs, pt, vs, _):
         return [_pair_details(coeffs, pt, curve=e, witness=f) for e, f in obstructions if not vs[f] < vs[e]]
 
-    yield from _by_ideal(case, [g for g in case.grids if any(g.coeffs)], lambda g: (g.lo, g.hi), failures)
+    return _by_ideal(case, [g for g in case.grids if any(g.coeffs)], lambda g: (g.lo, g.hi), failures)
 
 
 def _mld_implies_lct(case: _Case):
@@ -815,13 +845,12 @@ def _mld_implies_lct(case: _Case):
     def failures(coeffs, pt, vs, mld):
         return [_pair_details(coeffs, pt, curve=j) for j, v in enumerate(vs) if v == mld and case.rows[j].gap != 0]
 
-    yield from _by_ideal(case, [g for g in case.grids if any(g.coeffs)], _ends_and_kinks, failures)
+    return _by_ideal(case, [g for g in case.grids if any(g.coeffs)], _ends_and_kinks, failures)
 
 
 def _classification_decisive(case: _Case):
     """Every curve either computes an lct or has an mld obstruction witness."""
-    for row in case.rows:
-        yield _found(row.verdict == "Indeterminate", curve=row.curve)
+    return len(case.rows), [{"curve": r.curve} for r in case.rows if r.verdict == "Indeterminate"]
 
 
 def _mld_extension_guard(case: _Case):
@@ -830,7 +859,7 @@ def _mld_extension_guard(case: _Case):
     value on [lo, hi] is at an end or at a kink of the mld."""
     forms = extension_forms(case.c, case.budget.extension_depth)
     if not forms:
-        return
+        return 0, []
     # (k, ideal coefficient) of each extension curve, per ideal
     kd_of = {g.coeffs: sorted({(kk, sum(map(mul, ws, g.coeffs))) for kk, ws in forms}) for g in case.grids}
 
@@ -839,7 +868,7 @@ def _mld_extension_guard(case: _Case):
         below = [(kk, dd) for kk, dd in kd_of[coeffs] if q * (kk + 1) - p * dd < mld][:1]
         return [_pair_details(coeffs, pt, ext_k=kk, ext_d=dd) for kk, dd in below]
 
-    yield from _by_ideal(case, case.grids, _ends_and_kinks, failures)
+    return _by_ideal(case, case.grids, _ends_and_kinks, failures)
 
 
 _SUITES = {
@@ -878,19 +907,13 @@ def verify_theorems(b: EnumBudget) -> VerificationReport:
     bad: dict[str, list[dict]] = {name: [] for name in SUITE_NAMES}
     counts = dict.fromkeys(("clusters", "curves", "ideals", "lc_pairs", "lambda_checks"), 0)
     rows: list[AtlasRow] = []
-
-    def record(name, ctx, checks):
-        for count, details in checks:
-            checked[name] += count
-            bad[name].extend({**ctx, **d} for d in details)
-
     last: list[_Lineage] = []
     for wave in _waves(b):
         lineages = []  # by position, for the next wave
         for parent, _, c in wave:
             case = _case(b, counts["clusters"], c, None if parent is None else last[parent])
             if len(c.steps) < b.max_steps:
-                lineages.append(_Lineage(case.graded, [d for d, _ in case.ideals], case.graded_failed))
+                lineages.append(_Lineage(case.classes, case.m0_ideals, case.graded_failed, case.ideals))
             counts["clusters"] += 1
             counts["curves"] += len(case.rows)
             counts["ideals"] += len(case.ideals)
@@ -898,9 +921,12 @@ def verify_theorems(b: EnumBudget) -> VerificationReport:
             counts["lc_pairs"] += pairs
             counts["lambda_checks"] += pairs
             rows.extend(case.rows)
-            ctx = _context(c)
             for name, suite in _SUITES.items():
-                record(name, ctx, suite(case))
+                n, failures = suite(case)
+                checked[name] += n
+                if failures:
+                    ctx = _context(c)
+                    bad[name] += [{**ctx, **d} for d in failures]
         last = lineages
 
     rng = random.Random(ATLAS_SPOT_CHECK_SEED)
@@ -908,8 +934,10 @@ def verify_theorems(b: EnumBudget) -> VerificationReport:
         for idx in sorted(rng.sample(range(len(rows)), max(1, len(rows) // 20))):
             row = rows[idx]
             fresh = germ.cluster_from_json(germ.cluster_to_json(row.cluster))
-            changed = _row(fresh, thresholds.classify(fresh, row.curve), row.enum_index) != row
-            record("atlas_spot_check", _context(row.cluster), [_found(changed, curve=row.curve)])
+            e = row.curve
+            checked["atlas_spot_check"] += 1
+            if _row(fresh, thresholds.classify(fresh, e), row.enum_index, valuation.fingen_degree(fresh, e)) != row:
+                bad["atlas_spot_check"].append({**_context(row.cluster), "curve": e})
 
     suites = tuple(SuiteResult(name, checked[name], tuple(bad[name])) for name in SUITE_NAMES)
     return VerificationReport(b, ATLAS_SPOT_CHECK_SEED, counts, suites, tuple(rows))

@@ -268,6 +268,19 @@ def test_enumerate_refuses_a_lambda_bound_above_the_cap(capsys, tmp_path, monkey
     assert not report.exists()
 
 
+def test_enumerate_refuses_an_ideal_bound_above_the_cap(capsys, tmp_path, monkeypatch):
+    # the ideal set grows with the bound: 100000 would run without end
+    def no_sweep(b):
+        raise AssertionError("the budget should be refused before any sweep")
+
+    monkeypatch.setattr(explorer, "verify_theorems", no_sweep)
+    monkeypatch.setattr(explorer, "atlas_rows", no_sweep)
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, ["enumerate", "--ideal-bound", "100000", "--report", str(report)])
+    assert (code, out, err) == (1, "", "ValueError: ideal_coeff_bound must be in 0..12\n")
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("option", ["--atlas", "--extremal", "--report"])
 def test_enumerate_opens_its_outputs_before_the_run(capsys, tmp_path, monkeypatch, option):
     def no_sweep(b):

@@ -463,6 +463,14 @@ def test_lambda_denominator_bound_is_capped():
             smooth_budget(1, lambda_denominator_bound=q)
 
 
+def test_ideal_coeff_bound_is_capped():
+    for bound in (0, 3, explorer.MAX_IDEAL_COEFF_BOUND):
+        assert smooth_budget(1, ideal_coeff_bound=bound).ideal_coeff_bound == bound
+    for bound in (-1, 13, 10**5):
+        with pytest.raises(ValueError, match=r"ideal_coeff_bound must be in 0\.\.12"):
+            smooth_budget(1, ideal_coeff_bound=bound)
+
+
 def test_verify_theorems_empty_budget():
     report = verify_theorems(EnumBudget(max_steps=3, bases=()))
     assert report.counts["clusters"] == 0
@@ -554,12 +562,21 @@ def test_atlas_rows_build_one_ratio_list_per_row(monkeypatch):
 
 
 def test_sweep_computes_each_ideal_threshold_once(monkeypatch):
-    # classify takes one threshold per row and per spot check, _case one per
-    # ideal; lct_scaling asks again for two powers of each nonzero ideal,
-    # and gap_attainment once per curve computing an lct
-    calls = {"all": 0, "in_grid": 0}
+    # classify takes one threshold per curve it classifies: each curve of a
+    # base's first cluster, each new curve and each spot check; old curves
+    # inherit their records.  _case takes one per ideal that is not its
+    # parent's pulled back, whose report it inherits.  lct_scaling asks
+    # again for two powers of each nonzero ideal, and gap_attainment once
+    # per curve computing an lct.
+    calls = {"all": 0, "in_grid": 0, "classified": 0, "new_ideals": 0}
     inside_grid = [False]
-    lct_ideal, grid = thresholds.lct_ideal, explorer.lambda_grid
+    lct_ideal, grid, case_of = thresholds.lct_ideal, explorer.lambda_grid, explorer._case
+
+    def counting_case(b, enum_index, c, parent=None):
+        case = case_of(b, enum_index, c, parent)
+        calls["classified"] += c.curve_count() if parent is None else 1
+        calls["new_ideals"] += len(case.ideals) - (0 if parent is None else len(parent.ideals))
+        return case
 
     def counting_lct_ideal(c, a):
         calls["all"] += 1
@@ -575,12 +592,17 @@ def test_sweep_computes_each_ideal_threshold_once(monkeypatch):
 
     monkeypatch.setattr(thresholds, "lct_ideal", counting_lct_ideal)
     monkeypatch.setattr(explorer, "lambda_grid", flagged_grid)
+    monkeypatch.setattr(explorer, "_case", counting_case)
     report = verify_theorems(EnumBudget(max_steps=3, bases=(germ.SMOOTH, germ.du_val("A2")), ideal_coeff_bound=1))
     counts = report.counts
     nonzero = counts["ideals"] - counts["clusters"]  # one trivial ideal per cluster
     assert nonzero > 0 and calls["in_grid"] == 0
-    rows = counts["curves"] + report.suite("atlas_spot_check").checked
-    assert calls["all"] == rows + counts["ideals"] + 2 * nonzero + report.suite("gap_attainment").checked
+    # the first clusters have 1 and 2 curves; every other one adds one
+    assert calls["classified"] == 1 + 2 + counts["clusters"] - 2 < counts["curves"]
+    assert 0 < calls["new_ideals"] < counts["ideals"]
+    classified = calls["classified"] + report.suite("atlas_spot_check").checked
+    fresh = calls["new_ideals"] + 2 * nonzero + report.suite("gap_attainment").checked
+    assert calls["all"] == classified + fresh
 
 
 def test_prime_blowup_positive_reads_lct_off_the_unloaded_ideal(monkeypatch):
@@ -845,27 +867,33 @@ def test_sweep_unloads_each_valuation_ideal_once(monkeypatch):
     assert requests and max(requests.values()) == 1
 
 
-def fresh_graded(c):
-    """Per curve, its valuation ideals of degree 1..4 and m0..4m0 from
-    ``valuation_ideal``; each multiple of m0 is also unloaded bump by bump
-    from the one below it, with its E entry raised, and must agree."""
+def fresh_graded(c, oracle=True):
+    """Per curve, its valuation ideals of degree 1..4 and m0..4m0 taken on
+    the cluster itself, as the sweep takes a new curve's: each multiple of
+    m0 unloaded bump by bump from the one below it, with its E entry
+    raised, and the others from ``valuation_ideal``.  With ``oracle``,
+    each multiple of m0 must also be ``valuation_ideal``'s; a fault
+    injected into either breaks that on purpose."""
     graded = []
     for e in range(c.curve_count()):
         m0 = valuation.fingen_degree(c, e)
-        g = {m: valuation.valuation_ideal(c, e, m) for m in (*range(1, 5), *range(m0, 5 * m0, m0))}
+        g = {m: valuation.valuation_ideal(c, e, m) for m in range(1, 5) if m % m0}
         d = (0,) * c.curve_count()
         for m in range(m0, 5 * m0, m0):
-            d = valuation.unload(c, [m if j == e else v for j, v in enumerate(d)])
-            assert d == g[m], (c, e, m)
+            d = g[m] = valuation.unload(c, [m if j == e else v for j, v in enumerate(d)])
+            assert not oracle or d == valuation.valuation_ideal(c, e, m), (c, e, m)
         graded.append(g)
     return graded
 
 
 def sweep_pullbacks(monkeypatch, budget):
-    """Sweep the budget, comparing each case's graded ideals with
-    ``fresh_graded`` and its ideal set with ``antinef_ideals(c, bound)``.
-    Returns the clusters that differ, the clusters past their base's first
-    wave and how many of those found their parent's lineage."""
+    """Sweep the budget, comparing each case with what is computed afresh
+    on its cluster: its classify records with ``thresholds.classify``, its
+    ideals of degree m0 and graded verdicts with ``fresh_graded``, its
+    ideal set with ``antinef_ideals(c, bound)`` and each ideal's report
+    with ``thresholds.lct_ideal``.  Returns the clusters that differ, the
+    clusters past their base's first wave, how many of those found their
+    parent's lineage, and the report."""
     case_of = explorer._case
     wrong, later, found = [], 0, 0
 
@@ -875,14 +903,20 @@ def sweep_pullbacks(monkeypatch, budget):
         if len(c.steps) > c.base.is_smooth:
             later += 1
             found += parent is not None
-        if case.graded != fresh_graded(c) or [d for d, _ in case.ideals] != antinef_ideals(c, b.ideal_coeff_bound):
+        n, graded = c.curve_count(), fresh_graded(c)
+        if (
+            case.classes != [thresholds.classify(c, e) for e in range(n)]
+            or case.m0_ideals != [g[valuation.fingen_degree(c, e)] for e, g in enumerate(graded)]
+            or case.graded_failed != graded_failures_fresh(c, graded)
+            or case.ideals != [(d, thresholds.lct_ideal(c, d)) for d in antinef_ideals(c, b.ideal_coeff_bound)]
+        ):
             wrong.append(c)
         return case
 
     with monkeypatch.context() as m:
         m.setattr(explorer, "_case", checked)
-        verify_theorems(budget)
-    return wrong, later, found
+        report = verify_theorems(budget)
+    return wrong, later, found, report
 
 
 @pytest.mark.parametrize(
@@ -894,11 +928,14 @@ def sweep_pullbacks(monkeypatch, budget):
     ],
 )
 def test_sweep_pulls_back_what_a_fresh_computation_gives(monkeypatch, budget, later):
-    # every cluster past a base's first wave finds its parent, and every
-    # pulled-back graded ideal and ideal set is the one computed afresh
-    wrong, past_first_wave, found = sweep_pullbacks(monkeypatch, budget)
+    # every cluster past a base's first wave finds its parent; every
+    # inherited classify record, pulled-back ideal of degree m0, ideal set
+    # and inherited threshold report is the one computed afresh, and so are
+    # the atlas rows read from them
+    wrong, past_first_wave, found, report = sweep_pullbacks(monkeypatch, budget)
     assert not wrong
     assert found == past_first_wave == later
+    assert report.rows == tuple(atlas_rows(budget))
 
 
 @pytest.mark.parametrize(
@@ -917,15 +954,26 @@ def test_sweep_pulls_back_what_a_fresh_computation_gives(monkeypatch, budget, la
 def test_inherited_graded_verdicts_match_a_fresh_check(monkeypatch, inject, fails):
     # the three graded-ideal verdicts are computed on the first wave and on
     # each new curve, and inherited on old curves; on every curve they are
-    # those of a fresh check of the case's graded ideals, clean and under
-    # faults, and the faults make inherited verdicts fail
+    # those of a fresh check of its graded ideals pulled back from the
+    # curve's first cluster, clean and under faults, and the faults make
+    # inherited verdicts fail.  A doubled unload is no closure, so a curve's
+    # ideals taken afresh on a child may differ from those pulled back; the
+    # clean sweep checks them against ideals taken afresh (see
+    # sweep_pullbacks).
     inject(monkeypatch)
     case_of, wrong, inherited = explorer._case, [], Counter()
     names = ("ideal_monotonicity", "graded_subadditivity", "rees_singleton")
+    graded_of = {}  # by (base, steps): fresh on a base's first cluster and each new curve, else pulled back
 
     def checked(b, enum_index, c, parent=None):
         case = case_of(b, enum_index, c, parent)
-        if case.graded_failed != graded_failures_fresh(c, case.graded):
+        graded = fresh_graded(c, oracle=False)
+        if parent is not None:
+            refs = germ.step_refs(c.steps[-1])
+            old = graded_of[c.base, c.steps[:-1]]
+            graded[: len(old)] = [{m: explorer._pullback(d, refs) for m, d in g.items()} for g in old]
+        graded_of[c.base, c.steps] = graded
+        if case.graded_failed != graded_failures_fresh(c, graded):
             wrong.append(c)
         for failed in [] if parent is None else case.graded_failed[:-1]:
             inherited.update(["curves", *(name for name, f in zip(names, failed) if f)])
@@ -997,12 +1045,23 @@ WORK_COUNTED = (
     (explorer, "cluster_signature"),
     (germ, "extend"),
     (valuation, "rees_valuations"),
+    (thresholds, "classify"),
 )
 
 
 # and the lc pairs a pair suite walked one by one, on ideals it did not clear
-# at a few exponents: the exponents lambda_grid returned in the sweep
-WORK_NAMES = (*(name for _, name in WORK_COUNTED), "pairs_walked")
+# at a few exponents: the exponents lambda_grid returned in the sweep; and
+# the Fractions constructed
+WORK_NAMES = (*(name for _, name in WORK_COUNTED), "pairs_walked", "Fraction")
+# Fraction arithmetic builds its results through Fraction.__new__ up to
+# Python 3.11 and through Fraction._from_coprime_ints from 3.12 on; the
+# Fraction counts are pinned where __new__ sees every construction.
+COUNTS_FRACTIONS = not hasattr(Fraction, "_from_coprime_ints")
+
+
+def work(*counts) -> dict:
+    """The counts of ``WORK_NAMES``, in its order, that ``count_work`` returns."""
+    return {name: n for name, n in zip(WORK_NAMES, counts, strict=True) if COUNTS_FRACTIONS or name != "Fraction"}
 
 
 def count_work(monkeypatch, run):
@@ -1028,7 +1087,15 @@ def count_work(monkeypatch, run):
         return exponents
 
     monkeypatch.setattr(explorer, "lambda_grid", walked)
-    return run(), {name: calls[name] for name in WORK_NAMES}
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        calls["Fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    if COUNTS_FRACTIONS:
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+    return run(), work(*(calls[name] for name in WORK_NAMES))
 
 
 def sweep_work(monkeypatch, budget):
@@ -1039,25 +1106,17 @@ def sweep_work(monkeypatch, budget):
 def test_sweep_work_at_the_enumerate_report_budget(monkeypatch):
     # deterministic work counts of the benchmark's enumerate-report sweep;
     # a change that lowers a count lowers its pin.  The base's first cluster
-    # and each spot check are built, and every other class extended.
+    # and each spot check are built, and every other class extended.  Old
+    # curves inherit their classify records, so classify runs on the first
+    # cluster's curves, each new curve and each spot check.
     report, calls = sweep_work(monkeypatch, ENUMERATE_REPORT_BUDGET)
     assert report.counterexample_total() == 0
-    assert calls == {
-        "build": 67,
-        "_column": 1403,
-        "lct_ideal": 3555,
-        "unload": 2052,
-        "lambda_grid": 0,
-        "cluster_signature": 458,
-        "extend": 235,
-        "rees_valuations": 944,
-        "pairs_walked": 0,
-    }
+    assert calls == work(67, 1403, 1984, 2052, 0, 458, 235, 944, 302, 0, 6683)
     assert report.counts["lc_pairs"] == 21948
 
 
 @pytest.mark.parametrize(
-    "budget, work, lc_pairs",
+    "budget, counts, lc_pairs",
     [
         pytest.param(
             EnumBudget(
@@ -1066,58 +1125,62 @@ def test_sweep_work_at_the_enumerate_report_budget(monkeypatch):
                 ideal_coeff_bound=1,
                 lambda_denominator_bound=4,
             ),
-            (129, 2584, 4638, 3074, 0, 494, 327, 1400, 0),
+            (129, 2584, 1873, 3074, 0, 494, 327, 1400, 473, 0, 5645),
             1210,
             id="sweep-duval",
         ),
         pytest.param(
             SWEEP_A_BUDGET,
-            (13, 269, 1729, 660, 0, 89, 55, 224, 0),
+            (13, 269, 1115, 660, 0, 89, 55, 224, 68, 0, 2753),
             21920,
             id="sweep-A",
         ),
         pytest.param(
             smooth_budget(4, ideal_coeff_bound=3, lambda_denominator_bound=12, extension_depth=3),
-            (3, 54, 408, 167, 0, 19, 14, 60, 0),
+            (3, 54, 277, 167, 0, 19, 14, 60, 17, 0, 655),
             5438,
             id="sweep-B",
         ),
         pytest.param(
-            EnumBudget(max_steps=7), (368, 7717, 26312, 10921, 0, 2438, 1094, 4380, 0), 68112, id="enumerate-7"
+            EnumBudget(max_steps=7), (368, 7717, 15249, 10921, 0, 2438, 1094, 4380, 1462, 0, 44618), 68112, id="enumerate-7"
         ),
     ],
 )
-def test_sweep_work_at_the_north_star_budgets(monkeypatch, budget, work, lc_pairs):
+def test_sweep_work_at_the_north_star_budgets(monkeypatch, budget, counts, lc_pairs):
     # the benchmark's du Val bases in one sweep, acceptance sweeps A and B,
     # and smooth <= 7 at the command-line defaults; the counts are in the
     # order of WORK_NAMES
     report, calls = sweep_work(monkeypatch, budget)
     assert report.counterexample_total() == 0
-    assert calls == dict(zip(WORK_NAMES, work))
+    assert calls == work(*counts)
     assert report.counts["lc_pairs"] == lc_pairs
 
 
 def test_analyze_work_on_a_long_chain(monkeypatch, tmp_path, capsys):
     # analyze --last on a 10,000-blowup chain builds the cluster and solves
-    # the last curve's column and threshold once; its gap is positive, so
-    # no witness is unloaded
+    # the last curve's column, record and threshold once; its gap is
+    # positive, so no witness is unloaded.  Its dstar takes one Fraction per
+    # curve.
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(germ.cluster_to_json(satellite_chain(10_000))))
     code, calls = count_work(monkeypatch, lambda: cli.main(["analyze", str(path), "--last", "-f", "json"]))
     assert code == 0 and json.loads(capsys.readouterr().out)["gap"] == "9997/6"
-    assert calls == dict(zip(WORK_NAMES, (1, 1, 1, 0, 0, 0, 0, 0, 0)))
+    assert calls == work(1, 1, 1, 0, 0, 0, 0, 0, 1, 0, 10004)
 
 
 def test_sweep_evaluates_pairs_only_on_ideals_a_suite_does_not_clear(monkeypatch):
-    # curve 0 obstructed by curve 1 fails witness_strictness on some ideals;
-    # those alone are walked pair by pair, once each
-    classify, change = thresholds.classify, swap_witness(0, 1)
+    # curve 2 obstructed by curve 1 fails witness_strictness on some ideals;
+    # those alone are walked pair by pair, once each.  classify is patched
+    # where the sweep calls it: on curve 2 when it is new, and its children
+    # inherit the record.
+    classify, change = thresholds.classify, swap_witness(2, 1)
     monkeypatch.setattr(thresholds, "classify", lambda c, e: change(c, classify(c, e)))
     b = smooth_budget(4, ideal_coeff_bound=1, lambda_denominator_bound=6)
     report, calls = sweep_work(monkeypatch, b)
     suite = report.suite("witness_strictness")
     assert report.counterexample_total() == len(suite.counterexamples) > 0
-    assert (calls["lambda_grid"], calls["pairs_walked"], len(suite.counterexamples)) == (14, 336, 336)
+    failing = {(x["steps"], tuple(x["ideal"])) for x in suite.counterexamples}
+    assert (calls["lambda_grid"], calls["pairs_walked"], len(suite.counterexamples)) == (len(failing), 216, 101) == (9, 216, 101)
     assert calls["pairs_walked"] < report.counts["lc_pairs"]
 
 
