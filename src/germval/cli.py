@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 
 from . import explorer, germ, thresholds, valuation
 from .errors import GermvalError
@@ -168,6 +169,16 @@ def _pick_curve(args, c: germ.Cluster) -> int:
     return args.divisor
 
 
+def _column_doc(c: germ.Cluster, e: int) -> dict:
+    """The curve, its k, and dstar and m0 read off its column w = m0·dstar:
+    each entry of dstar is v/m0 reduced by one gcd, as ``format_rational``
+    writes it, with no Fraction built."""
+    w = valuation.fingen_ideal(c, e)
+    m0 = w[e]
+    dstar = [str(v // m0) if (g := gcd(v, m0)) == m0 else f"{v // g}/{m0 // g}" for v in w]
+    return {"curve": e, "k": germ.canonical_vector(c)[e], "dstar": dstar, "fingen_degree": m0}
+
+
 def _parse_ideal(args, c: germ.Cluster) -> tuple[int, ...]:
     if args.pair:
         return _parse_pair(args, c).ideal
@@ -206,10 +217,7 @@ def cmd_analyze(args, c: germ.Cluster) -> dict:
     witness = valuation.valuation_ideal(c, e, valuation.fingen_degree(c, e)) if cl.gap == 0 else None
     return {
         "base": c.base.label,
-        "curve": e,
-        "k": k,
-        "dstar": [format_rational(v) for v in valuation.asymptotic_multiplicities(c, e)],
-        "fingen_degree": valuation.fingen_degree(c, e),
+        **_column_doc(c, e),
         "lct": format_value(cl.lct),
         "argmin": sorted(cl.argmin),
         "gap": format_rational(cl.gap),
@@ -275,14 +283,7 @@ def cmd_classify(args, c: germ.Cluster) -> dict:
 
 def cmd_fingen(args, c: germ.Cluster) -> dict:
     e = _pick_curve(args, c)
-    w = valuation.fingen_ideal(c, e)
-    return {
-        "curve": e,
-        "k": germ.canonical_vector(c)[e],
-        "dstar": [format_rational(v) for v in valuation.asymptotic_multiplicities(c, e)],
-        "fingen_degree": w[e],
-        "ideal_at_degree": [str(v) for v in w],
-    }
+    return {**_column_doc(c, e), "ideal_at_degree": [str(v) for v in valuation.fingen_ideal(c, e)]}
 
 
 def cmd_dot(args) -> int:

@@ -138,7 +138,7 @@ class Satellite:
 
     def __post_init__(self):
         a, b = self.on
-        object.__setattr__(self, "on", (min(a, b), max(a, b)))
+        object.__setattr__(self, "on", (a, b) if a < b else (b, a))
 
 
 BlowupStep = Free | Satellite
@@ -207,34 +207,45 @@ def _blowup(base: BaseGerm, first: int, steps, self_int, nbrs, k) -> None:
     curves through its centre, each of which loses 1 of self-intersection,
     and a satellite parts its two curves.  The new id is the largest, so
     each neighbour tuple stays sorted."""
+    smooth = base.is_smooth
     for idx, step in enumerate(steps, first):
         n = len(self_int)
-        refs = step_refs(step)
-        if isinstance(step, Free) and step.on is None:
-            if not base.is_smooth:
-                raise InvalidStep(idx, "blowup of the base point needs a smooth base")
-            if idx != 0:
-                raise InvalidStep(idx, "blowup of the base point is only legal first")
-        elif isinstance(step, Satellite) and step.on[0] == step.on[1]:
-            raise InvalidStep(idx, "satellite needs two distinct curves")
-        if base.is_smooth and idx == 0 and not (isinstance(step, Free) and step.on is None):
-            raise InvalidStep(idx, "the first step over a smooth base blows up the base point")
-        for r in refs:
-            if not 0 <= r < n:
-                raise InvalidStep(idx, f"curve {r} does not exist yet")
-        if isinstance(step, Satellite):
-            i, j = step.on
+        on = step.on
+        if isinstance(step, Free):
+            if on is None:
+                if not smooth:
+                    raise InvalidStep(idx, "blowup of the base point needs a smooth base")
+                if idx != 0:
+                    raise InvalidStep(idx, "blowup of the base point is only legal first")
+                refs, k_new = (), 1
+            elif smooth and idx == 0:
+                raise InvalidStep(idx, "the first step over a smooth base blows up the base point")
+            elif not 0 <= on < n:
+                raise InvalidStep(idx, f"curve {on} does not exist yet")
+            else:
+                refs, k_new = (on,), 1 + k[on]
+                self_int[on] -= 1
+                nbrs[on] += (n,)
+        else:
+            i, j = refs = on
+            if i == j:
+                raise InvalidStep(idx, "satellite needs two distinct curves")
+            if smooth and idx == 0:
+                raise InvalidStep(idx, "the first step over a smooth base blows up the base point")
+            for r in refs:
+                if not 0 <= r < n:
+                    raise InvalidStep(idx, f"curve {r} does not exist yet")
             if j not in nbrs[i]:
                 raise InvalidStep(idx, f"curves {i} and {j} do not meet at this step")
-            nbrs[i] = tuple(v for v in nbrs[i] if v != j)
-            nbrs[j] = tuple(v for v in nbrs[j] if v != i)
-
+            for a, b in (i, j), (j, i):  # part the two curves; each meets the new one
+                t = nbrs[a]
+                p = t.index(b)
+                nbrs[a] = t[:p] + t[p + 1 :] + (n,)
+                self_int[a] -= 1
+            k_new = 1 + k[i] + k[j]
         self_int.append(-1)
         nbrs.append(refs)
-        for r in refs:
-            nbrs[r] += (n,)
-            self_int[r] -= 1
-        k.append(1 + sum(k[r] for r in refs))
+        k.append(k_new)
 
 
 def build(base: BaseGerm, steps) -> Cluster:
@@ -364,19 +375,13 @@ def cluster_from_json(doc) -> Cluster:
     for idx, s in enumerate(steps_doc):
         if not isinstance(s, dict) or "kind" not in s:
             raise ValueError(f"steps[{idx}]: not a step object")
-        kind = s["kind"]
+        kind, on = s["kind"], s.get("on")
         if kind == "free":
-            on = s.get("on")
-            if not (on is None or _is_curve_id(on)):
+            if on is not None and not _is_curve_id(on):
                 raise ValueError(f"steps[{idx}]: free 'on' must be null or an int")
             steps.append(Free(on))
         elif kind == "satellite":
-            on = s.get("on")
-            if (
-                not isinstance(on, list)
-                or len(on) != 2
-                or not all(_is_curve_id(v) for v in on)
-            ):
+            if not (isinstance(on, list) and len(on) == 2 and _is_curve_id(on[0]) and _is_curve_id(on[1])):
                 raise ValueError(f"steps[{idx}]: satellite 'on' must be [int, int]")
             steps.append(Satellite((on[0], on[1])))
         else:

@@ -106,17 +106,18 @@ def lct_ideal(c: germ.Cluster, d: tuple[int, ...]) -> LctReport:
     divisor's support, or infinity for the structure sheaf."""
     k = germ.canonical_vector(c)
     argmin: list[int] = []
+    num, den = 1, 0  # the least ratio so far, num/den; 1/0 is above every ratio
     for j, dj in enumerate(d):
         if dj > 0:
             # compare (k_j + 1)/d_j with the least ratio so far by cross-multiplying
-            side = (k[j] + 1) * d[argmin[0]] - (k[argmin[0]] + 1) * dj if argmin else -1
+            side = (k[j] + 1) * den - num * dj
             if side < 0:
-                argmin = [j]
+                argmin, num, den = [j], k[j] + 1, dj
             elif side == 0:
                 argmin.append(j)
     if not argmin:
         return LctReport(PLUS_INFINITY, frozenset())
-    return LctReport(Fraction(k[argmin[0]] + 1, d[argmin[0]]), frozenset(argmin))
+    return LctReport(Fraction(num, den), frozenset(argmin))
 
 
 def mld_at_origin(c: germ.Cluster, p: PairSpec) -> Fraction | _Infinity:

@@ -104,7 +104,7 @@ def fingen_ideal(c: germ.Cluster, e: int) -> tuple[int, ...]:
 def asymptotic_multiplicities(c: germ.Cluster, e: int) -> tuple[Fraction, ...]:
     """Asymptotic multiplicity of the graded sequence of E at every curve:
     the unique x with x[e] = 1 and (M.x)[j] = 0 for every j != e, as the
-    Fractions fingen_ideal / m0, built for reporting."""
+    Fractions fingen_ideal / m0; the CLI prints it off the integer column."""
     w = fingen_ideal(c, e)
     return tuple(Fraction(v, w[e]) for v in w)
 

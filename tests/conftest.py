@@ -10,7 +10,7 @@ import pytest
 
 from germval import explorer, germ, thresholds, valuation
 from germval.cli import satellite_chain, single_blowup
-from germval.errors import NotAntinef
+from germval.errors import InvalidStep, NotAntinef
 from germval.exact import format_rational
 from germval.explorer import EnumBudget, verify_theorems
 
@@ -20,6 +20,107 @@ __all__ = ["satellite_chain", "single_blowup"]
 def chain2() -> germ.Cluster:
     """Two blowups: a free point, then a free point on its curve."""
     return germ.build(germ.SMOOTH, (germ.Free(None), germ.Free(0)))
+
+
+def simulate_stepwise(base: germ.BaseGerm, steps) -> tuple:
+    """(steps, self-intersections, neighbour tuples, k) of the cluster,
+    simulated step by step through ``germ.step_refs`` with each check made
+    for every kind of step, raising the InvalidStep of the first illegal
+    one: the oracle for the per-kind blowup of ``germ.build`` and
+    ``germ.extend``."""
+    steps = tuple(steps)
+    if base.is_smooth and not steps:
+        raise InvalidStep(0, "a smooth base needs at least one blowup")
+    self_int = [-2] * base.rank()
+    nb_sets: list[set[int]] = [set() for _ in self_int]
+    for i, j in [] if base.is_smooth else germ._dynkin_edges(base.dynkin):
+        nb_sets[i].add(j)
+        nb_sets[j].add(i)
+    nbrs, k = [tuple(sorted(nb)) for nb in nb_sets], [0] * len(self_int)
+    for idx, step in enumerate(steps):
+        n = len(self_int)
+        refs = germ.step_refs(step)
+        if isinstance(step, germ.Free) and step.on is None:
+            if not base.is_smooth:
+                raise InvalidStep(idx, "blowup of the base point needs a smooth base")
+            if idx != 0:
+                raise InvalidStep(idx, "blowup of the base point is only legal first")
+        elif isinstance(step, germ.Satellite) and step.on[0] == step.on[1]:
+            raise InvalidStep(idx, "satellite needs two distinct curves")
+        if base.is_smooth and idx == 0 and not (isinstance(step, germ.Free) and step.on is None):
+            raise InvalidStep(idx, "the first step over a smooth base blows up the base point")
+        for r in refs:
+            if not 0 <= r < n:
+                raise InvalidStep(idx, f"curve {r} does not exist yet")
+        if isinstance(step, germ.Satellite):
+            i, j = step.on
+            if j not in nbrs[i]:
+                raise InvalidStep(idx, f"curves {i} and {j} do not meet at this step")
+            nbrs[i] = tuple(v for v in nbrs[i] if v != j)
+            nbrs[j] = tuple(v for v in nbrs[j] if v != i)
+        self_int.append(-1)
+        nbrs.append(refs)
+        for r in refs:
+            nbrs[r] += (n,)
+            self_int[r] -= 1
+        k.append(1 + sum(k[r] for r in refs))
+    return steps, tuple(self_int), tuple(nbrs), tuple(k)
+
+
+def cluster_doc_stepwise(doc) -> tuple:
+    """What ``simulate_stepwise`` gives for a cluster JSON document, whose
+    steps are read one check at a time, raising the ValueError of the first
+    malformed part: the oracle for ``germ.cluster_from_json``."""
+
+    def is_curve_id(v) -> bool:
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    if not isinstance(doc, dict):
+        raise ValueError("cluster document must be a JSON object")
+    base_doc = doc.get("base")
+    if base_doc == "smooth":
+        base = germ.SMOOTH
+    elif isinstance(base_doc, dict) and set(base_doc) == {"du_val"}:
+        base = germ.du_val(str(base_doc["du_val"]))
+    else:
+        raise ValueError('"base" must be "smooth" or {"du_val": <label>}')
+    steps_doc = doc.get("steps")
+    if not isinstance(steps_doc, list):
+        raise ValueError('"steps" must be a list')
+    steps: list[germ.BlowupStep] = []
+    for idx, s in enumerate(steps_doc):
+        if not isinstance(s, dict) or "kind" not in s:
+            raise ValueError(f"steps[{idx}]: not a step object")
+        kind = s["kind"]
+        if kind == "free":
+            on = s.get("on")
+            if not (on is None or is_curve_id(on)):
+                raise ValueError(f"steps[{idx}]: free 'on' must be null or an int")
+            steps.append(germ.Free(on))
+        elif kind == "satellite":
+            on = s.get("on")
+            if not isinstance(on, list) or len(on) != 2 or not all(is_curve_id(v) for v in on):
+                raise ValueError(f"steps[{idx}]: satellite 'on' must be [int, int]")
+            steps.append(germ.Satellite((on[0], on[1])))
+        else:
+            raise ValueError(f"steps[{idx}]: unknown kind {kind!r}")
+    return simulate_stepwise(base, steps)
+
+
+def outcome(make) -> tuple:
+    """What ``make()`` gives, as comparable data: ("ok", value), with a
+    cluster taken as (steps, self-intersections, neighbours, k), or the
+    error it raises: InvalidStep with its index and reason, ValueError with
+    its message."""
+    try:
+        got = make()
+    except InvalidStep as exc:
+        return "InvalidStep", exc.index, exc.reason
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    if isinstance(got, germ.Cluster):
+        got = got.steps, got._self, got._nbrs, got._k
+    return "ok", got
 
 
 def cluster_signature_permutations(c: germ.Cluster) -> tuple:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +14,12 @@ import germval
 from germval import explorer, germ, thresholds, valuation
 from germval.cli import main, paper_examples, satellite_chain
 from germval.errors import InvalidStep
+from germval.exact import format_rational
 
 from conftest import count_column_solves, single_blowup
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.fixture()
@@ -168,6 +173,29 @@ def test_analyze_and_fingen_read_the_stored_column(capsys, r3_file, monkeypatch)
     code, out, _ = run(capsys, ["analyze", r3_file, "--last", "--format", "json"])
     assert code == 0 and json.loads(out)["witness_ideal"] == ["2", "3", "6"]
     assert calls == [True]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_analyze_on_stream_clusters_agrees_with_the_germval_free_model(capsys, monkeypatch, tmp_path, seed):
+    # the benchmark's 20-100 curve clusters: each analyze answer passes the
+    # dense model of bench/oracle.py, which imports nothing from germval, and
+    # the dstar that analyze and fingen read off the integer column is the
+    # library's Fraction view
+    monkeypatch.syspath_prepend(str(BENCH))
+    import oracle
+    import worker
+
+    for i, doc in enumerate(worker.stream_docs(seed)):
+        path = tmp_path / f"cluster-{i:02d}.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, ["analyze", str(path), "--last", "-f", "json"])
+        assert code == 0
+        got = json.loads(out)
+        assert oracle.check_analyze(doc, got) == [], i
+        c = germ.cluster_from_json(doc)
+        want = [format_rational(v) for v in valuation.asymptotic_multiplicities(c, c.curve_count() - 1)]
+        code, out, _ = run(capsys, ["fingen", str(path), "--last", "-f", "json"])
+        assert code == 0 and got["dstar"] == json.loads(out)["dstar"] == want, i
 
 
 def test_dot_subcommand(capsys, sb_file, tmp_path):

@@ -1156,16 +1156,25 @@ def test_sweep_work_at_the_north_star_budgets(monkeypatch, budget, counts, lc_pa
     assert report.counts["lc_pairs"] == lc_pairs
 
 
+def test_sweep_keeps_no_cached_column(sweep_a):
+    # once a cluster's suites have run, its columns are dropped: the report's
+    # rows keep every cluster alive, and nothing after the suites reads a
+    # column, as the spot check rebuilds its clusters from JSON
+    e6 = EnumBudget(max_steps=2, bases=(germ.du_val("E6"),), ideal_coeff_bound=1, lambda_denominator_bound=4)
+    for report in sweep_a[0], verify_theorems(e6):
+        assert report.rows and not any(r.cluster._dstar for r in report.rows)
+
+
 def test_analyze_work_on_a_long_chain(monkeypatch, tmp_path, capsys):
     # analyze --last on a 10,000-blowup chain builds the cluster and solves
     # the last curve's column, record and threshold once; its gap is
-    # positive, so no witness is unloaded.  Its dstar takes one Fraction per
-    # curve.
+    # positive, so no witness is unloaded.  Its dstar is read off the integer
+    # column with no Fraction.
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(germ.cluster_to_json(satellite_chain(10_000))))
     code, calls = count_work(monkeypatch, lambda: cli.main(["analyze", str(path), "--last", "-f", "json"]))
     assert code == 0 and json.loads(capsys.readouterr().out)["gap"] == "9997/6"
-    assert calls == work(1, 1, 1, 0, 0, 0, 0, 0, 1, 0, 10004)
+    assert calls == work(1, 1, 1, 0, 0, 0, 0, 0, 1, 0, 4)
 
 
 def test_sweep_evaluates_pairs_only_on_ideals_a_suite_does_not_clear(monkeypatch):

@@ -1,16 +1,20 @@
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germval import germ
 from germval.errors import InvalidStep
 
 from conftest import (
     chain2,
+    cluster_doc_stepwise,
     is_negative_definite,
     meeting_pairs,
+    outcome,
     prune_to_ancestors,
     satellite_chain,
+    simulate_stepwise,
     single_blowup,
 )
 
@@ -227,6 +231,7 @@ def test_json_schema_shape():
 def test_json_rejects_malformed(doc):
     with pytest.raises(ValueError):
         germ.cluster_from_json(doc)
+    assert outcome(lambda: germ.cluster_from_json(doc)) == outcome(lambda: cluster_doc_stepwise(doc))
 
 
 def test_prune_keeps_full_ancestry_of_chain():
@@ -254,13 +259,6 @@ def test_prune_minimal_resolution_curve():
     assert pruned2 == c
 
 
-def _raised(make):
-    """(index, reason) of the InvalidStep that ``make()`` raises."""
-    with pytest.raises(InvalidStep) as err:
-        make()
-    return err.value.index, err.value.reason
-
-
 @pytest.mark.parametrize(
     "bases, max_steps",
     [((germ.SMOOTH,), 5), (tuple(map(germ.du_val, ("A3", "D4", "E6"))), 3)],
@@ -268,19 +266,72 @@ def _raised(make):
 )
 def test_extend_equals_build_of_the_longer_step_list(bases, max_steps):
     # every legal step of every cluster, and three kinds of illegal step,
-    # applied to the cluster's dual graph or simulated from the base
+    # applied to the cluster's dual graph or simulated from the base, give
+    # the graph or the error of the step-by-step simulation that makes every
+    # check for every kind of step
     from germval.explorer import EnumBudget, enumerate_clusters
 
     for c in enumerate_clusters(EnumBudget(max_steps=max_steps, bases=bases)):
-        for step in germ.legal_steps(c):
-            got, want = germ.extend(c, step), germ.build(c.base, c.steps + (step,))
-            assert (got.steps, got._self, got._nbrs, got._k) == (want.steps, want._self, want._nbrs, want._k)
         n = c.curve_count()
         apart = [(i, j) for i in range(n) for j in range(i + 1, n) if j not in c._nbrs[i]]
         illegal = [germ.Free(n), germ.Satellite((0, n))] + [germ.Satellite(pair) for pair in apart[:1]]
         if c.steps:
             illegal.append(germ.Free(None))
-        for step in illegal:
-            raised = _raised(lambda: germ.extend(c, step))
-            assert raised == _raised(lambda: germ.build(c.base, c.steps + (step,)))
-            assert raised[0] == len(c.steps)
+        for step in germ.legal_steps(c) + illegal:
+            steps = c.steps + (step,)
+            got = outcome(lambda: germ.extend(c, step))
+            assert got == outcome(lambda: germ.build(c.base, steps)) == outcome(lambda: simulate_stepwise(c.base, steps))
+            assert got[0] == ("InvalidStep" if step in illegal else "ok")
+            assert step not in illegal or got[1] == len(c.steps)
+
+
+STEP_BASES = [germ.SMOOTH, *map(germ.du_val, ("A1", "A4", "D5", "E8"))]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_hypothesis_step_lists_build_as_simulated(data):
+    # a step list that follows the model most of the time, so that it grows
+    # long, and otherwise takes any small curve ids, legal or not
+    base = data.draw(st.sampled_from(STEP_BASES))
+    nbrs = () if base.is_smooth else germ.build(base, ())._nbrs
+    steps: list = []
+    for _ in range(data.draw(st.integers(0, 12))):
+        n = len(nbrs)
+        meeting = [(i, j) for i in range(n) for j in nbrs[i] if i < j]
+        kind = data.draw(st.sampled_from(("free", "satellite", "any free", "any satellite")))
+        if kind == "free" and n:
+            step = germ.Free(data.draw(st.integers(0, n - 1)))
+        elif kind == "satellite" and meeting:
+            step = germ.Satellite(data.draw(st.sampled_from(meeting)))
+        elif kind == "any satellite":
+            step = germ.Satellite((data.draw(st.integers(-2, n + 2)), data.draw(st.integers(-2, n + 2))))
+        else:
+            step = germ.Free(data.draw(st.none() | st.integers(-2, n + 2)))
+        steps.append(step)
+        want = outcome(lambda: simulate_stepwise(base, steps))
+        assert outcome(lambda: germ.build(base, steps)) == want
+        if want[0] != "ok":
+            break
+        nbrs = want[1][2]
+
+
+CURVE_IDS = st.integers(-1, 5) | st.none() | st.booleans() | st.floats(0, 3) | st.text(max_size=2)
+GOOD_STEP_DOCS = st.fixed_dictionaries({"kind": st.just("free"), "on": st.integers(0, 5)}) | st.fixed_dictionaries(
+    {"kind": st.just("satellite"), "on": st.lists(st.integers(0, 5), min_size=2, max_size=2)}
+)
+BAD_STEP_DOCS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(("free", "satellite", "pinch", 1, None))},
+    optional={"on": CURVE_IDS | st.lists(CURVE_IDS, max_size=3)},
+) | st.fixed_dictionaries({}, optional={"on": st.integers(0, 3)}) | st.lists(st.integers(0, 3), max_size=2) | st.none()
+# mostly well formed, so that a document reaches its later steps
+STEP_DOCS = st.integers(0, 6).flatmap(lambda i: BAD_STEP_DOCS if i >= 5 else GOOD_STEP_DOCS)
+
+
+@given(st.sampled_from(["smooth", {"du_val": "A2"}, {"du_val": "D4"}]), st.lists(STEP_DOCS, max_size=8))
+@settings(max_examples=400, deadline=None)
+def test_hypothesis_step_documents_load_as_read_stepwise(base, steps):
+    # steps drawn from well-formed and malformed ones, after the base
+    # point's blowup over a smooth base
+    doc = {"base": base, "steps": [{"kind": "free", "on": None}] * (base == "smooth") + steps}
+    assert outcome(lambda: germ.cluster_from_json(doc)) == outcome(lambda: cluster_doc_stepwise(doc))
