@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from math import gcd
@@ -318,6 +319,9 @@ def cmd_enumerate(args) -> int:
         lambda_denominator_bound=args.lambda_bound,
         extension_depth=args.extension_depth,
     )
+    outputs = [os.path.realpath(path) for path in (args.atlas, args.extremal, args.report) if path]
+    if len(set(outputs)) < len(outputs):
+        raise ValueError("--atlas, --extremal and --report must name different files")
     with contextlib.ExitStack() as stack:
         # every output is opened before the run, so a bad path fails at once
         atlas, extremal, out = (

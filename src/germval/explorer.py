@@ -2,7 +2,8 @@
 property sweeps, and the atlas dataset.
 
 Clusters are enumerated once per class of interchangeable free blowups,
-each by its smallest step encoding (see :func:`cluster_signature`).
+each as the cluster whose own step encoding is the class's least (see
+:func:`is_canonical_extension`).
 
 Counterexamples found by the sweeps become report entries, never aborts:
 the harness doubles as a probe for where the claims might fail
@@ -79,89 +80,54 @@ class EnumBudget:
 # -- canonical form ------------------------------------------------------
 
 
-def cluster_signature(c: germ.Cluster, step: germ.BlowupStep | None = None) -> tuple:
-    """Lexicographically smallest step encoding over all relabelings of
-    the step curves that keep parents before children.  Two clusters get
-    the same signature exactly when they differ by permuting
-    interchangeable free blowups.  With ``step``, a legal step on ``c``,
-    this is the signature of ``c`` extended by it, read from the step
-    parents alone without building the extension.
+def is_canonical_extension(c: germ.Cluster, step: germ.BlowupStep) -> bool:
+    """Whether ``c`` extended by ``step``, a legal step on it, has its own
+    step encoding ``germ.step_parents(c) + (germ.step_refs(step),)`` as
+    its least over all relabelings of the step curves that keep parents
+    before children.  Two clusters have the same least encoding exactly
+    when they differ by permuting interchangeable free blowups.
 
-    The encoding is built one position at a time.  A step is ready once
-    its parent curves are placed, and its token, the sorted new ids of
-    those curves, is then fixed, so each position takes the smallest
-    ready token.  Ready steps tie only when they have the same parents,
-    that is, when they are free blowups on one curve, and the search
-    branches over those: once per isomorphism class of the subtrees
-    hanging from them, and never past a prefix above the best encoding
-    found so far.  Only a branch point recurses, so a long chain of
-    forced positions costs no stack depth.
+    An encoding is built one position at a time.  A step is ready once its
+    parent curves are placed, and its token, the sorted new ids of those
+    curves, is then fixed.  So past a prefix of the candidate, the least
+    encodings take the least ready token: the search returns False at the
+    first such token below the candidate's, and drops a branch at the
+    first above it.  Ready steps tie only as free blowups on one curve,
+    and the search branches over those once per isomorphism class of the
+    subtrees hanging from them.  Only a branch point recurses, so a long
+    chain of forced positions costs no stack depth.
     """
     rank = c.base.rank()
-    parents = germ.step_parents(c)
-    if step is not None:
-        parents += (germ.step_refs(step),)
+    parents = (*germ.step_parents(c), germ.step_refs(step))
     t = len(parents)
-    if t == 0:
-        return (c.base.label,)
     key = _subtree_keys(rank, parents)
+    # a satellite's other curve lies above its later one (see
+    # _subtree_keys), so a step is ready once its later curve is placed
     children: list[list[int]] = [[] for _ in parents]
-    waiting = [0] * t  # parents of each step not yet placed
     for i, ps in enumerate(parents):
-        for p in ps:
-            if p >= rank:
-                children[p - rank].append(i)
-                waiting[i] += 1
+        if ps and ps[-1] >= rank:
+            children[ps[-1] - rank].append(i)
     new_id = list(range(rank)) + [0] * t
-    tokens: list[tuple[int, ...]] = []
-    best: tuple | None = None
 
     def place(i: int, depth: int, ready: list[int]) -> list[int]:
         new_id[rank + i] = rank + depth
-        rest = [j for j in ready if j != i]
-        for j in children[i]:
-            waiting[j] -= 1
-            if waiting[j] == 0:
-                rest.append(j)
-        return rest
+        return [j for j in ready if j != i] + children[i]
 
-    def unplace(i: int) -> None:
-        for j in children[i]:
-            waiting[j] += 1
-
-    def search(ready: list[int], tight: bool) -> None:
-        # tight: the tokens so far are a prefix of best
-        nonlocal best
-        forced: list[int] = []  # steps this call placed without a choice
-        while True:
-            depth = len(tokens)
-            if depth == t:
-                if not tight:
-                    best = tuple(tokens)
-                break
+    def below(ready: list[int], depth: int) -> bool:
+        # whether an order of the steps left encodes below the candidate
+        while depth < t:
             toks = [tuple(sorted(new_id[p] for p in parents[i])) for i in ready]
             low = min(toks)
-            if tight and low > best[depth]:
-                break
-            tight = tight and low == best[depth]
-            tokens.append(low)
+            if low != parents[depth]:
+                return low < parents[depth]
             tied = list({key[i]: i for i, tok in zip(ready, toks) if tok == low}.values())
-            if len(tied) == 1:
-                forced.append(tied[0])
-                ready = place(tied[0], depth, ready)
-                continue
-            for i in tied:
-                search(place(i, depth, ready), tight)
-                unplace(i)
-                tight = True  # the first branch ends at a leaf, which best now extends
-            tokens.pop()
-            break
-        for i in reversed(forced):
-            unplace(i)
-            tokens.pop()
+            if len(tied) > 1:
+                return any(below(place(i, depth, ready), depth + 1) for i in tied)
+            ready = place(tied[0], depth, ready)
+            depth += 1
+        return False
 
-    search([i for i in range(t) if waiting[i] == 0], False)
-    return (c.base.label,) + best
+    return not below([i for i, ps in enumerate(parents) if not ps or ps[-1] < rank], 0)
 
 
 def _subtree_keys(rank: int, parents) -> list[int]:
@@ -194,32 +160,31 @@ def _subtree_keys(rank: int, parents) -> list[int]:
 
 
 def _waves(b: EnumBudget):
-    """Per base, each wave of classes in signature order, as a list of
-    (parent's position in the last wave or None, signature, cluster).
-    A class's signature less its last token is its parent's: the last
-    placed step is a leaf.  So each class is made once: its parent
-    extended by the one step whose own token ends the class's signature
-    (McKay's canonical augmentation, J. Algorithms 26, 1998)."""
+    """Per base, each wave of classes in the order of their least step
+    encodings, as a list of (parent's position in the last wave or None,
+    cluster).  Each class comes as the cluster whose own encoding is its
+    least; that less its last token is its parent's, as the last placed
+    step is a leaf.  So a class is made once: its parent extended by the
+    one step that passes :func:`is_canonical_extension` (McKay's canonical
+    augmentation, J. Algorithms 26, 1998)."""
     for base in b.bases:
-        c = germ.build(base, (germ.Free(None),) if base.is_smooth else ())
-        wave = [(None, (base.label, *germ.step_parents(c)), c)]  # one step at most: canonical
-        yield wave
-        for _ in range(len(c.steps), b.max_steps):
-            children = []
-            for pos, (_, sig, parent) in enumerate(wave):
-                for step in sorted(germ.legal_steps(parent), key=germ.step_refs):
-                    child = (*sig, germ.step_refs(step))
-                    if cluster_signature(parent, step) == child:
-                        children.append((pos, child, germ.extend(parent, step)))
-            wave = children
+        wave = [(None, germ.build(base, (germ.Free(None),) if base.is_smooth else ()))]
+        yield wave  # one step at most: canonical
+        for _ in range(len(wave[0][1].steps), b.max_steps):
+            wave = [
+                (pos, germ.extend(parent, step))
+                for pos, (_, parent) in enumerate(wave)
+                for step in sorted(germ.legal_steps(parent), key=germ.step_refs)
+                if is_canonical_extension(parent, step)
+            ]
             yield wave
 
 
 def enumerate_clusters(b: EnumBudget):
     """Yield every valid cluster within the budget exactly once, in
     deterministic order: bases in canonical order, then by step count,
-    then by signature."""
-    yield from (c for wave in _waves(b) for _, _, c in wave)
+    then by step encoding, each class by its least one."""
+    yield from (c for wave in _waves(b) for _, c in wave)
 
 
 # -- pair enumeration ----------------------------------------------------
@@ -910,7 +875,7 @@ def verify_theorems(b: EnumBudget) -> VerificationReport:
     last: list[_Lineage] = []
     for wave in _waves(b):
         lineages = []  # by position, for the next wave
-        for parent, _, c in wave:
+        for parent, c in wave:
             case = _case(b, counts["clusters"], c, None if parent is None else last[parent])
             if len(c.steps) < b.max_steps:
                 lineages.append(_Lineage(case.classes, case.m0_ideals, case.graded_failed, case.ideals))

@@ -123,11 +123,98 @@ def outcome(make) -> tuple:
     return "ok", got
 
 
+def cluster_signature(c: germ.Cluster, step: germ.BlowupStep | None = None) -> tuple:
+    """Lexicographically smallest step encoding over all relabelings of
+    the step curves that keep parents before children.  Two clusters get
+    the same signature exactly when they differ by permuting
+    interchangeable free blowups.  With ``step``, a legal step on ``c``,
+    this is the signature of ``c`` extended by it, read from the step
+    parents alone without building the extension.
+
+    The encoding is built one position at a time.  A step is ready once
+    its parent curves are placed, and its token, the sorted new ids of
+    those curves, is then fixed, so each position takes the smallest
+    ready token.  Ready steps tie only when they have the same parents,
+    that is, when they are free blowups on one curve, and the search
+    branches over those: once per isomorphism class of the subtrees
+    hanging from them, and never past a prefix above the best encoding
+    found so far.  Only a branch point recurses, so a long chain of
+    forced positions costs no stack depth.
+
+    The oracle for ``explorer.is_canonical_extension``, which keeps an
+    extension exactly when this is its own step encoding.
+    """
+    rank = c.base.rank()
+    parents = germ.step_parents(c)
+    if step is not None:
+        parents += (germ.step_refs(step),)
+    t = len(parents)
+    if t == 0:
+        return (c.base.label,)
+    key = explorer._subtree_keys(rank, parents)
+    children: list[list[int]] = [[] for _ in parents]
+    waiting = [0] * t  # parents of each step not yet placed
+    for i, ps in enumerate(parents):
+        for p in ps:
+            if p >= rank:
+                children[p - rank].append(i)
+                waiting[i] += 1
+    new_id = list(range(rank)) + [0] * t
+    tokens: list[tuple[int, ...]] = []
+    best: tuple | None = None
+
+    def place(i: int, depth: int, ready: list[int]) -> list[int]:
+        new_id[rank + i] = rank + depth
+        rest = [j for j in ready if j != i]
+        for j in children[i]:
+            waiting[j] -= 1
+            if waiting[j] == 0:
+                rest.append(j)
+        return rest
+
+    def unplace(i: int) -> None:
+        for j in children[i]:
+            waiting[j] += 1
+
+    def search(ready: list[int], tight: bool) -> None:
+        # tight: the tokens so far are a prefix of best
+        nonlocal best
+        forced: list[int] = []  # steps this call placed without a choice
+        while True:
+            depth = len(tokens)
+            if depth == t:
+                if not tight:
+                    best = tuple(tokens)
+                break
+            toks = [tuple(sorted(new_id[p] for p in parents[i])) for i in ready]
+            low = min(toks)
+            if tight and low > best[depth]:
+                break
+            tight = tight and low == best[depth]
+            tokens.append(low)
+            tied = list({key[i]: i for i, tok in zip(ready, toks) if tok == low}.values())
+            if len(tied) == 1:
+                forced.append(tied[0])
+                ready = place(tied[0], depth, ready)
+                continue
+            for i in tied:
+                search(place(i, depth, ready), tight)
+                unplace(i)
+                tight = True  # the first branch ends at a leaf, which best now extends
+            tokens.pop()
+            break
+        for i in reversed(forced):
+            unplace(i)
+            tokens.pop()
+
+    search([i for i in range(t) if waiting[i] == 0], False)
+    return (c.base.label,) + best
+
+
 def cluster_signature_permutations(c: germ.Cluster) -> tuple:
     """Lexicographically smallest step encoding, found by trying all t!
     orders of the t steps and keeping those that place every curve after
-    its parents: the oracle for the search in
-    ``explorer.cluster_signature``."""
+    its parents: the oracle for the search in ``cluster_signature``."""
     rank = c.base.rank()
     parents = germ.step_parents(c)
     t = len(parents)
@@ -162,7 +249,7 @@ def enumerate_clusters_wave_wide(b: EnumBudget):
             fresh: dict[tuple, germ.Cluster] = {}
             for c in wave:
                 for step in germ.legal_steps(c):
-                    sig = explorer.cluster_signature(c, step)
+                    sig = cluster_signature(c, step)
                     if sig not in fresh:
                         fresh[sig] = from_signature(sig)
             wave = [fresh[s] for s in sorted(fresh)]

@@ -322,6 +322,49 @@ def test_enumerate_opens_its_outputs_before_the_run(capsys, tmp_path, monkeypatc
     assert err == f"FileNotFoundError: [Errno 2] No such file or directory: '{bad}'\n"
 
 
+@pytest.mark.parametrize(
+    "bases,max_steps,clusters,rows",
+    [("smooth", 6, 236, 1337), ("A1,A2,A3,A4,D4,D5,E6,E7,E8", 2, 622, 4895)],
+    ids=["smooth6", "duval2"],
+)
+def test_every_atlas_row_agrees_with_the_germval_free_model(capsys, monkeypatch, tmp_path, bases, max_steps, clusters, rows):
+    # bench/oracle.py imports nothing from germval: it rebuilds each row's
+    # cluster by blowing up point after point and finds m0, the lct, the gap
+    # and the verdict by unloading
+    monkeypatch.syspath_prepend(str(BENCH))
+    import oracle
+
+    atlas = tmp_path / "atlas.csv"
+    code, out, _ = run(capsys, ["enumerate", "--max-steps", str(max_steps), "--bases", bases, "--atlas", str(atlas), "-f", "json"])
+    assert code == 0 and json.loads(out) == {"clusters": clusters, "rows": rows}
+    found = oracle.read_csv(atlas)
+    assert len(found) == rows
+    assert [(i, errs) for i, row in enumerate(found) if (errs := oracle.check_atlas_row(row))] == []
+
+
+@pytest.mark.parametrize(
+    "first,second,extra",
+    [("--atlas", "--extremal", ["-f", "json"]), ("--atlas", "--report", ["--ideal-bound", "1"])],
+)
+def test_enumerate_refuses_one_file_for_two_outputs(capsys, tmp_path, monkeypatch, first, second, extra):
+    # each output would overwrite the other; nothing is created or truncated
+    def no_sweep(b):
+        raise AssertionError("a shared output should be refused before any sweep")
+
+    monkeypatch.setattr(explorer, "verify_theorems", no_sweep)
+    monkeypatch.setattr(explorer, "atlas_rows", no_sweep)
+    fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+    kept.write_bytes(b"earlier bytes\n")
+    monkeypatch.chdir(tmp_path)
+    # one file named two ways: a relative path and its absolute one
+    for a, b in ((fresh.name, str(fresh)), (kept.name, str(kept))):
+        code, out, err = run(capsys, ["enumerate", "--max-steps", "4", first, a, second, b, *extra])
+        assert (code, out) == (1, "")
+        assert err == "ValueError: --atlas, --extremal and --report must name different files\n"
+    assert not fresh.exists()
+    assert kept.read_bytes() == b"earlier bytes\n"
+
+
 def test_enumerate_jobs_output_identical(capsys, tmp_path, monkeypatch):
     # enumeration runs in one process whatever --jobs says
     def no_process(self):

@@ -18,7 +18,6 @@ from germval.explorer import (
     EnumBudget,
     antinef_ideals,
     atlas_rows,
-    cluster_signature,
     enumerate_clusters,
     extension_forms,
     lambda_grid,
@@ -31,6 +30,7 @@ from conftest import (
     antinef_ideals_bruteforce,
     chain2,
     check_pair_suites_pairwise,
+    cluster_signature,
     cluster_signature_permutations,
     count_column_solves,
     enumerate_clusters_wave_wide,
@@ -86,9 +86,8 @@ def test_enumeration_deterministic_and_unique():
 def test_enumeration_yields_canonical_representatives():
     # each class comes as the cluster whose step parents, read as tokens,
     # are its signature
-    for wave in explorer._waves(EnumBudget(max_steps=4, bases=(germ.SMOOTH, germ.du_val("D4")))):
-        for _, sig, c in wave:
-            assert (c.base.label, *germ.step_parents(c)) == sig == cluster_signature(c)
+    for c in enumerate_clusters(EnumBudget(max_steps=4, bases=(germ.SMOOTH, germ.du_val("D4")))):
+        assert (c.base.label, *germ.step_parents(c)) == cluster_signature(c)
 
 
 # the class-count budgets: smooth <= 7, three du Val bases in one run at
@@ -112,17 +111,32 @@ def test_each_class_past_a_first_wave_extends_its_parent(budget):
     # and the class is its parent extended by one step
     first_waves, previous = 0, []
     for wave in explorer._waves(budget):
-        for pos, sig, c in wave:
-            assert cluster_signature(c) == sig
+        for pos, c in wave:
+            assert cluster_signature(c) == (c.base.label, *germ.step_parents(c))
             if pos is None:
                 first_waves += 1
                 assert len(wave) == 1 and len(c.steps) == c.base.is_smooth
             else:
-                _, parent_sig, parent = previous[pos]
-                assert sig[:-1] == parent_sig and c.steps[:-1] == parent.steps
-        assert [pos for pos, _, _ in wave] == sorted(pos for pos, _, _ in wave)
+                assert c.steps[:-1] == previous[pos][1].steps
+        assert [pos for pos, _ in wave] == sorted(pos for pos, _ in wave)
         previous = wave
     assert first_waves == len(budget.bases)
+
+
+def own_extension_is_least(c, step, signature) -> bool:
+    """Whether ``signature`` of c extended by ``step`` is the extension's
+    own step encoding."""
+    return signature == (c.base.label, *germ.step_parents(c), germ.step_refs(step))
+
+
+@pytest.mark.parametrize("budget", TREE_BUDGETS)
+def test_canonical_extension_agrees_with_the_signature_search(budget):
+    # every legal step of every class the enumeration extends
+    for c in enumerate_clusters(budget):
+        if len(c.steps) < budget.max_steps:
+            for step in germ.legal_steps(c):
+                expected = own_extension_is_least(c, step, cluster_signature(c, step))
+                assert explorer.is_canonical_extension(c, step) == expected, (c, step)
 
 
 def test_enumeration_identifies_sibling_orderings():
@@ -178,6 +192,17 @@ def test_signature_matches_permutation_oracle(budget):
             assert cluster_signature(cand) == cluster_signature_permutations(cand), cand
 
 
+@pytest.mark.parametrize(
+    "budget", [smooth_budget(5), du_val_budget(("A3", "D4"), 3)], ids=["smooth5", "A3-D4x3"]
+)
+def test_canonical_extension_matches_permutation_oracle(budget):
+    # every legal step of every cluster, to six steps over a smooth base
+    for c in enumerate_clusters(budget):
+        for step in germ.legal_steps(c):
+            expected = own_extension_is_least(c, step, cluster_signature_permutations(germ.extend(c, step)))
+            assert explorer.is_canonical_extension(c, step) == expected, (c, step)
+
+
 @pytest.mark.parametrize("label,expected", [("A3", 785), ("D4", 1605), ("E6", 4736)])
 def test_du_val_class_counts(label, expected):
     # counted at up to 4 steps by the permutation search
@@ -194,13 +219,48 @@ def test_wide_fan_signs_without_trying_step_orders():
     assert time.perf_counter() - start < 1.0
     assert sig == ("smooth", ()) + ((0,),) * 20 + tuple((i,) for i in range(1, 21))
     assert cluster_signature(renumber(c, random.Random(0))) == sig
+    # the twenty children share one subtree class, so one branch decides
+    assert explorer.is_canonical_extension(germ.build(germ.SMOOTH, steps[:-1]), steps[-1])
 
 
 def test_long_chain_signs_without_deep_recursion():
-    # one step per position and no ties: the search places them in a loop
+    # one step per position and no ties: the searches place them in a loop
     steps = [germ.Free(None)] + [germ.Free(i) for i in range(1499)]
     sig = cluster_signature(germ.build(germ.SMOOTH, steps))
     assert sig == ("smooth", ()) + tuple((i,) for i in range(1499))
+    assert explorer.is_canonical_extension(germ.build(germ.SMOOTH, steps[:-1]), steps[-1])
+
+
+def fan_of_chains(k: int) -> list[germ.BlowupStep]:
+    """The base point, k free points on its curve, then on the i-th of
+    those a chain of i free points, one chain after another."""
+    steps = [germ.Free(None)] + [germ.Free(0)] * k
+    for i in range(1, k + 1):
+        on = i
+        for _ in range(i):
+            steps.append(germ.Free(on))
+            on = len(steps) - 1  # over a smooth base, step j makes curve j
+    return steps
+
+
+def test_canonicity_stops_at_the_first_token_below(monkeypatch):
+    # the least encodings start the second chain before growing the first
+    # past one step, so at position 11 the ready token (3,) is below the
+    # fan's own (10,).  The search reaches it on its first branch: it takes
+    # the least ready token once per position, 12 times in all, where a
+    # search for the least encoding tries the 8! orders of the children.
+    steps = fan_of_chains(8)
+    assert len(steps) == 45
+    parent = germ.build(germ.SMOOTH, steps[:-1])
+    positions = Counter()
+
+    def counting_min(*args, **kwargs):
+        positions["min"] += 1
+        return min(*args, **kwargs)
+
+    monkeypatch.setattr(explorer, "min", counting_min, raising=False)
+    assert not explorer.is_canonical_extension(parent, steps[-1])
+    assert positions["min"] == 12
 
 
 def test_signature_of_extension_reads_step_parents():
@@ -1042,7 +1102,7 @@ WORK_COUNTED = (
     (thresholds, "lct_ideal"),
     (valuation, "unload"),
     (explorer, "lambda_grid"),
-    (explorer, "cluster_signature"),
+    (explorer, "is_canonical_extension"),
     (germ, "extend"),
     (valuation, "rees_valuations"),
     (thresholds, "classify"),

@@ -6,12 +6,13 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from germval import germ, thresholds, valuation
-from germval.explorer import antinef_ideals, cluster_signature
+from germval.explorer import antinef_ideals, is_canonical_extension
 
 from conftest import (
     antinef_ideals_bruteforce,
     check_classify_against_pruned,
     check_proximity_model,
+    cluster_signature,
     cold_valuation_ideal,
     renumber,
     unload_dense,
@@ -138,7 +139,13 @@ def test_unload_worklist_matches_dense_rescan(c, data):
 
 @settings(max_examples=60, deadline=None)
 @given(clusters(max_extra_steps=12), st.randoms(use_true_random=False))
-def test_signature_invariant_under_renumbering(c, rng):
+def test_canonical_extension_of_a_renumbered_cluster_agrees_with_the_signature_search(c, rng):
     # up to 13 steps: every curve stays after its parents, so the
-    # renumbered cluster is the same cluster
-    assert cluster_signature(renumber(c, rng)) == cluster_signature(c)
+    # renumbered cluster is the same cluster, and its last step is a
+    # canonical extension exactly when its own encoding is the least
+    r = renumber(c, rng)
+    sig = cluster_signature(r)
+    assert sig == cluster_signature(c)
+    if len(r.steps) > r.base.is_smooth:
+        canonical = sig == (r.base.label, *germ.step_parents(r))
+        assert is_canonical_extension(germ.build(r.base, r.steps[:-1]), r.steps[-1]) == canonical
