@@ -332,10 +332,11 @@ def cmd_enumerate(args) -> int:
         # atlas computed on its own.
         report = explorer.verify_theorems(budget) if out is not None else None
         rows = report.rows if report is not None else explorer.atlas_rows(budget)
+        cells = explorer.atlas_cells(rows) if atlas or extremal else None
         if atlas is not None:
-            explorer.write_atlas_csv(rows, atlas)
+            explorer.write_atlas_csv(rows, atlas, cells)
         if extremal is not None:
-            explorer.write_atlas_csv(explorer.rank_by_gap(rows), extremal)
+            explorer.write_atlas_csv(explorer.rank_by_gap(rows), extremal, cells)
         if out is not None:
             json.dump(report.to_json(), out, sort_keys=True, indent=2)
             out.write("\n")

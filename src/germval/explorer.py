@@ -18,9 +18,8 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd
-from operator import mul
 from typing import NamedTuple
 
 from . import germ, thresholds, valuation
@@ -41,9 +40,8 @@ ATLAS_COLUMNS = (
 )
 _CONTAINMENT_CAP = 120
 _STABILITY_CAP = 8
-# The mld extension guard checks every form at a few exponents of every ideal,
-# and the forms grow about 2.3x per level: 19,898 at depth 10 on a three-step
-# cluster.
+# The mld extension guard reads every chain pattern at each curve and meeting
+# pair of every ideal: 2126 free and 6760 satellite patterns at depth 10.
 MAX_EXTENSION_DEPTH = 10
 # _grid takes O(q_max^2·lct) steps: sweep A took 0.5 s at q <= 100, 1.7 s at 200.
 MAX_LAMBDA_DENOMINATOR = 100
@@ -83,24 +81,22 @@ class EnumBudget:
 def is_canonical_extension(c: germ.Cluster, step: germ.BlowupStep) -> bool:
     """Whether ``c`` extended by ``step``, a legal step on it, has its own
     step encoding ``germ.step_parents(c) + (germ.step_refs(step),)`` as
-    its least over all relabelings of the step curves that keep parents
-    before children.  Two clusters have the same least encoding exactly
-    when they differ by permuting interchangeable free blowups.
+    its least over all relabelings of the step curves keeping parents
+    first.  Two clusters have one least encoding exactly when they differ
+    by permuting interchangeable free blowups.
 
     An encoding is built one position at a time.  A step is ready once its
     parent curves are placed, and its token, the sorted new ids of those
-    curves, is then fixed.  So past a prefix of the candidate, the least
-    encodings take the least ready token: the search returns False at the
-    first such token below the candidate's, and drops a branch at the
-    first above it.  Ready steps tie only as free blowups on one curve,
-    and the search branches over those once per isomorphism class of the
-    subtrees hanging from them.  Only a branch point recurses, so a long
-    chain of forced positions costs no stack depth.
+    curves, is then fixed.  So the least encodings take the least ready
+    token: the search returns False at the first one below the candidate's
+    and drops a branch at the first above it.  Ready steps tie only as
+    free blowups on one curve, and the search branches over those once per
+    isomorphism class of their subtrees.  Only a branch point recurses.
     """
     rank = c.base.rank()
     parents = (*germ.step_parents(c), germ.step_refs(step))
     t = len(parents)
-    key = _subtree_keys(rank, parents)
+    key = None  # _subtree_keys, built at the first tie
     # a satellite's other curve lies above its later one (see
     # _subtree_keys), so a step is ready once its later curve is placed
     children: list[list[int]] = [[] for _ in parents]
@@ -115,12 +111,16 @@ def is_canonical_extension(c: germ.Cluster, step: germ.BlowupStep) -> bool:
 
     def below(ready: list[int], depth: int) -> bool:
         # whether an order of the steps left encodes below the candidate
+        nonlocal key
         while depth < t:
             toks = [tuple(sorted(new_id[p] for p in parents[i])) for i in ready]
             low = min(toks)
             if low != parents[depth]:
                 return low < parents[depth]
-            tied = list({key[i]: i for i, tok in zip(ready, toks) if tok == low}.values())
+            tied = [i for i, tok in zip(ready, toks) if tok == low]
+            if len(tied) > 1:
+                key = key or _subtree_keys(rank, parents)
+                tied = list({key[i]: i for i in tied}.values())
             if len(tied) > 1:
                 return any(below(place(i, depth, ready), depth + 1) for i in tied)
             ready = place(tied[0], depth, ready)
@@ -133,13 +133,12 @@ def is_canonical_extension(c: germ.Cluster, step: germ.BlowupStep) -> bool:
 def _subtree_keys(rank: int, parents) -> list[int]:
     """For each step, an id of the isomorphism class of the subtree it
     roots in the Enriques tree (Aho-Hopcroft-Ullman): a step's tree parent
-    is the later of its parent curves, and the other parent of a
-    satellite lies above that one, so the subtree holds every step blown
-    up on it, directly or not.  A satellite is labeled by the height of
-    its other curve above its tree parent (at least 1), or by -1 - i if
-    that curve is base curve i; a free step by 0.  Steps with the
-    same parents and the same key can be swapped, with their subtrees,
-    without changing the cluster."""
+    is the later of its parent curves, above which a satellite's other
+    parent lies, so the subtree holds every step blown up on it, directly
+    or not.  A satellite is labeled by the height of its other curve above
+    its tree parent (at least 1), or by -1 - i for base curve i; a free
+    step by 0.  Steps with the same parents and key can be swapped, with
+    their subtrees, without changing the cluster."""
     height = [0] * len(parents)  # depth below the base in the Enriques tree
     labels = [0] * len(parents)
     below: list[list[int]] = [[] for _ in parents]
@@ -162,11 +161,11 @@ def _subtree_keys(rank: int, parents) -> list[int]:
 def _waves(b: EnumBudget):
     """Per base, each wave of classes in the order of their least step
     encodings, as a list of (parent's position in the last wave or None,
-    cluster).  Each class comes as the cluster whose own encoding is its
-    least; that less its last token is its parent's, as the last placed
-    step is a leaf.  So a class is made once: its parent extended by the
-    one step that passes :func:`is_canonical_extension` (McKay's canonical
-    augmentation, J. Algorithms 26, 1998)."""
+    cluster).  A class comes as the cluster whose own encoding is its
+    least, which less its last token is its parent's: so it is made once,
+    as its parent extended by the one step that passes
+    :func:`is_canonical_extension` (McKay's canonical augmentation, J.
+    Algorithms 26, 1998)."""
     for base in b.bases:
         wave = [(None, germ.build(base, (germ.Free(None),) if base.is_smooth else ()))]
         yield wave  # one step at most: canonical
@@ -181,9 +180,8 @@ def _waves(b: EnumBudget):
 
 
 def enumerate_clusters(b: EnumBudget):
-    """Yield every valid cluster within the budget exactly once, in
-    deterministic order: bases in canonical order, then by step count,
-    then by step encoding, each class by its least one."""
+    """Every valid cluster within the budget once, in order: bases in
+    canonical order, then by step count, then by least step encoding."""
     yield from (c for wave in _waves(b) for _, c in wave)
 
 
@@ -197,31 +195,26 @@ def _pullback(d: tuple[int, ...], refs: tuple[int, ...]) -> tuple[int, ...]:
     return (*d, sum(d[r] for r in refs))
 
 
-def antinef_ideals(
-    c: germ.Cluster, bound: int, parent: list[tuple[int, ...]] | None = None
-) -> list[tuple[int, ...]]:
+def antinef_ideals(c: germ.Cluster, bound: int, parent: list[tuple[int, ...]] | None = None) -> list[tuple[int, ...]]:
     """Antinef closures of every coefficient vector bounded by ``bound``,
     deduplicated and sorted.  Closures may exceed the bound pointwise.
 
-    The set is generated by joins instead of unloading all (bound+1)^n
-    vectors.  ``unload(z)`` is the least antinef divisor >= z and antinef
-    divisors are closed under pointwise min (the complete ideals of a
-    rational surface singularity, Zariski-Lipman), so
-    unload(max(x, y)) = unload(max(unload(x), unload(y))).  Every bounded
-    v is the max of its v_j·e_j, so the closures are exactly the closure
-    of the zero divisor under a -> unload(max(a, g)) over the generators
-    g = unload(b·e_j), 0 < b <= bound.  That takes at most
-    n·bound·(len(result) + 1) unloads.
+    ``unload(z)`` is the least antinef divisor >= z, and antinef divisors
+    are closed under pointwise min (Zariski-Lipman), so
+    unload(max(x, y)) = unload(max(unload(x), unload(y))).  Every bounded v
+    is the max of its v_j·e_j, so the closures are the closure of the zero
+    divisor under a -> unload(max(a, g)) over the generators
+    g = unload(b·e_j), 0 < b <= bound: at most n·bound·(len(result) + 1)
+    unloads, not (bound+1)^n.
 
     With ``parent``, this list on c less its last step, one pass of joins
     suffices.  A divisor whose new entry is at most the sum, over the
     centre's curves, of the parent closure D of its old entries closes to
-    D pulled back (Lipman, *Rational singularities...*, Publ. IHES 36,
-    1969, §18): pushing forward keeps a divisor antinef, and being antinef
-    at the new curve forces the new entry up to that sum.  So the set is
-    the parent's pulled back and each unload(max(a, g)) of one of them
-    with a new generator g = unload(b·e_new): at most
-    bound·(len(parent) + 1) unloads.
+    D pulled back (Lipman, Publ. IHES 36, 1969, §18): pushing forward keeps
+    a divisor antinef, and being antinef at the new curve forces the new
+    entry up to that sum.  So the set is the parent's pulled back and each
+    unload(max(a, g)) of one of them with a new generator
+    g = unload(b·e_new): at most bound·(len(parent) + 1) unloads.
     """
     n = c.curve_count()
     if parent is not None:
@@ -263,56 +256,40 @@ def lambda_grid(c: germ.Cluster, coeffs, lct, qmax: int) -> list[Fraction]:
     if lct is thresholds.PLUS_INFINITY:
         return [Fraction(1)]
     k = germ.canonical_vector(c)
-    vals: set[Fraction] = set()
-    for q in range(1, qmax + 1):
-        pmax = (lct.numerator * q) // lct.denominator
-        for p in range(1, pmax + 1):
-            vals.add(Fraction(p, q))
-    n = len(coeffs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if coeffs[i] != coeffs[j]:
-                lam = Fraction(k[i] - k[j], coeffs[i] - coeffs[j])
-                if 0 < lam <= lct:
-                    vals.add(lam)
+    vals = {Fraction(p, q) for q in range(1, qmax + 1) for p in range(1, lct.numerator * q // lct.denominator + 1)}
+    for i, j in combinations(range(len(coeffs)), 2):
+        if coeffs[i] != coeffs[j]:
+            lam = Fraction(k[i] - k[j], coeffs[i] - coeffs[j])
+            if 0 < lam <= lct:
+                vals.add(lam)
     return sorted(vals)
 
 
 # -- depth-bounded model extensions --------------------------------------
 
 
-def extension_forms(c: germ.Cluster, depth: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Forms (k, weights) of every curve reachable by at most ``depth``
-    further blowups: the new curve's canonical coefficient is k, and its
-    ideal coefficient is weights . d for any divisorial ideal d on the
-    model.  The curve of a point on curves T gets k = 1 + sum of their k
-    and the sum of their weights.
+def _chain_patterns(depth: int) -> tuple[list, list]:
+    """The patterns (c, x, y) of the curves within ``depth`` blowups of any
+    model, over a free and over a satellite first centre: a curve has
+    k + 1 = c + x·(k_i + 1) + y·(k_j + 1) and coefficient x·d_i + y·d_j,
+    for i (and j) the curves through that centre.  It depends only on its
+    chain of infinitely near points (Casas-Alvero, *Singularities of Plane
+    Curves*, ch. 3): each later centre is the newest curve's free point or
+    its meeting with a curve through its own centre."""
 
-    A curve over the model depends only on its chain of infinitely near
-    points (Casas-Alvero, *Singularities of Plane Curves*, ch. 3), so the
-    walk follows chains instead of every order of blowups.  The first
-    centre is a point ``germ.legal_steps`` offers on the model.  Each
-    later centre lies on the newest curve f: its free point, or where f
-    meets a curve through f's own centre.  A new curve meets only the
-    curves through its centre, and curves never change their form, so a
-    blowup off a chain leaves the forms along it unchanged and no other
-    centre arises.
-    """
-    if depth < 1:
-        return []
-    k = germ.canonical_vector(c)
-    unit = [(kj, tuple(int(i == j) for i in range(len(k)))) for j, kj in enumerate(k)]
+    def blowup(through):  # (the new curve's pattern, the patterns through its centre)
+        c, x, y = map(sum, zip(*through))
+        return (c + 2 - len(through), x, y), through
 
-    def blowup(through):  # (the new curve's form, the forms through its centre)
-        ws = tuple(map(sum, zip(*(w for _, w in through))))
-        return (1 + sum(kt for kt, _ in through), ws), through
-
-    level = {blowup(tuple(unit[r] for r in germ.step_refs(s))) for s in germ.legal_steps(c)}
-    forms = {f for f, _ in level}
-    for _ in range(depth - 1):
-        level = {blowup(t) for f, through in level for t in ((f,), *((f, g) for g in through))}
-        forms |= {f for f, _ in level}
-    return sorted(forms)
+    patterns = []
+    for start in ((0, 1, 0),), ((0, 1, 0), (0, 0, 1)):
+        level = {blowup(start)}
+        found = {f for f, _ in level}
+        for _ in range(depth - 1):
+            level = {blowup(t) for f, through in level for t in ((f,), *((f, g) for g in through))}
+            found |= {f for f, _ in level}
+        patterns.append(sorted(found))
+    return tuple(patterns)
 
 
 # -- atlas ----------------------------------------------------------------
@@ -358,38 +335,43 @@ def atlas_rows(b: EnumBudget) -> list[AtlasRow]:
 def rank_by_gap(rows) -> list[AtlasRow]:
     """Rank rows by gap descending, then fewer curves first, then
     enumeration order."""
-    return sorted(
-        rows,
-        key=lambda r: (-r.gap, r.cluster.curve_count(), r.enum_index, r.curve),
-    )
+    ranked = sorted(rows, key=lambda r: (r.cluster.curve_count(), r.enum_index, r.curve))
+    ranked.sort(key=lambda r: r.gap, reverse=True)  # stable
+    return ranked
 
 
 def _steps_json(c: germ.Cluster) -> str:
     return json.dumps(germ.cluster_to_json(c)["steps"], separators=(",", ":"))
 
 
-def write_atlas_csv(rows, fh) -> None:
-    """Rows of one enumeration as CSV; each cluster's steps are serialised
-    once, keyed by its enumeration index."""
-    w = csv.writer(fh)
-    w.writerow(ATLAS_COLUMNS)
+def atlas_cells(rows) -> dict[tuple[int, int], tuple]:
+    """Each row's CSV cells by (enumeration index, curve); each cluster's
+    steps are serialised once."""
     steps: dict[int, str] = {}
+    cells = {}
     for r in rows:
         if r.enum_index not in steps:
             steps[r.enum_index] = _steps_json(r.cluster)
-        w.writerow(
-            (
-                r.cluster.base.label,
-                steps[r.enum_index],
-                r.curve,
-                r.k,
-                format_rational(r.lct),
-                format_rational(r.gap),
-                r.fingen_degree,
-                r.verdict,
-                "" if r.witness is None else r.witness,
-            )
+        cells[r.enum_index, r.curve] = (
+            r.cluster.base.label,
+            steps[r.enum_index],
+            r.curve,
+            r.k,
+            format_rational(r.lct),
+            format_rational(r.gap),
+            r.fingen_degree,
+            r.verdict,
+            "" if r.witness is None else r.witness,
         )
+    return cells
+
+
+def write_atlas_csv(rows, fh, cells=None) -> None:
+    """Rows as CSV, read from their ``atlas_cells``."""
+    cells = cells or atlas_cells(rows)
+    w = csv.writer(fh)
+    w.writerow(ATLAS_COLUMNS)
+    w.writerows(cells[r.enum_index, r.curve] for r in rows)
 
 
 # -- theorem sweep --------------------------------------------------------
@@ -424,22 +406,11 @@ class VerificationReport:
 
     def to_json(self) -> dict:
         return {
-            "budget": {
-                "max_steps": self.budget.max_steps,
-                "bases": [b.label for b in self.budget.bases],
-                "ideal_coeff_bound": self.budget.ideal_coeff_bound,
-                "lambda_denominator_bound": self.budget.lambda_denominator_bound,
-                "extension_depth": self.budget.extension_depth,
-            },
+            "budget": {**vars(self.budget), "bases": [b.label for b in self.budget.bases]},
             "seed": self.seed,
             "counts": dict(self.counts),
             "suites": [
-                {
-                    "name": s.name,
-                    "checked": s.checked,
-                    "counterexamples": list(s.counterexamples),
-                }
-                for s in self.suites
+                {"name": s.name, "checked": s.checked, "counterexamples": list(s.counterexamples)} for s in self.suites
             ],
             "total_counterexamples": self.counterexample_total(),
         }
@@ -469,12 +440,12 @@ def _scaled(k, coeffs, pt) -> list[int]:
 _BY_VALUE = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
 
 
-def _grid(k, coeffs, lct, qmax: int) -> _Grid | None:
+def _grid(k, coeffs, lct, qmax: int, reduced: dict) -> _Grid | None:
     """The summary of ``lambda_grid`` over the same ideal, or None when
-    that grid is empty.  The count takes the reduced p/q <= lct with
-    q <= qmax, and the crossings in (0, lct] whose reduced denominator
-    exceeds qmax.  One walk along the mld from lo finds its kinks: the
-    steepest line attaining it stays least until its nearest crossing
+    that grid is empty.  It counts the reduced p/q <= lct with q <= qmax,
+    kept per lct in ``reduced``, and the crossings in (0, lct] of reduced
+    denominator above qmax.  A walk along the mld from lo finds its kinks:
+    the steepest line attaining it stays least until its nearest crossing
     with a steeper line, all of which lie above it."""
     if lct is thresholds.PLUS_INFINITY:
         count, points = 1, {(1, 1)}
@@ -482,7 +453,9 @@ def _grid(k, coeffs, lct, qmax: int) -> _Grid | None:
         a, b = lct.numerator, lct.denominator
         # (the largest p with p/q <= lct, q) for each q admitting p >= 1
         tops = [(a * q // b, q) for q in range(1, qmax + 1) if a * q >= b]
-        count = sum(gcd(p, q) == 1 for top, q in tops for p in range(1, top + 1))
+        if lct not in reduced:
+            reduced[lct] = sum(gcd(p, q) == 1 for top, q in tops for p in range(1, top + 1))
+        count = reduced[lct]
         far = set()
         for i, j in permutations(range(len(k)), 2):
             num, den = k[i] - k[j], coeffs[i] - coeffs[j]
@@ -517,10 +490,10 @@ class _Lineage(NamedTuple):
 
 def _inherit(record, refs: tuple[int, ...], new: int):
     """A classify record or lct_ideal report of d, for d pulled back through
-    a blowup centred on ``refs`` whose curve is ``new``.  The new ratio
-    (k+1)/d exceeds a free point's curve's and is the mediant of a
-    satellite's two, so the least ratio stays, and ``new`` attains it
-    exactly when both of a satellite's curves do."""
+    a blowup on ``refs`` whose curve is ``new``.  The new ratio (k+1)/d
+    exceeds a free point's curve's and is the mediant of a satellite's two,
+    so the least ratio stays, and ``new`` attains it exactly when both of
+    a satellite's curves do."""
     if len(refs) == 2 and refs[0] in record.argmin and refs[1] in record.argmin:
         return replace(record, argmin=record.argmin | {new})
     return record
@@ -540,30 +513,36 @@ class _Case:
     k: tuple[int, ...]
     columns: list[tuple[int, ...]]  # per curve, valuation.fingen_ideal, solved afresh
     # (divisor, lct_ideal report) of every enumerated ideal; the trivial one
-    # has value PLUS_INFINITY and an empty argmin.  A pullback inherits its
-    # parent's report.
+    # has value PLUS_INFINITY and an empty argmin.  A pullback inherits it.
     ideals: list[tuple[tuple[int, ...], thresholds.LctReport]]
     # per curve, its valuation ideal of degree m0, which does not depend on
-    # the model: an old curve's is its parent's pulled back (see
-    # antinef_ideals).  A new curve's j·m0 is unloaded from the ideal of
-    # degree (j-1)·m0 with its E entry raised to j·m0, below the closure of
-    # j·m0·E as unloading is monotone.
+    # the model: an old curve's is its parent's pulled back.  A new curve's
+    # j·m0 is unloaded from the ideal of degree (j-1)·m0 with its E entry
+    # raised to j·m0, below the closure of j·m0·E as unloading is monotone.
     m0_ideals: list[tuple[int, ...]]
     # per curve, whether its ideals of degree 1..4 and m0..4m0 fail
-    # ideal_monotonicity, graded_subadditivity and rees_singleton.  A
-    # pullback keeps order, sums and products, so old curves inherit these.
+    # ideal_monotonicity, graded_subadditivity and rees_singleton; old
+    # curves inherit these, as a pullback keeps order, sums and products.
     graded_failed: list[tuple[bool, bool, bool]]
     extensions: list[germ.BlowupStep]  # sampled one-blowup extensions
     # the summary of every ideal with a nonempty grid.  No grid exponent
     # exceeds its ideal's lct, so every pair is log canonical.
     grids: list[_Grid]
+    patterns: tuple[list, list]  # see _sweep
 
 
-def _case(b: EnumBudget, enum_index: int, c: germ.Cluster, parent: _Lineage | None = None) -> _Case:
-    """The case of ``c``.  With ``parent``, the lineage of c less its last
-    step, the old curves and the pulled-back ideals inherit from it; only
-    the new curve is classified and unloaded, and only new ideals get a
-    threshold."""
+def _sweep(b: EnumBudget) -> tuple[tuple, dict]:
+    """What every case of one sweep reads: the chain patterns (none at
+    depth 0) and _grid's counts."""
+    return _chain_patterns(b.extension_depth) if b.extension_depth else ([], []), {}
+
+
+def _case(b: EnumBudget, enum_index: int, c: germ.Cluster, parent: _Lineage | None, sweep) -> _Case:
+    """The case of ``c`` in ``sweep``, ``_sweep(b)``.  With ``parent``, the
+    lineage of c less its last step, old curves and pulled-back ideals
+    inherit from it: only the new curve is classified and unloaded, and
+    only new ideals get a threshold."""
+    patterns, reduced = sweep
     n = c.curve_count()
     k = germ.canonical_vector(c)
     classes, m0_ideals, failed, pulled = [], [], [], {}
@@ -588,13 +567,14 @@ def _case(b: EnumBudget, enum_index: int, c: germ.Cluster, parent: _Lineage | No
             d = g[m] = valuation.unload(c, [m if j == e else v for j, v in enumerate(d)])
         m0_ideals.append(g[m0])
         failed.append(_graded_failures(c, e, m0, g))
-    grids = [_grid(k, coeffs, report.value, b.lambda_denominator_bound) for coeffs, report in ideals]
+    grids = [_grid(k, coeffs, report.value, b.lambda_denominator_bound, reduced) for coeffs, report in ideals]
     steps = germ.legal_steps(c)
     return _Case(
         c, b, rows, classes, k, columns, ideals, m0_ideals, failed,
         # sampled deterministically when there are many
         extensions=steps[:: max(1, -(-len(steps) // _STABILITY_CAP))],
         grids=[g for g in grids if g],
+        patterns=patterns,
     )
 
 
@@ -661,17 +641,18 @@ def _rees_singleton(case: _Case):
 def _model_stability(case: _Case):
     """One more blowup keeps E's multiplicities on the old curves and its asymptotic lct.
     Certified without a solve: if E's column w meets E negatively and every other
-    curve trivially, so does its pullback (see _pullback) on every extension, as
-    E's column there; then only the new curve's ratio could lower the lct."""
-    prods = [germ.intersect(case.c, w) for w in case.columns]
-    wrong = [p[e] >= 0 or any(p[:e] + p[e + 1 :]) for e, p in enumerate(prods)]
+    curve trivially, so does its pullback on every extension, as E's column
+    there; then only the new curve's ratio could lower the lct."""
+    curves = []  # per curve: certificate fails, w, w[e]·lct denominator, lct numerator
+    for e, (row, w) in enumerate(zip(case.rows, case.columns)):
+        p = germ.intersect(case.c, w)
+        curves.append((p[e] >= 0 or any(p[:e] + p[e + 1 :]), w, w[e] * row.lct.denominator, row.lct.numerator))
     found = []
     for step in case.extensions:
         refs = germ.step_refs(step)
         k_new = 1 + sum(case.k[r] for r in refs)
-        for e, (row, w) in enumerate(zip(case.rows, case.columns)):
-            w_new = sum(w[r] for r in refs)
-            if wrong[e] or (k_new + 1) * w[e] * row.lct.denominator < row.lct.numerator * w_new:
+        for e, (wrong, w, wd, num) in enumerate(curves):
+            if wrong or (k_new + 1) * wd < num * sum(map(w.__getitem__, refs)):
                 found.append({"curve": e, "step": repr(step)})
     return len(case.extensions) * len(case.rows), found
 
@@ -745,10 +726,10 @@ def _unique_place_plt(case: _Case):
 
 def _by_ideal(case: _Case, grids, points, failures):
     """(checks, details) over the ideals of ``grids``, one check per lc pair.
-    ``failures(coeffs, pt, vs, mld)`` lists the details of the failures at
-    lambda = p/q, pt = (p, q), given vs = q·(log discrepancy per curve) and
-    their minimum.  An ideal with none at ``points(grid)`` has none at all;
-    any other is checked at every pair of its ``lambda_grid``."""
+    ``failures(coeffs, pt, vs, mld)`` lists the failures at lambda = p/q,
+    pt = (p, q), given vs = q·(log discrepancy per curve) and their least.
+    An ideal with none at ``points(grid)`` has none; any other is checked
+    at every pair of its ``lambda_grid``."""
 
     def at(coeffs, pt):
         vs = _scaled(case.k, coeffs, pt)
@@ -778,14 +759,14 @@ def _gap_inequality(case: _Case):
 
 
 def _gap_attainment(case: _Case):
-    """A curve computing an lct has log discrepancy 0 along its unloaded
-    ideal of degree m0 at that ideal's lct; a zero ideal, of infinite lct, fails."""
+    """A curve computing an lct has log discrepancy 0, (k + 1)·den = num·d[e],
+    along its unloaded ideal d of degree m0 at that ideal's lct num/den; a zero
+    ideal, of infinite lct, fails."""
 
     def wrong(r):
-        witness = case.m0_ideals[r.curve]
-        lct = thresholds.lct_ideal(case.c, witness).value
-        pair = thresholds.PairSpec(witness, lct)
-        return lct is thresholds.PLUS_INFINITY or thresholds.log_discrepancy(case.c, pair, r.curve) != r.gap
+        d = case.m0_ideals[r.curve]
+        lct = thresholds.lct_ideal(case.c, d).value
+        return lct is thresholds.PLUS_INFINITY or (r.k + 1) * lct.denominator != lct.numerator * d[r.curve]
 
     attaining = [r for r in case.rows if r.gap == 0]
     return len(attaining), [{"curve": r.curve} for r in attaining if wrong(r)]
@@ -818,15 +799,25 @@ def _classification_decisive(case: _Case):
     return len(case.rows), [{"curve": r.curve} for r in case.rows if r.verdict == "Indeterminate"]
 
 
+def _extension_pairs(case: _Case, coeffs) -> set[tuple[int, int]]:
+    """(k, d) of every curve within the extension depth over the ideal
+    ``coeffs``: the patterns read at every curve and meeting pair."""
+    free, satellite = case.patterns
+    a = [kj + 1 for kj in case.k]
+    meets = {(a[i], coeffs[i], a[j], coeffs[j]) for i, j in germ._edges(case.c)}
+    pairs = {(c - 1 + x * ai + y * aj, x * di + y * dj) for ai, di, aj, dj in meets for c, x, y in satellite}
+    return pairs.union((c - 1 + x * ai, x * di) for ai, di in set(zip(a, coeffs)) for c, x, _ in free)
+
+
 def _mld_extension_guard(case: _Case):
     """No curve within the extension depth goes below the model's mld (the model is a log resolution).
-    The mld less a curve's log discrepancy is concave in lambda, so its largest
-    value on [lo, hi] is at an end or at a kink of the mld."""
-    forms = extension_forms(case.c, case.budget.extension_depth)
-    if not forms:
+    A blowup's curve has (k + 1, d) = (1 + (k_f + 1), d_f) at a free point of f and
+    the sum of f's and g's at a satellite, so by induction a chain's curve has its
+    pattern's combination of its first centre's curves.  The mld less a curve's log
+    discrepancy is concave in lambda: on [lo, hi] it peaks at an end or a kink."""
+    if not case.patterns[0]:
         return 0, []
-    # (k, ideal coefficient) of each extension curve, per ideal
-    kd_of = {g.coeffs: sorted({(kk, sum(map(mul, ws, g.coeffs))) for kk, ws in forms}) for g in case.grids}
+    kd_of = {g.coeffs: sorted(_extension_pairs(case, g.coeffs)) for g in case.grids}
 
     def failures(coeffs, pt, _, mld):
         p, q = pt
@@ -873,10 +864,11 @@ def verify_theorems(b: EnumBudget) -> VerificationReport:
     counts = dict.fromkeys(("clusters", "curves", "ideals", "lc_pairs", "lambda_checks"), 0)
     rows: list[AtlasRow] = []
     last: list[_Lineage] = []
+    sweep = _sweep(b)
     for wave in _waves(b):
         lineages = []  # by position, for the next wave
         for parent, c in wave:
-            case = _case(b, counts["clusters"], c, None if parent is None else last[parent])
+            case = _case(b, counts["clusters"], c, None if parent is None else last[parent], sweep)
             if len(c.steps) < b.max_steps:
                 lineages.append(_Lineage(case.classes, case.m0_ideals, case.graded_failed, case.ideals))
             counts["clusters"] += 1

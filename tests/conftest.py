@@ -347,12 +347,47 @@ def meeting_pairs(m) -> list[tuple[int, int]]:
     return [(i, j) for i in range(len(m)) for j in range(i + 1, len(m)) if m[i][j] == 1]
 
 
+def extension_forms(c: germ.Cluster, depth: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Forms (k, weights) of every curve reachable by at most ``depth``
+    further blowups: the new curve's canonical coefficient is k, and its
+    ideal coefficient is weights . d for any divisorial ideal d on the
+    model.  The curve of a point on curves T gets k = 1 + sum of their k
+    and the sum of their weights.  The sorted (k, weights . d) over the
+    forms are what ``explorer._extension_pairs`` must give for the ideal d.
+
+    A curve over the model depends only on its chain of infinitely near
+    points (Casas-Alvero, *Singularities of Plane Curves*, ch. 3), so the
+    walk follows chains instead of every order of blowups.  The first
+    centre is a point ``germ.legal_steps`` offers on the model.  Each
+    later centre lies on the newest curve f: its free point, or where f
+    meets a curve through f's own centre.  A new curve meets only the
+    curves through its centre, and curves never change their form, so a
+    blowup off a chain leaves the forms along it unchanged and no other
+    centre arises.
+    """
+    if depth < 1:
+        return []
+    k = germ.canonical_vector(c)
+    unit = [(kj, tuple(int(i == j) for i in range(len(k)))) for j, kj in enumerate(k)]
+
+    def blowup(through):  # (the new curve's form, the forms through its centre)
+        ws = tuple(map(sum, zip(*(w for _, w in through))))
+        return (1 + sum(kt for kt, _ in through), ws), through
+
+    level = {blowup(tuple(unit[r] for r in germ.step_refs(s))) for s in germ.legal_steps(c)}
+    forms = {f for f, _ in level}
+    for _ in range(depth - 1):
+        level = {blowup(t) for f, through in level for t in ((f,), *((f, g) for g in through))}
+        forms |= {f for f, _ in level}
+    return sorted(forms)
+
+
 def extension_forms_sequences(c: germ.Cluster, depth: int) -> list[tuple[int, tuple[int, ...]]]:
     """Forms (k, weights) of every curve reached by some ordered sequence
     of at most ``depth`` blowups over the model, each at a free point of
     any curve or at any meeting point of two curves, tracking which
     meetings each blowup consumes and creates: the oracle for the chain
-    walk of ``explorer.extension_forms``."""
+    walk of ``extension_forms``."""
     if depth <= 0:
         return []
     n = c.curve_count()
@@ -552,7 +587,7 @@ def pairwise_mld_implies_lct(case):
 
 
 def pairwise_mld_extension_guard(case):
-    forms = explorer.extension_forms(case.c, case.budget.extension_depth)
+    forms = extension_forms(case.c, case.budget.extension_depth)
     if not forms:
         return
     kd_of = {coeffs: sorted({(kk, sum(map(mul, ws, coeffs))) for kk, ws in forms}) for coeffs, _ in case.ideals}
@@ -578,8 +613,9 @@ def check_pair_suites_pairwise(b) -> dict[str, list[dict]]:
     were decided per ideal.  Returns each suite's counterexamples, each
     with its ``cluster``."""
     found: dict[str, list[dict]] = {name: [] for name in PAIRWISE_SUITES}
+    sweep = explorer._sweep(b)
     for enum_index, c in enumerate(explorer.enumerate_clusters(b)):
-        case = explorer._case(b, enum_index, c)
+        case = explorer._case(b, enum_index, c, None, sweep)
         for name, pairwise in PAIRWISE_SUITES.items():
             checked, got = explorer._SUITES[name](case)
             want = list(pairwise(case))

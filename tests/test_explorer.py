@@ -19,13 +19,13 @@ from germval.explorer import (
     antinef_ideals,
     atlas_rows,
     enumerate_clusters,
-    extension_forms,
     lambda_grid,
     rank_by_gap,
     verify_theorems,
     write_atlas_csv,
 )
 
+import conftest
 from conftest import (
     antinef_ideals_bruteforce,
     chain2,
@@ -34,6 +34,7 @@ from conftest import (
     cluster_signature_permutations,
     count_column_solves,
     enumerate_clusters_wave_wide,
+    extension_forms,
     extension_forms_sequences,
     graded_failures_fresh,
     mld_kinks_bruteforce,
@@ -359,9 +360,9 @@ EMPTY_GRIDS_BUDGET = EnumBudget(2, (germ.SMOOTH, germ.du_val("A2"), germ.du_val(
 def test_grid_summary_matches_lambda_grid(budget):
     # count, lo and hi are len, min and max of the grid, and the kinks are
     # those read off every crossing
-    empty = 0
+    empty, sweep = 0, explorer._sweep(budget)
     for enum_index, c in enumerate(enumerate_clusters(budget)):
-        case = explorer._case(budget, enum_index, c)
+        case = explorer._case(budget, enum_index, c, None, sweep)
         summaries = {g.coeffs: g for g in case.grids}
         for coeffs, report in case.ideals:
             grid = lambda_grid(c, coeffs, report.value, budget.lambda_denominator_bound)
@@ -436,7 +437,8 @@ def test_pair_suites_match_the_pairwise_oracle_under_a_fault(monkeypatch, suite,
 def test_mld_extension_guard_finds_a_form_below_the_mld_inside_the_grid(monkeypatch):
     # the average of two model curves' forms, less 1/100, goes below the mld
     # only near where both attain it: at a kink of the mld, which may lie
-    # strictly inside an ideal's grid, where a check of its ends misses it
+    # strictly inside an ideal's grid, where a check of its ends misses it.
+    # The pairwise oracle gets them as forms, the sweep as their pairs.
     def with_midpoints(c, depth):
         k, n = germ.canonical_vector(c), c.curve_count()
         return extension_forms(c, depth) + [
@@ -445,7 +447,17 @@ def test_mld_extension_guard_finds_a_form_below_the_mld_inside_the_grid(monkeypa
             for j in range(i + 1, n)
         ]
 
-    monkeypatch.setattr(explorer, "extension_forms", with_midpoints)
+    def with_midpoint_pairs(case, coeffs):
+        k, n = case.k, len(case.k)
+        return pairs(case, coeffs) | {
+            (Fraction(k[i] + k[j], 2) - Fraction(1, 100), Fraction(coeffs[i] + coeffs[j], 2))
+            for i in range(n)
+            for j in range(i + 1, n)
+        }
+
+    pairs = explorer._extension_pairs
+    monkeypatch.setattr(conftest, "extension_forms", with_midpoints)
+    monkeypatch.setattr(explorer, "_extension_pairs", with_midpoint_pairs)
     found = check_pair_suites_pairwise(FAULT_BUDGET)["mld_extension_guard"]
     assert found
     inside = 0
@@ -489,6 +501,29 @@ def test_extension_forms_walk_equals_every_blowup_order():
     assert checked == 1082
 
 
+def test_extension_pairs_are_the_forms_read_on_each_ideal():
+    # the pairs built from the chain patterns are the weight-vector walk's
+    # forms read on the ideal, on every (cluster, ideal, depth) of these
+    # budgets at ideal bound 2, and at the largest depth on smooth <= 2
+    cases = [
+        (smooth_budget(3), (1, 2, 3, 4)),
+        (du_val_budget(("A2", "D4", "E6"), 2), (1, 2, 3, 4)),
+        (smooth_budget(2), (explorer.MAX_EXTENSION_DEPTH,)),
+    ]
+    checked = 0
+    for b, depths in cases:
+        for depth in depths:
+            b = replace(b, extension_depth=depth)
+            sweep = explorer._sweep(b)
+            for enum_index, c in enumerate(enumerate_clusters(b)):
+                case, forms = explorer._case(b, enum_index, c, None, sweep), extension_forms(c, depth)
+                for d, _ in case.ideals:
+                    want = sorted({(kk, sum(w * x for w, x in zip(ws, d))) for kk, ws in forms})
+                    assert sorted(explorer._extension_pairs(case, d)) == want, (c, d, depth)
+                    checked += 1
+    assert checked == 2860 + 7
+
+
 def test_mld_extension_guard_reports_a_form_below_the_mld(monkeypatch):
     # a form with k = -1 on curve 0 has log discrepancy -lambda·d_0 <= 0,
     # below the mld of every lc pair (a positive one for the trivial ideal)
@@ -496,10 +531,8 @@ def test_mld_extension_guard_reports_a_form_below_the_mld(monkeypatch):
     clean = verify_theorems(b).suite("mld_extension_guard")
     assert clean.checked > 0 and not clean.counterexamples
 
-    def with_a_low_form(c, depth):
-        return extension_forms(c, depth) + [(-1, tuple(int(i == 0) for i in range(c.curve_count())))]
-
-    monkeypatch.setattr(explorer, "extension_forms", with_a_low_form)
+    pairs = explorer._extension_pairs
+    monkeypatch.setattr(explorer, "_extension_pairs", lambda case, coeffs: pairs(case, coeffs) | {(-1, coeffs[0])})
     suite = verify_theorems(b).suite("mld_extension_guard")
     assert suite.checked == clean.checked
     assert len(suite.counterexamples) == clean.checked
@@ -632,8 +665,8 @@ def test_sweep_computes_each_ideal_threshold_once(monkeypatch):
     inside_grid = [False]
     lct_ideal, grid, case_of = thresholds.lct_ideal, explorer.lambda_grid, explorer._case
 
-    def counting_case(b, enum_index, c, parent=None):
-        case = case_of(b, enum_index, c, parent)
+    def counting_case(b, enum_index, c, parent, sweep):
+        case = case_of(b, enum_index, c, parent, sweep)
         calls["classified"] += c.curve_count() if parent is None else 1
         calls["new_ideals"] += len(case.ideals) - (0 if parent is None else len(parent.ideals))
         return case
@@ -872,13 +905,15 @@ def test_lct_upper_bound_catches_a_threshold_above_k_plus_one(monkeypatch):
 
 
 def test_gap_attainment_catches_a_log_discrepancy_raised_by_one(monkeypatch):
-    log_discrepancy = thresholds.log_discrepancy
+    # a row whose k is raised by one has log discrepancy k + 2 - lct·d_e = 1
+    row = explorer._row
+
+    def raised(*args):
+        r = row(*args)
+        return replace(r, k=r.k + 1)
+
     b = smooth_budget(3, ideal_coeff_bound=1, lambda_denominator_bound=2)
-    check_fault_is_caught(
-        "gap_attainment",
-        b,
-        lambda: monkeypatch.setattr(thresholds, "log_discrepancy", lambda c, p, f: log_discrepancy(c, p, f) + 1),
-    )
+    check_fault_is_caught("gap_attainment", b, lambda: monkeypatch.setattr(explorer, "_row", raised))
 
 
 def test_classification_decisive_catches_an_indeterminate_verdict(monkeypatch):
@@ -957,9 +992,9 @@ def sweep_pullbacks(monkeypatch, budget):
     case_of = explorer._case
     wrong, later, found = [], 0, 0
 
-    def checked(b, enum_index, c, parent=None):
+    def checked(b, enum_index, c, parent, sweep):
         nonlocal later, found
-        case = case_of(b, enum_index, c, parent)
+        case = case_of(b, enum_index, c, parent, sweep)
         if len(c.steps) > c.base.is_smooth:
             later += 1
             found += parent is not None
@@ -1025,8 +1060,8 @@ def test_inherited_graded_verdicts_match_a_fresh_check(monkeypatch, inject, fail
     names = ("ideal_monotonicity", "graded_subadditivity", "rees_singleton")
     graded_of = {}  # by (base, steps): fresh on a base's first cluster and each new curve, else pulled back
 
-    def checked(b, enum_index, c, parent=None):
-        case = case_of(b, enum_index, c, parent)
+    def checked(b, enum_index, c, parent, sweep):
+        case = case_of(b, enum_index, c, parent, sweep)
         graded = fresh_graded(c, oracle=False)
         if parent is not None:
             refs = germ.step_refs(c.steps[-1])
@@ -1106,6 +1141,7 @@ WORK_COUNTED = (
     (germ, "extend"),
     (valuation, "rees_valuations"),
     (thresholds, "classify"),
+    (explorer, "_chain_patterns"),
 )
 
 
@@ -1168,10 +1204,11 @@ def test_sweep_work_at_the_enumerate_report_budget(monkeypatch):
     # a change that lowers a count lowers its pin.  The base's first cluster
     # and each spot check are built, and every other class extended.  Old
     # curves inherit their classify records, so classify runs on the first
-    # cluster's curves, each new curve and each spot check.
+    # cluster's curves, each new curve and each spot check.  The chain
+    # patterns of the extension depth, 2, are built once for the sweep.
     report, calls = sweep_work(monkeypatch, ENUMERATE_REPORT_BUDGET)
     assert report.counterexample_total() == 0
-    assert calls == work(67, 1403, 1984, 2052, 0, 458, 235, 944, 302, 0, 6683)
+    assert calls == work(67, 1403, 1984, 2052, 0, 458, 235, 944, 302, 1, 0, 3059)
     assert report.counts["lc_pairs"] == 21948
 
 
@@ -1185,31 +1222,35 @@ def test_sweep_work_at_the_enumerate_report_budget(monkeypatch):
                 ideal_coeff_bound=1,
                 lambda_denominator_bound=4,
             ),
-            (129, 2584, 1873, 3074, 0, 494, 327, 1400, 473, 0, 5645),
+            (129, 2584, 1873, 3074, 0, 494, 327, 1400, 473, 0, 0, 3479),
             1210,
             id="sweep-duval",
         ),
         pytest.param(
             SWEEP_A_BUDGET,
-            (13, 269, 1115, 660, 0, 89, 55, 224, 68, 0, 2753),
+            (13, 269, 1115, 660, 0, 89, 55, 224, 68, 0, 0, 2024),
             21920,
             id="sweep-A",
         ),
         pytest.param(
             smooth_budget(4, ideal_coeff_bound=3, lambda_denominator_bound=12, extension_depth=3),
-            (3, 54, 277, 167, 0, 19, 14, 60, 17, 0, 655),
+            (3, 54, 277, 167, 0, 19, 14, 60, 17, 1, 0, 502),
             5438,
             id="sweep-B",
         ),
         pytest.param(
-            EnumBudget(max_steps=7), (368, 7717, 15249, 10921, 0, 2438, 1094, 4380, 1462, 0, 44618), 68112, id="enumerate-7"
+            EnumBudget(max_steps=7),
+            (368, 7717, 15249, 10921, 0, 2438, 1094, 4380, 1462, 0, 0, 25616),
+            68112,
+            id="enumerate-7",
         ),
     ],
 )
 def test_sweep_work_at_the_north_star_budgets(monkeypatch, budget, counts, lc_pairs):
     # the benchmark's du Val bases in one sweep, acceptance sweeps A and B,
     # and smooth <= 7 at the command-line defaults; the counts are in the
-    # order of WORK_NAMES
+    # order of WORK_NAMES.  Only sweep B, at extension depth 3, builds chain
+    # patterns, once.
     report, calls = sweep_work(monkeypatch, budget)
     assert report.counterexample_total() == 0
     assert calls == work(*counts)
@@ -1234,7 +1275,7 @@ def test_analyze_work_on_a_long_chain(monkeypatch, tmp_path, capsys):
     path.write_text(json.dumps(germ.cluster_to_json(satellite_chain(10_000))))
     code, calls = count_work(monkeypatch, lambda: cli.main(["analyze", str(path), "--last", "-f", "json"]))
     assert code == 0 and json.loads(capsys.readouterr().out)["gap"] == "9997/6"
-    assert calls == work(1, 1, 1, 0, 0, 0, 0, 0, 1, 0, 4)
+    assert calls == work(1, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 4)
 
 
 def test_sweep_evaluates_pairs_only_on_ideals_a_suite_does_not_clear(monkeypatch):
