@@ -180,22 +180,17 @@ def _column_doc(c: germ.Cluster, e: int) -> dict:
     return {"curve": e, "k": germ.canonical_vector(c)[e], "dstar": dstar, "fingen_degree": m0}
 
 
-def _parse_ideal(args, c: germ.Cluster) -> tuple[int, ...]:
-    if args.pair:
-        return _parse_pair(args, c).ideal
-    if args.ideal is None:
-        raise ValueError("provide --ideal coefficients or a --pair file")
-    coeffs = [parse_rational(v) for v in args.ideal.split(",")]
-    return thresholds.complete_ideal(c, coeffs)
-
-
 def _parse_pair(args, c: germ.Cluster) -> thresholds.PairSpec:
+    """The pair of the --pair file, or of --ideal and --lambda; a command
+    without --lambda (lct) reads its ideal at exponent 0."""
     if args.pair:
         return thresholds.pair_from_json(c, germ.read_json(args.pair))
-    if args.ideal is None or args.lam is None:
-        raise ValueError("provide --ideal and --lambda, or a --pair file")
+    lam = getattr(args, "lam", "0")
+    if args.ideal is None or lam is None:
+        need = "--ideal and --lambda," if "lam" in args else "--ideal coefficients"
+        raise ValueError(f"provide {need} or a --pair file")
     coeffs = [parse_rational(v) for v in args.ideal.split(",")]
-    return thresholds.pair_spec(c, coeffs, parse_rational(args.lam))
+    return thresholds.pair_spec(c, coeffs, parse_rational(lam))
 
 
 # -- subcommands ----------------------------------------------------------
@@ -232,7 +227,7 @@ def cmd_analyze(args, c: germ.Cluster) -> dict:
 
 
 def cmd_lct(args, c: germ.Cluster) -> dict:
-    ideal = _parse_ideal(args, c)
+    ideal = _parse_pair(args, c).ideal
     report = thresholds.lct_ideal(c, ideal)
     return {
         "ideal": [str(v) for v in ideal],

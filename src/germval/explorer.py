@@ -195,7 +195,7 @@ def _pullback(d: tuple[int, ...], refs: tuple[int, ...]) -> tuple[int, ...]:
     return (*d, sum(d[r] for r in refs))
 
 
-def antinef_ideals(c: germ.Cluster, bound: int, parent: list[tuple[int, ...]] | None = None) -> list[tuple[int, ...]]:
+def antinef_ideals(c: germ.Cluster, bound: int, pulled: list[tuple[int, ...]] | None = None) -> list[tuple[int, ...]]:
     """Antinef closures of every coefficient vector bounded by ``bound``,
     deduplicated and sorted.  Closures may exceed the bound pointwise.
 
@@ -207,19 +207,18 @@ def antinef_ideals(c: germ.Cluster, bound: int, parent: list[tuple[int, ...]] | 
     g = unload(b·e_j), 0 < b <= bound: at most n·bound·(len(result) + 1)
     unloads, not (bound+1)^n.
 
-    With ``parent``, this list on c less its last step, one pass of joins
-    suffices.  A divisor whose new entry is at most the sum, over the
-    centre's curves, of the parent closure D of its old entries closes to
-    D pulled back (Lipman, Publ. IHES 36, 1969, §18): pushing forward keeps
-    a divisor antinef, and being antinef at the new curve forces the new
-    entry up to that sum.  So the set is the parent's pulled back and each
-    unload(max(a, g)) of one of them with a new generator
-    g = unload(b·e_new): at most bound·(len(parent) + 1) unloads.
+    With ``pulled``, this list on c less its last step pulled back through
+    that step (see :func:`_pullback`), one pass of joins suffices.  A
+    divisor whose new entry is at most the sum, over the centre's curves,
+    of the parent closure D of its old entries closes to D pulled back
+    (Lipman, Publ. IHES 36, 1969, §18): pushing forward keeps a divisor
+    antinef, and being antinef at the new curve forces the new entry up to
+    that sum.  So the set is ``pulled`` and each unload(max(a, g)) of one
+    of them with a new generator g = unload(b·e_new): at most
+    bound·(len(pulled) + 1) unloads.
     """
     n = c.curve_count()
-    if parent is not None:
-        refs = germ.step_refs(c.steps[-1])
-        pulled = [_pullback(a, refs) for a in parent]
+    if pulled is not None:
         new = [valuation.unload(c, (0,) * (n - 1) + (b,)) for b in range(1, bound + 1)]
         seen = {*pulled, *new}
         for a in pulled:
@@ -557,7 +556,7 @@ def _case(b: EnumBudget, enum_index: int, c: germ.Cluster, parent: _Lineage | No
     rows = [_row(c, cl, enum_index, w[cl.curve]) for cl, w in zip(classes, columns)]
     ideals = [
         (d, pulled[d] if d in pulled else thresholds.lct_ideal(c, d))
-        for d in antinef_ideals(c, b.ideal_coeff_bound, None if parent is None else [a for a, _ in parent.ideals])
+        for d in antinef_ideals(c, b.ideal_coeff_bound, None if parent is None else list(pulled))
     ]
     for e in range(len(m0_ideals), n):
         m0 = columns[e][e]
@@ -817,12 +816,12 @@ def _mld_extension_guard(case: _Case):
     discrepancy is concave in lambda: on [lo, hi] it peaks at an end or a kink."""
     if not case.patterns[0]:
         return 0, []
-    kd_of = {g.coeffs: sorted(_extension_pairs(case, g.coeffs)) for g in case.grids}
+    kd_of = {g.coeffs: _extension_pairs(case, g.coeffs) for g in case.grids}
 
     def failures(coeffs, pt, _, mld):
         p, q = pt
-        below = [(kk, dd) for kk, dd in kd_of[coeffs] if q * (kk + 1) - p * dd < mld][:1]
-        return [_pair_details(coeffs, pt, ext_k=kk, ext_d=dd) for kk, dd in below]
+        least = min(((kk, dd) for kk, dd in kd_of[coeffs] if q * (kk + 1) - p * dd < mld), default=None)
+        return [] if least is None else [_pair_details(coeffs, pt, ext_k=least[0], ext_d=least[1])]
 
     return _by_ideal(case, case.grids, _ends_and_kinks, failures)
 
@@ -874,9 +873,7 @@ def verify_theorems(b: EnumBudget) -> VerificationReport:
             counts["clusters"] += 1
             counts["curves"] += len(case.rows)
             counts["ideals"] += len(case.ideals)
-            pairs = sum(g.count for g in case.grids)
-            counts["lc_pairs"] += pairs
-            counts["lambda_checks"] += pairs
+            counts["lc_pairs"] += sum(g.count for g in case.grids)
             rows.extend(case.rows)
             for name, suite in _SUITES.items():
                 n, failures = suite(case)
@@ -897,5 +894,6 @@ def verify_theorems(b: EnumBudget) -> VerificationReport:
             if _row(fresh, thresholds.classify(fresh, e), row.enum_index, valuation.fingen_degree(fresh, e)) != row:
                 bad["atlas_spot_check"].append({**_context(row.cluster), "curve": e})
 
+    counts["lambda_checks"] = counts["lc_pairs"]
     suites = tuple(SuiteResult(name, checked[name], tuple(bad[name])) for name in SUITE_NAMES)
     return VerificationReport(b, ATLAS_SPOT_CHECK_SEED, counts, suites, tuple(rows))

@@ -189,13 +189,6 @@ def classify(c: germ.Cluster, e: int) -> Classification:
 # { "ideal": ["2", "3", "6"], "lambda": "5/6" }
 
 
-def pair_to_json(p: PairSpec) -> dict:
-    return {
-        "ideal": [format_rational(v) for v in p.ideal],
-        "lambda": format_rational(p.lam),
-    }
-
-
 def pair_from_json(c: germ.Cluster, doc) -> PairSpec:
     if not isinstance(doc, dict):
         raise ValueError("pair document must be a JSON object")

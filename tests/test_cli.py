@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -342,6 +343,34 @@ def test_every_atlas_row_agrees_with_the_germval_free_model(capsys, monkeypatch,
     assert [(i, errs) for i, row in enumerate(found) if (errs := oracle.check_atlas_row(row))] == []
 
 
+def test_every_mld_curve_computes_an_lct_in_the_germval_free_model(monkeypatch):
+    # the paper's theorem, checked on bench/oracle.py's dense model: over
+    # every ideal enumerated at sweep A's budget (smooth <= 5 steps, ideal
+    # bound 3) and every p/q <= its lct with q <= 12, each curve attaining
+    # the pair's mld over the model's curves has gap 0 by unloading alone
+    monkeypatch.syspath_prepend(str(BENCH))
+    import oracle
+
+    pairs, attaining, wrong = 0, set(), []
+    for i, c in enumerate(explorer.enumerate_clusters(explorer.EnumBudget(5, (germ.SMOOTH,), 3, 12))):
+        m, k = oracle.model(germ.cluster_to_json(c))
+        gap_zero = [oracle.unloading_lct(m, k, j)[0] == k[j] + 1 for j in range(len(k))]
+        for d in explorer.antinef_ideals(c, 3):
+            if not any(d):
+                continue
+            lct = min(Fraction(kj + 1, dj) for kj, dj in zip(k, d) if dj)
+            for lam in {Fraction(p, q) for q in range(1, 13) for p in range(1, lct.numerator * q // lct.denominator + 1)}:
+                a = [kj + 1 - lam * dj for kj, dj in zip(k, d)]
+                mld = min(a)
+                pairs += 1
+                for j in (j for j, aj in enumerate(a) if aj == mld):
+                    attaining.add((i, j))
+                    if not gap_zero[j]:
+                        wrong.append((germ.cluster_to_json(c), d, lam, j))
+    assert wrong == []
+    assert (i + 1, pairs, len(attaining)) == (56, 21864, 222)
+
+
 @pytest.mark.parametrize(
     "first,second,extra",
     [("--atlas", "--extremal", ["-f", "json"]), ("--atlas", "--report", ["--ideal-bound", "1"])],
@@ -394,8 +423,6 @@ def test_enumerate_extremal_sorted(capsys, tmp_path):
     assert code == 0
     with open(extremal, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    from fractions import Fraction
-
     gaps = [Fraction(r["gap"]) for r in rows]
     assert gaps == sorted(gaps, reverse=True)
 

@@ -1113,11 +1113,9 @@ def test_pullback_check_catches_an_ideal_set_missing_a_join(monkeypatch):
     # is no parent ideal pulled back: a join with a new generator
     ideals_of, dropped = explorer.antinef_ideals, []
 
-    def missing_a_join(c, bound, parent=None):
-        ideals = ideals_of(c, bound, parent)
-        if parent is not None:
-            refs = germ.step_refs(c.steps[-1])
-            pulled = {explorer._pullback(a, refs) for a in parent}
+    def missing_a_join(c, bound, pulled=None):
+        ideals = ideals_of(c, bound, pulled)
+        if pulled is not None:
             joins = [d for d in ideals if d not in pulled]
             if joins:
                 ideals.remove(max(joins))
@@ -1142,6 +1140,8 @@ WORK_COUNTED = (
     (valuation, "rees_valuations"),
     (thresholds, "classify"),
     (explorer, "_chain_patterns"),
+    (germ, "intersect"),
+    (explorer, "_pullback"),
 )
 
 
@@ -1206,9 +1206,11 @@ def test_sweep_work_at_the_enumerate_report_budget(monkeypatch):
     # curves inherit their classify records, so classify runs on the first
     # cluster's curves, each new curve and each spot check.  The chain
     # patterns of the extension depth, 2, are built once for the sweep.
+    # Each parent ideal is pulled back once per child, and a column is
+    # multiplied by M once, by model_stability's certificate.
     report, calls = sweep_work(monkeypatch, ENUMERATE_REPORT_BUDGET)
     assert report.counterexample_total() == 0
-    assert calls == work(67, 1403, 1984, 2052, 0, 458, 235, 944, 302, 1, 0, 3059)
+    assert calls == work(67, 1403, 1984, 2052, 0, 458, 235, 944, 302, 1, 4333, 1571, 0, 3059)
     assert report.counts["lc_pairs"] == 21948
 
 
@@ -1222,25 +1224,25 @@ def test_sweep_work_at_the_enumerate_report_budget(monkeypatch):
                 ideal_coeff_bound=1,
                 lambda_denominator_bound=4,
             ),
-            (129, 2584, 1873, 3074, 0, 494, 327, 1400, 473, 0, 0, 3479),
+            (129, 2584, 1873, 3074, 0, 494, 327, 1400, 473, 0, 6935, 2765, 0, 3479),
             1210,
             id="sweep-duval",
         ),
         pytest.param(
             SWEEP_A_BUDGET,
-            (13, 269, 1115, 660, 0, 89, 55, 224, 68, 0, 0, 2024),
+            (13, 269, 1115, 660, 0, 89, 55, 224, 68, 0, 1141, 614, 0, 2024),
             21920,
             id="sweep-A",
         ),
         pytest.param(
             smooth_budget(4, ideal_coeff_bound=3, lambda_denominator_bound=12, extension_depth=3),
-            (3, 54, 277, 167, 0, 19, 14, 60, 17, 1, 0, 502),
+            (3, 54, 277, 167, 0, 19, 14, 60, 17, 1, 279, 131, 0, 502),
             5438,
             id="sweep-B",
         ),
         pytest.param(
             EnumBudget(max_steps=7),
-            (368, 7717, 15249, 10921, 0, 2438, 1094, 4380, 1462, 0, 0, 25616),
+            (368, 7717, 15249, 10921, 0, 2438, 1094, 4380, 1462, 0, 22651, 11063, 0, 25616),
             68112,
             id="enumerate-7",
         ),
@@ -1270,12 +1272,12 @@ def test_analyze_work_on_a_long_chain(monkeypatch, tmp_path, capsys):
     # analyze --last on a 10,000-blowup chain builds the cluster and solves
     # the last curve's column, record and threshold once; its gap is
     # positive, so no witness is unloaded.  Its dstar is read off the integer
-    # column with no Fraction.
+    # column with no Fraction, and no product with M is taken.
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(germ.cluster_to_json(satellite_chain(10_000))))
     code, calls = count_work(monkeypatch, lambda: cli.main(["analyze", str(path), "--last", "-f", "json"]))
     assert code == 0 and json.loads(capsys.readouterr().out)["gap"] == "9997/6"
-    assert calls == work(1, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 4)
+    assert calls == work(1, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 4)
 
 
 def test_sweep_evaluates_pairs_only_on_ideals_a_suite_does_not_clear(monkeypatch):

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from germval import germ
+from germval import germ, valuation
 from germval.cli import main, satellite_chain
 
 # each enumeration's arguments, the files it writes and how they are read
@@ -163,6 +163,27 @@ def test_cluster_outputs_match_golden_digests(capsys, tmp_path, name):
 def test_large_base_outputs_match_golden_digests(capsys, tmp_path, name):
     got = {f"{name}/{part}": _sha(text) for part, text in large_base_outputs(capsys, tmp_path, name).items()}
     assert got == _golden(name)
+
+
+def test_columns_solved_for_the_large_queries_are_dual_to_their_curve(monkeypatch, capsys, tmp_path):
+    # valuation._column takes no product with M: every column solved for the
+    # large-base queries and for analyze --last on a 10,000-blowup chain
+    # meets its curve negatively and every other curve in 0
+    column, solved = valuation._column, []
+
+    def recorded(c, e):
+        w = column(c, e)
+        solved.append((c, e, w))
+        return w
+
+    monkeypatch.setattr(valuation, "_column", recorded)
+    for name in sorted(LARGE_BASES):
+        large_base_outputs(capsys, tmp_path, name)
+    _run(capsys, ["analyze", str(_write_cluster(tmp_path, "chain", satellite_chain(10_000))), "--last", "-f", "json"])
+    assert {c.curve_count() for c, _, _ in solved} == {43, 10, 10_000}
+    for c, e, w in solved:
+        prod = germ.intersect(c, w)
+        assert prod[e] < 0 and not any(prod[:e] + prod[e + 1 :]), (c.base.label, e)
 
 
 def test_paper_examples_match_golden_digest(capsys):
