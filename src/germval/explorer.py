@@ -41,7 +41,7 @@ ATLAS_COLUMNS = (
 _CONTAINMENT_CAP = 120
 _STABILITY_CAP = 8
 # The mld extension guard reads every chain pattern at each curve and meeting
-# pair of every ideal: 2126 free and 6760 satellite patterns at depth 10.
+# pair at each end and kink of a grid: 2126 free and 6760 satellite at depth 10.
 MAX_EXTENSION_DEPTH = 10
 # _grid takes O(q_max^2·lct) steps: sweep A took 0.5 s at q <= 100, 1.7 s at 200.
 MAX_LAMBDA_DENOMINATOR = 100
@@ -798,29 +798,29 @@ def _classification_decisive(case: _Case):
     return len(case.rows), [{"curve": r.curve} for r in case.rows if r.verdict == "Indeterminate"]
 
 
-def _extension_pairs(case: _Case, coeffs) -> set[tuple[int, int]]:
-    """(k, d) of every curve within the extension depth over the ideal
-    ``coeffs``: the patterns read at every curve and meeting pair."""
-    free, satellite = case.patterns
-    a = [kj + 1 for kj in case.k]
-    meets = {(a[i], coeffs[i], a[j], coeffs[j]) for i, j in germ._edges(case.c)}
-    pairs = {(c - 1 + x * ai + y * aj, x * di + y * dj) for ai, di, aj, dj in meets for c, x, y in satellite}
-    return pairs.union((c - 1 + x * ai, x * di) for ai, di in set(zip(a, coeffs)) for c, x, _ in free)
+def _extension_below(case: _Case, coeffs, pt, vs, mld):
+    """The least (k, d) over the ideal ``coeffs`` of a curve within the extension
+    depth whose log discrepancy at pt goes below mld, or None.  A chain pattern
+    read at curves i and j (i = j if free) has q·(k + 1) - p·d = q·c + x·vs[i] + y·vs[j]."""
+    (free, satellite), q, a = case.patterns, pt[1], [kj + 1 for kj in case.k]
+    at = [(free, i, i, v, v) for i, v in enumerate(vs)]
+    at += [(satellite, i, j, vs[i], vs[j]) for i, j in germ._edges(case.c)]
+    return min(
+        ((c - 1 + x * a[i] + y * a[j], x * coeffs[i] + y * coeffs[j]) for ps, i, j, vi, vj in at for c, x, y in ps
+         if q * c + x * vi + y * vj < mld),
+        default=None,
+    )
 
 
 def _mld_extension_guard(case: _Case):
     """No curve within the extension depth goes below the model's mld (the model is a log resolution).
-    A blowup's curve has (k + 1, d) = (1 + (k_f + 1), d_f) at a free point of f and
-    the sum of f's and g's at a satellite, so by induction a chain's curve has its
-    pattern's combination of its first centre's curves.  The mld less a curve's log
-    discrepancy is concave in lambda: on [lo, hi] it peaks at an end or a kink."""
+    The mld less a curve's log discrepancy is concave in lambda: on [lo, hi]
+    it peaks at an end or a kink."""
     if not case.patterns[0]:
         return 0, []
-    kd_of = {g.coeffs: _extension_pairs(case, g.coeffs) for g in case.grids}
 
-    def failures(coeffs, pt, _, mld):
-        p, q = pt
-        least = min(((kk, dd) for kk, dd in kd_of[coeffs] if q * (kk + 1) - p * dd < mld), default=None)
+    def failures(coeffs, pt, vs, mld):
+        least = _extension_below(case, coeffs, pt, vs, mld)
         return [] if least is None else [_pair_details(coeffs, pt, ext_k=least[0], ext_d=least[1])]
 
     return _by_ideal(case, case.grids, _ends_and_kinks, failures)

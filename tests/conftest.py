@@ -352,8 +352,9 @@ def extension_forms(c: germ.Cluster, depth: int) -> list[tuple[int, tuple[int, .
     further blowups: the new curve's canonical coefficient is k, and its
     ideal coefficient is weights . d for any divisorial ideal d on the
     model.  The curve of a point on curves T gets k = 1 + sum of their k
-    and the sum of their weights.  The sorted (k, weights . d) over the
-    forms are what ``explorer._extension_pairs`` must give for the ideal d.
+    and the sum of their weights.  The least (k, weights . d) over the
+    forms below a threshold is what ``explorer._extension_below`` must give
+    for the ideal d.
 
     A curve over the model depends only on its chain of infinitely near
     points (Casas-Alvero, *Singularities of Plane Curves*, ch. 3), so the

@@ -435,29 +435,26 @@ def test_pair_suites_match_the_pairwise_oracle_under_a_fault(monkeypatch, suite,
 
 
 def test_mld_extension_guard_finds_a_form_below_the_mld_inside_the_grid(monkeypatch):
-    # the average of two model curves' forms, less 1/100, goes below the mld
-    # only near where both attain it: at a kink of the mld, which may lie
-    # strictly inside an ideal's grid, where a check of its ends misses it.
-    # The pairwise oracle gets them as forms, the sweep as their pairs.
+    # the average of two meeting model curves' forms, less 1/100, goes below
+    # the mld only near where both attain it: at a kink of the mld, which may
+    # lie strictly inside an ideal's grid, where a check of its ends misses it.
+    # The sweep gets it as the satellite pattern (-1/100, 1/2, 1/2), the
+    # pairwise oracle as a form on each meeting pair.
+    half, less = Fraction(1, 2), Fraction(1, 100)
+
     def with_midpoints(c, depth):
         k, n = germ.canonical_vector(c), c.curve_count()
         return extension_forms(c, depth) + [
-            (Fraction(k[i] + k[j], 2) - Fraction(1, 100), tuple(Fraction(int(x in (i, j)), 2) for x in range(n)))
-            for i in range(n)
-            for j in range(i + 1, n)
+            ((k[i] + k[j]) * half - less, tuple(half * (x in (i, j)) for x in range(n))) for i, j in germ._edges(c)
         ]
 
-    def with_midpoint_pairs(case, coeffs):
-        k, n = case.k, len(case.k)
-        return pairs(case, coeffs) | {
-            (Fraction(k[i] + k[j], 2) - Fraction(1, 100), Fraction(coeffs[i] + coeffs[j], 2))
-            for i in range(n)
-            for j in range(i + 1, n)
-        }
+    def with_midpoint_pattern(depth):
+        free, satellite = patterns(depth)
+        return free, [*satellite, (-less, half, half)]
 
-    pairs = explorer._extension_pairs
+    patterns = explorer._chain_patterns
     monkeypatch.setattr(conftest, "extension_forms", with_midpoints)
-    monkeypatch.setattr(explorer, "_extension_pairs", with_midpoint_pairs)
+    monkeypatch.setattr(explorer, "_chain_patterns", with_midpoint_pattern)
     found = check_pair_suites_pairwise(FAULT_BUDGET)["mld_extension_guard"]
     assert found
     inside = 0
@@ -501,44 +498,56 @@ def test_extension_forms_walk_equals_every_blowup_order():
     assert checked == 1082
 
 
-def test_extension_pairs_are_the_forms_read_on_each_ideal():
-    # the pairs built from the chain patterns are the weight-vector walk's
-    # forms read on the ideal, on every (cluster, ideal, depth) of these
-    # budgets at ideal bound 2, and at the largest depth on smooth <= 2
+def test_extension_below_is_the_least_form_read_below_each_threshold():
+    # at each end and kink of the grid of every (cluster, ideal, depth) of
+    # these budgets at ideal bound 2, and at the largest depth on smooth <= 2,
+    # the chain patterns read on the point's log discrepancies give the least
+    # (k, d) of the weight-vector walk's forms below each threshold: each
+    # distinct q·(k + 1) - p·d of a form there, and one above them all
     cases = [
         (smooth_budget(3), (1, 2, 3, 4)),
         (du_val_budget(("A2", "D4", "E6"), 2), (1, 2, 3, 4)),
         (smooth_budget(2), (explorer.MAX_EXTENSION_DEPTH,)),
     ]
-    checked = 0
+    checked = points = 0
     for b, depths in cases:
         for depth in depths:
             b = replace(b, extension_depth=depth)
             sweep = explorer._sweep(b)
             for enum_index, c in enumerate(enumerate_clusters(b)):
                 case, forms = explorer._case(b, enum_index, c, None, sweep), extension_forms(c, depth)
-                for d, _ in case.ideals:
-                    want = sorted({(kk, sum(w * x for w, x in zip(ws, d))) for kk, ws in forms})
-                    assert sorted(explorer._extension_pairs(case, d)) == want, (c, d, depth)
+                for g in case.grids:
+                    pairs = sorted({(kk, sum(w * x for w, x in zip(ws, g.coeffs))) for kk, ws in forms})
+                    for p, q in explorer._ends_and_kinks(g):
+                        scaled = sorted({q * (kk + 1) - p * dd for kk, dd in pairs})
+                        vs = explorer._scaled(case.k, g.coeffs, (p, q))
+                        for t in (*scaled, scaled[-1] + 1):
+                            want = next((kd for kd in pairs if q * (kd[0] + 1) - p * kd[1] < t), None)
+                            got = explorer._extension_below(case, g.coeffs, (p, q), vs, t)
+                            assert got == want, (c, g.coeffs, depth, (p, q), t)
+                        points += 1
                     checked += 1
-    assert checked == 2860 + 7
+    # every ideal of these budgets has a nonempty grid
+    assert (checked, points) == (2860 + 7, 5755)
 
 
 def test_mld_extension_guard_reports_a_form_below_the_mld(monkeypatch):
-    # a form with k = -1 on curve 0 has log discrepancy -lambda·d_0 <= 0,
-    # below the mld of every lc pair (a positive one for the trivial ideal)
+    # the free pattern (-1, 0, 0) is a form with k = -2 and d = 0, whose log
+    # discrepancy -1 is below the mld of every lc pair, which is at least 0
     b = smooth_budget(2, ideal_coeff_bound=1, lambda_denominator_bound=2, extension_depth=1)
     clean = verify_theorems(b).suite("mld_extension_guard")
     assert clean.checked > 0 and not clean.counterexamples
 
-    pairs = explorer._extension_pairs
-    monkeypatch.setattr(explorer, "_extension_pairs", lambda case, coeffs: pairs(case, coeffs) | {(-1, coeffs[0])})
+    patterns, forms = explorer._chain_patterns, conftest.extension_forms
+    monkeypatch.setattr(explorer, "_chain_patterns", lambda depth: ([*patterns(depth)[0], (-1, 0, 0)], patterns(depth)[1]))
+    monkeypatch.setattr(conftest, "extension_forms", lambda c, depth: forms(c, depth) + [(-2, (0,) * c.curve_count())])
     suite = verify_theorems(b).suite("mld_extension_guard")
     assert suite.checked == clean.checked
     assert len(suite.counterexamples) == clean.checked
     for found in suite.counterexamples:
         assert {"ideal", "lambda", "ext_k", "ext_d"} <= set(found)
-        assert found["ext_k"] == -1 and found["ext_d"] == found["ideal"][0]
+        assert found["ext_k"] == -2 and found["ext_d"] == 0
+    assert len(check_pair_suites_pairwise(b)["mld_extension_guard"]) == clean.checked
 
 
 def test_extension_depth_is_capped():
