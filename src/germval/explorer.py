@@ -201,49 +201,32 @@ def antinef_ideals(c: germ.Cluster, bound: int, pulled: list[tuple[int, ...]] | 
 
     ``unload(z)`` is the least antinef divisor >= z, and antinef divisors
     are closed under pointwise min (Zariski-Lipman), so
-    unload(max(x, y)) = unload(max(unload(x), unload(y))).  Every bounded v
-    is the max of its v_j·e_j, so the closures are the closure of the zero
-    divisor under a -> unload(max(a, g)) over the generators
-    g = unload(b·e_j), 0 < b <= bound: at most n·bound·(len(result) + 1)
-    unloads, not (bound+1)^n.
+    unload(max(x, y)) = unload(max(unload(x), y)).  With S_j the closures
+    of the bounded vectors supported on the curves < j, S_{j+1} is S_j and
+    each unload(max(a, g)), a in S_j, g = unload(b·e_j), 0 < b <= bound.
+    One pass per curve from S_0 = {0}: at most bound·(len(ideals) + 1)
+    unloads a pass, not (bound+1)^n in all.
 
     With ``pulled``, this list on c less its last step pulled back through
-    that step (see :func:`_pullback`), one pass of joins suffices.  A
+    that step (see :func:`_pullback`), only the last curve's pass runs: a
     divisor whose new entry is at most the sum, over the centre's curves,
     of the parent closure D of its old entries closes to D pulled back
-    (Lipman, Publ. IHES 36, 1969, §18): pushing forward keeps a divisor
-    antinef, and being antinef at the new curve forces the new entry up to
-    that sum.  So the set is ``pulled`` and each unload(max(a, g)) of one
-    of them with a new generator g = unload(b·e_new): at most
-    bound·(len(pulled) + 1) unloads.
+    (Lipman, Publ. IHES 36, 1969, §18), so ``pulled`` is S_{n-1}.  Pushing
+    forward keeps a divisor antinef, and being antinef at the new curve
+    forces the new entry up to that sum.
     """
     n = c.curve_count()
-    if pulled is not None:
-        new = [valuation.unload(c, (0,) * (n - 1) + (b,)) for b in range(1, bound + 1)]
-        seen = {*pulled, *new}
-        for a in pulled:
+    ideals, first = ([(0,) * n], 0) if pulled is None else (pulled, n - 1)
+    for j in range(first, n):
+        new = [valuation.unload(c, tuple(b if i == j else 0 for i in range(n))) for b in range(1, bound + 1)]
+        seen = {*ideals, *new}
+        for a in ideals:
             for g in new:
                 z = tuple(map(max, a, g))
-                if z not in seen:
+                if z not in seen:  # a divisor in seen is antinef: its closure is itself
                     seen.add(valuation.unload(c, z))
-        return sorted(seen)
-    gens = {
-        valuation.unload(c, tuple(b if i == j else 0 for i in range(n)))
-        for j in range(n)
-        for b in range(1, bound + 1)
-    }
-    seen = {(0,) * n} | gens
-    todo = list(gens)
-    while todo:
-        a = todo.pop()
-        for g in gens:
-            z = tuple(map(max, a, g))
-            if z not in seen:  # a divisor in seen is antinef: its closure is itself
-                d = valuation.unload(c, z)
-                if d not in seen:
-                    seen.add(d)
-                    todo.append(d)
-    return sorted(seen)
+        ideals = sorted(seen)
+    return ideals
 
 
 def lambda_grid(c: germ.Cluster, coeffs, lct, qmax: int) -> list[Fraction]:

@@ -335,8 +335,8 @@ def oracle_lct_unloading(c: germ.Cluster, e: int, mmax: int = 2000, start: int =
 
 def antinef_ideals_bruteforce(c: germ.Cluster, bound: int) -> list[tuple[int, ...]]:
     """Antinef closures of all (bound+1)^n coefficient vectors bounded by
-    ``bound``, deduplicated and sorted: the definition the join closure of
-    ``explorer.antinef_ideals`` must reproduce."""
+    ``bound``, deduplicated and sorted: the definition the per-curve join
+    passes of ``explorer.antinef_ideals`` must reproduce."""
     n = c.curve_count()
     return sorted({valuation.unload(c, v) for v in product(range(bound + 1), repeat=n)})
 

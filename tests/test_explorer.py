@@ -165,8 +165,17 @@ def test_antinef_ideals_examples():
     assert (1, 2) in expected and (0, 0) in expected
 
 
+DU_VAL_LABELS = ("A1", "A2", "A3", "A4", "D4", "D5", "E6", "E7", "E8")
+
+
 def du_val_budget(labels, max_steps):
     return EnumBudget(max_steps=max_steps, bases=tuple(germ.du_val(x) for x in labels))
+
+
+def du_val_bases() -> list[germ.Cluster]:
+    """The nine du Val base clusters, with no steps: the clusters that the
+    sweep's first wave gives ``antinef_ideals`` with no pulled-back parent."""
+    return [germ.build(germ.du_val(x), ()) for x in DU_VAL_LABELS]
 
 
 # (budget, ideal bound) pairs, each compared cluster by cluster.  E8 stops
@@ -297,23 +306,46 @@ def test_antinef_ideals_match_bruteforce(budget, bound):
         assert antinef_ideals(c, bound) == antinef_ideals_bruteforce(c, bound), c
 
 
-def test_antinef_ideals_unload_count(monkeypatch):
-    # the join closure unloads each generator once and joins each ideal
-    # with each generator at most once: n·B·(|ideals| + 1) in all
-    calls = 0
+@pytest.mark.parametrize("bound", [2, 3])
+def test_du_val_base_ideals_match_bruteforce(bound):
+    # one pass per curve; every other cluster the sweep meets runs only
+    # its last curve's pass, from its parent's ideals pulled back
+    for c in du_val_bases():
+        assert antinef_ideals(c, bound) == antinef_ideals_bruteforce(c, bound), c
+
+
+def count_unloads(monkeypatch) -> Counter:
+    """A counter that ``valuation.unload`` bumps on every call from now on."""
+    calls = Counter()
     unload = valuation.unload
 
     def counting_unload(c, z):
-        nonlocal calls
-        calls += 1
+        calls["unload"] += 1
         return unload(c, z)
 
     monkeypatch.setattr(valuation, "unload", counting_unload)
+    return calls
+
+
+def test_antinef_ideals_unload_count(monkeypatch):
+    # each curve's pass unloads its B generators once and joins each ideal
+    # so far with each of them at most once, and no pass has more ideals
+    # than the result: n·B·(|ideals| + 1) in all
+    calls = count_unloads(monkeypatch)
     bound = 1
     for c in enumerate_clusters(du_val_budget(("A1", "A2", "A3", "D4", "E6", "E7"), 2)):
-        calls = 0
+        calls.clear()
         ideals = antinef_ideals(c, bound)
-        assert calls <= c.curve_count() * bound * (len(ideals) + 1), c
+        assert calls["unload"] <= c.curve_count() * bound * (len(ideals) + 1), c
+
+
+@pytest.mark.parametrize("bound,unloads", [(4, 256), (12, 5616)])
+def test_antinef_ideals_first_wave_unload_count(monkeypatch, bound, unloads):
+    # the unloads of the sweep's first wave over the nine du Val bases
+    calls = count_unloads(monkeypatch)
+    for c in du_val_bases():
+        antinef_ideals(c, bound)
+    assert calls["unload"] == unloads
 
 
 def test_lambda_grid_contents():
